@@ -11,7 +11,6 @@ from .cachesim import (
     POLICIES,
     CacheStats,
     MissCurve,
-    brute_force_optimal,
     lru_curve_from_distances,
     simulate,
     sweep,
@@ -82,7 +81,6 @@ __all__ = [
     "UniformIrm",
     "WorkingSetReport",
     "binary_search_cost",
-    "brute_force_optimal",
     "concentration_curve",
     "constant_cost",
     "generate",

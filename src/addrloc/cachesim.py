@@ -16,17 +16,16 @@ agree exactly.
 
 from __future__ import annotations
 
-import csv
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from math import inf
+from operator import attrgetter
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from ._csvfmt import fmt
+from ._csvfmt import write_curve_table
 from ._rng import SplitMix64, derive_seed
 from .locality import StackDistanceHistogram
 
@@ -209,75 +208,11 @@ def lru_curve_from_distances(
     return MissCurve("LRU", tuple(entries))
 
 
-_BRUTE_MAX_LENGTH = 12
-_BRUTE_MAX_DISTINCT = 4
-_BRUTE_MAX_CAPACITY = 3
-
-
-def brute_force_optimal(dst_sequence: Sequence[int], capacity: int, *, force: bool = False) -> int:
-    """Exhaustive minimum miss count over all eviction strategies.
-
-    Exponential in the worst case; refuses inputs beyond length 12,
-    4 distinct addresses, or capacity 3 unless force=True.  Exists to
-    validate MIN, not to analyze real traces.
-    """
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
-    n = len(dst_sequence)
-    if n == 0:
-        raise ValueError("cannot simulate an empty reference sequence")
-    distinct = len(set(dst_sequence))
-    if not force and (
-        n > _BRUTE_MAX_LENGTH or distinct > _BRUTE_MAX_DISTINCT or capacity > _BRUTE_MAX_CAPACITY
-    ):
-        raise ValueError(
-            f"input too large for exhaustive search (length {n}, {distinct} distinct, "
-            f"capacity {capacity}); pass force=True to override"
-        )
-    seq = tuple(dst_sequence)
-
-    @lru_cache(maxsize=None)
-    def best(i: int, cache: frozenset) -> int:
-        if i == n:
-            return 0
-        a = seq[i]
-        if a in cache:
-            return best(i + 1, cache)
-        if len(cache) < capacity:
-            return 1 + best(i + 1, cache | {a})
-        return 1 + min(best(i + 1, (cache - {v}) | {a}) for v in cache)
-
-    result = best(0, frozenset())
-    best.cache_clear()
-    return result
-
-
-def _check_aligned(curves: Sequence[MissCurve]) -> list[int]:
-    if not curves:
-        raise ValueError("no curves to write")
-    capacities = curves[0].capacities()
-    for curve in curves[1:]:
-        if curve.capacities() != capacities:
-            raise ValueError(
-                f"curve {curve.policy!r} has capacities {curve.capacities()}, "
-                f"expected {capacities}"
-            )
-    return capacities
-
-
 def write_miss_ratio_csv(curves: Sequence[MissCurve], stream: TextIO) -> None:
     """One row per capacity, one miss-ratio column per policy."""
-    capacities = _check_aligned(curves)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["capacity"] + [c.policy for c in curves])
-    for i, cap in enumerate(capacities):
-        writer.writerow([cap] + [fmt(c.entries[i].miss_ratio) for c in curves])
+    write_curve_table(curves, attrgetter("miss_ratio"), stream)
 
 
 def write_interfault_csv(curves: Sequence[MissCurve], stream: TextIO) -> None:
     """One row per capacity, one mean-references-per-miss column per policy."""
-    capacities = _check_aligned(curves)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["capacity"] + [c.policy for c in curves])
-    for i, cap in enumerate(capacities):
-        writer.writerow([cap] + [fmt(c.entries[i].interfault_distance) for c in curves])
+    write_curve_table(curves, attrgetter("interfault_distance"), stream)

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from . import synth
 from .cachesim import POLICIES, MissCurve, sweep, write_interfault_csv, write_miss_ratio_csv
 from .locality import (
+    ConcentrationCurve,
+    WorkingSetReport,
     concentration_curve,
     run_lengths,
     stack_distances,
@@ -31,13 +33,14 @@ from .locality import (
 from ._csvfmt import fmt
 from .searchcost import (
     CostModel,
+    SearchTimeCurve,
     binary_search_cost,
     constant_cost,
     optimal_cache_size,
     search_time_curve,
     write_search_time_csv,
 )
-from .trace import Trace, read_trace, save_trace, split_by_protocol, summarize, write_trace
+from .trace import Trace, TraceSummary, read_trace, split_by_protocol, summarize, write_trace
 
 _POWER_SWEEP = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 _DEFAULT_WINDOWS = (10, 20, 50, 100, 200, 500, 1000)
@@ -47,33 +50,14 @@ _COST_MODELS: dict[str, CostModel] = {
 }
 
 
-def default_capacities(distinct: int) -> list[int]:
-    """Powers of two up to 256 plus the distinct-destination count."""
-    return sorted(set(_POWER_SWEEP) | {distinct})
-
-
-def _clipped_capacities(distinct: int, database_size: int) -> list[int]:
-    """Default sweep for search time: every capacity must stay <= n."""
-    caps = {c for c in _POWER_SWEEP if c < database_size}
-    caps.add(database_size)
-    if distinct <= database_size:
-        caps.add(distinct)
-    return sorted(caps)
-
-
-@contextmanager
-def _out_stream(path):
-    """Open `path` for writing, or pass stdout through for None/'-'."""
+def _write(path, writer) -> None:
+    """Run `writer(stream)` on `path`, or on stdout for None/'-'; note each file written."""
     if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as stream:
-            yield stream
-
-
-def _note_written(path) -> None:
-    if path is not None and path != "-":
-        print(f"wrote {path}")
+        writer(sys.stdout)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        writer(stream)
+    print(f"wrote {path}")
 
 
 def _read_nonempty(path) -> Trace:
@@ -116,21 +100,16 @@ def _parse_policies(text: str) -> list[str]:
     return policies
 
 
-def _parse_capacities(text: str) -> list[int]:
-    capacities = _parse_int_list(text, "--capacities")
-    if any(c < 1 for c in capacities):
-        raise ValueError("--capacities: entries must be >= 1")
-    return sorted(set(capacities))
-
-
 def _part_model(text: str) -> synth.Model:
     kind, sep, arg = text.partition(":")
     if not sep or not arg:
         raise ValueError(f"interleave part {text!r}: expected KIND:ARG")
-    if kind == "cyclic":
-        return synth.Cyclic(int(arg))
-    if kind == "uniform-irm":
-        return synth.UniformIrm(int(arg))
+    if kind in ("cyclic", "uniform-irm"):
+        try:
+            size = int(arg)
+        except ValueError:
+            raise ValueError(f"interleave part {text!r}: expected an integer, got {arg!r}") from None
+        return synth.Cyclic(size) if kind == "cyclic" else synth.UniformIrm(size)
     if kind == "irm":
         return synth.Irm(_parse_weights(arg, "irm part"))
     if kind == "lru-stack":
@@ -160,6 +139,56 @@ def _model_from_args(args, parser: argparse.ArgumentParser) -> synth.Model:
     return synth.Interleave(parts, pattern)
 
 
+# Analysis steps.  Each subcommand runs one of them and `report` runs them
+# all, so a flag means the same thing everywhere it is accepted.
+
+def _working_sets(args, destinations) -> list[WorkingSetReport]:
+    """Average working set per --windows size in --mode; oversized windows are skipped."""
+    requested = _parse_int_list(args.windows, "--windows") if args.windows else _DEFAULT_WINDOWS
+    reports = []
+    for window in requested:
+        if window > len(destinations):
+            print(
+                f"note: skipping window {window}: exceeds trace length {len(destinations)}",
+                file=sys.stderr,
+            )
+        else:
+            reports.append(working_set(destinations, window, args.mode))
+    if not reports:
+        raise ValueError(f"no window fits a trace of {len(destinations)} references")
+    return reports
+
+
+def _sweep(args, destinations, default: list[int]) -> list[MissCurve]:
+    """One miss curve per --policies entry over --capacities (or the given default)."""
+    policies = _parse_policies(args.policies)
+    capacities = default
+    if args.capacities:
+        capacities = sorted(set(_parse_int_list(args.capacities, "--capacities")))
+        if capacities[0] < 1:
+            raise ValueError("--capacities: entries must be >= 1")
+    return [sweep(destinations, policy, capacities, seed=args.seed) for policy in policies]
+
+
+def _search_times(args, destinations) -> tuple[list[MissCurve], list[SearchTimeCurve]]:
+    """Miss curves and their normalized search times for a --database-size table.
+
+    The default sweep is the powers of two below the database size, plus
+    the database size and the distinct-destination count.
+    """
+    distinct = len(set(destinations))
+    database_size = distinct if args.database_size is None else args.database_size
+    if database_size < distinct:
+        raise ValueError(
+            f"--database-size {database_size} is below the trace's "
+            f"{distinct} distinct destinations"
+        )
+    default = sorted({c for c in _POWER_SWEEP if c < database_size} | {database_size, distinct})
+    miss_curves = _sweep(args, destinations, default)
+    cost = _COST_MODELS[args.cost]
+    return miss_curves, [search_time_curve(c, database_size, cost) for c in miss_curves]
+
+
 def _cmd_summarize(args) -> int:
     s = summarize(_read_nonempty(args.trace))
     print(
@@ -171,124 +200,73 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_gen(args, parser) -> int:
     model = _model_from_args(args, parser)
-    spec = synth.GeneratorSpec(model, args.length, args.seed)
-    trace = synth.generate(spec)
-    if args.out is None or args.out == "-":
-        write_trace(trace, sys.stdout)
-    else:
-        save_trace(trace, args.out)
-        _note_written(args.out)
+    trace = synth.generate(synth.GeneratorSpec(model, args.length, args.seed))
+    _write(args.out, partial(write_trace, trace))
     return 0
 
 
 def _cmd_split(args) -> int:
-    trace = read_trace(args.trace)
     wanted = args.proto
-    matching, rest = split_by_protocol(trace, lambda proto: proto == wanted)
-    save_trace(matching, args.match_out)
-    _note_written(args.match_out)
-    save_trace(rest, args.rest_out)
-    _note_written(args.rest_out)
+    matching, rest = split_by_protocol(read_trace(args.trace), lambda proto: proto == wanted)
+    _write(args.match_out, partial(write_trace, matching))
+    _write(args.rest_out, partial(write_trace, rest))
     return 0
 
 
 def _cmd_concentration(args) -> int:
     curve = concentration_curve(_read_nonempty(args.trace).destinations())
-    with _out_stream(args.out) as stream:
-        write_concentration_csv(curve, stream)
-    _note_written(args.out)
+    _write(args.out, partial(write_concentration_csv, curve))
     return 0
 
 
-def _windows_for(requested, available: int) -> list[int]:
-    usable = []
-    for window in requested:
-        if window > available:
-            print(
-                f"note: skipping window {window}: exceeds trace length {available}",
-                file=sys.stderr,
-            )
-        else:
-            usable.append(window)
-    if not usable:
-        raise ValueError(f"no window fits a trace of {available} references")
-    return usable
-
-
 def _cmd_wss(args) -> int:
-    destinations = _read_nonempty(args.trace).destinations()
-    requested = (
-        _parse_int_list(args.windows, "--windows")
-        if args.windows
-        else list(_DEFAULT_WINDOWS)
-    )
-    reports = [
-        working_set(destinations, window, args.mode)
-        for window in _windows_for(requested, len(destinations))
-    ]
-    with _out_stream(args.out) as stream:
-        write_wss_csv(reports, stream)
-    _note_written(args.out)
+    reports = _working_sets(args, _read_nonempty(args.trace).destinations())
+    _write(args.out, partial(write_wss_csv, reports))
     return 0
 
 
 def _cmd_stackdist(args) -> int:
-    destinations = _read_nonempty(args.trace).destinations()
-    _, hist = stack_distances(destinations, method=args.method)
-    with _out_stream(args.out) as stream:
-        write_stackdist_csv(hist, stream)
-    _note_written(args.out)
+    _, hist = stack_distances(_read_nonempty(args.trace).destinations())
+    _write(args.out, partial(write_stackdist_csv, hist))
     return 0
 
 
 def _cmd_runs(args) -> int:
     hist = run_lengths(_read_nonempty(args.trace).destinations())
-    with _out_stream(args.out) as stream:
-        write_runs_csv(hist, stream)
-    _note_written(args.out)
+    _write(args.out, partial(write_runs_csv, hist))
     return 0
-
-
-def _sweep_curves(destinations, policies, capacities, seed) -> list[MissCurve]:
-    return [sweep(destinations, policy, capacities, seed=seed) for policy in policies]
 
 
 def _cmd_simulate(args) -> int:
     destinations = _read_nonempty(args.trace).destinations()
-    policies = _parse_policies(args.policies)
-    capacities = (
-        _parse_capacities(args.capacities)
-        if args.capacities
-        else default_capacities(len(set(destinations)))
-    )
-    curves = _sweep_curves(destinations, policies, capacities, args.seed)
-    with _out_stream(args.miss_out) as stream:
-        write_miss_ratio_csv(curves, stream)
-    _note_written(args.miss_out)
-    with _out_stream(args.interfault_out) as stream:
-        write_interfault_csv(curves, stream)
-    _note_written(args.interfault_out)
+    curves = _sweep(args, destinations, sorted(set(_POWER_SWEEP) | {len(set(destinations))}))
+    _write(args.miss_out, partial(write_miss_ratio_csv, curves))
+    _write(args.interfault_out, partial(write_interfault_csv, curves))
     return 0
 
 
 def _cmd_searchtime(args) -> int:
-    destinations = _read_nonempty(args.trace).destinations()
-    distinct = len(set(destinations))
-    database_size = args.database_size if args.database_size else distinct
-    capacities = (
-        _parse_capacities(args.capacities)
-        if args.capacities
-        else _clipped_capacities(distinct, database_size)
-    )
-    cost = _COST_MODELS[args.cost]
-    curves = [
-        search_time_curve(curve, database_size, cost)
-        for curve in _sweep_curves(destinations, _parse_policies(args.policies), capacities, args.seed)
-    ]
-    with _out_stream(args.out) as stream:
-        write_search_time_csv(curves, stream)
-    _note_written(args.out)
+    _, time_curves = _search_times(args, _read_nonempty(args.trace).destinations())
+    _write(args.out, partial(write_search_time_csv, time_curves))
     return 0
+
+
+def _write_summary(
+    s: TraceSummary,
+    curve: ConcentrationCurve,
+    time_curves: list[SearchTimeCurve],
+    stream,
+) -> None:
+    stream.write(f"frames={s.frame_count}\n")
+    stream.write(f"addresses={s.distinct_addresses}\n")
+    stream.write(f"destinations={s.distinct_destinations}\n")
+    stream.write(f"duration_hours={fmt(s.duration_hours)}\n")
+    stream.write(f"dest_fraction_for_50pct_frames={fmt(curve.quantile(0.5))}\n")
+    stream.write(f"dest_fraction_for_90pct_frames={fmt(curve.quantile(0.9))}\n")
+    for time_curve in time_curves:
+        best_c, best_t = optimal_cache_size(time_curve)
+        stream.write(f"optimal_cache_size_{time_curve.policy}={best_c}\n")
+        stream.write(f"optimal_search_time_{time_curve.policy}={fmt(best_t)}\n")
 
 
 def _cmd_report(args) -> int:
@@ -296,63 +274,19 @@ def _cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trace = _read_nonempty(args.trace)
     destinations = trace.destinations()
-    distinct = len(set(destinations))
-    s = summarize(trace)
-
-    def emit(name: str, writer) -> None:
-        path = out_dir / name
-        with open(path, "w", encoding="utf-8", newline="") as stream:
-            writer(stream)
-        _note_written(path)
-
     curve = concentration_curve(destinations)
-    emit("concentration.csv", lambda st: write_concentration_csv(curve, st))
-
-    requested = (
-        _parse_int_list(args.windows, "--windows")
-        if args.windows
-        else list(_DEFAULT_WINDOWS)
-    )
-    reports = [
-        working_set(destinations, window, args.mode)
-        for window in _windows_for(requested, len(destinations))
-    ]
-    emit("wss.csv", lambda st: write_wss_csv(reports, st))
-
-    _, hist = stack_distances(destinations)
-    emit("stackdist.csv", lambda st: write_stackdist_csv(hist, st))
-
-    runs = run_lengths(destinations)
-    emit("runs.csv", lambda st: write_runs_csv(runs, st))
-
-    policies = _parse_policies(args.policies)
-    database_size = args.database_size if args.database_size else distinct
-    capacities = (
-        _parse_capacities(args.capacities)
-        if args.capacities
-        else _clipped_capacities(distinct, database_size)
-    )
-    miss_curves = _sweep_curves(destinations, policies, capacities, args.seed)
-    emit("miss_ratio.csv", lambda st: write_miss_ratio_csv(miss_curves, st))
-    emit("interfault.csv", lambda st: write_interfault_csv(miss_curves, st))
-
-    cost = _COST_MODELS[args.cost]
-    time_curves = [search_time_curve(curve, database_size, cost) for curve in miss_curves]
-    emit("searchtime.csv", lambda st: write_search_time_csv(time_curves, st))
-
-    def write_summary(stream) -> None:
-        stream.write(f"frames={s.frame_count}\n")
-        stream.write(f"addresses={s.distinct_addresses}\n")
-        stream.write(f"destinations={s.distinct_destinations}\n")
-        stream.write(f"duration_hours={fmt(s.duration_hours)}\n")
-        stream.write(f"dest_fraction_for_50pct_frames={fmt(curve.quantile(0.5))}\n")
-        stream.write(f"dest_fraction_for_90pct_frames={fmt(curve.quantile(0.9))}\n")
-        for time_curve in time_curves:
-            best_c, best_t = optimal_cache_size(time_curve)
-            stream.write(f"optimal_cache_size_{time_curve.policy}={best_c}\n")
-            stream.write(f"optimal_search_time_{time_curve.policy}={fmt(best_t)}\n")
-
-    emit("summary.txt", write_summary)
+    _write(out_dir / "concentration.csv", partial(write_concentration_csv, curve))
+    _write(out_dir / "wss.csv", partial(write_wss_csv, _working_sets(args, destinations)))
+    # Keep only the histogram: the per-reference distance list is freed here,
+    # before the sweeps run.
+    hist = stack_distances(destinations)[1]
+    _write(out_dir / "stackdist.csv", partial(write_stackdist_csv, hist))
+    _write(out_dir / "runs.csv", partial(write_runs_csv, run_lengths(destinations)))
+    miss_curves, time_curves = _search_times(args, destinations)
+    _write(out_dir / "miss_ratio.csv", partial(write_miss_ratio_csv, miss_curves))
+    _write(out_dir / "interfault.csv", partial(write_interfault_csv, miss_curves))
+    _write(out_dir / "searchtime.csv", partial(write_search_time_csv, time_curves))
+    _write(out_dir / "summary.txt", partial(_write_summary, summarize(trace), curve, time_curves))
     return 0
 
 
@@ -363,8 +297,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("summarize", help="print frame/address counts and duration")
-    p.add_argument("trace")
+    # Flag groups shared through `parents=`; report takes the union of the
+    # wss, simulate and searchtime flags.
+    trace_arg = argparse.ArgumentParser(add_help=False)
+    trace_arg.add_argument("trace")
+    out_flag = argparse.ArgumentParser(add_help=False)
+    out_flag.add_argument("--out", help="output CSV (default: stdout)")
+    window_flags = argparse.ArgumentParser(add_help=False)
+    default_windows = ",".join(str(w) for w in _DEFAULT_WINDOWS)
+    window_flags.add_argument(
+        "--windows", metavar="W1,W2,...", help=f"window sizes (default: {default_windows})"
+    )
+    window_flags.add_argument("--mode", choices=("disjoint", "sliding"), default="disjoint")
+
+    def sweep_flags(policies: str, capacities: str) -> argparse.ArgumentParser:
+        # Built per caller: parents share Action objects, so a shared group
+        # cannot carry per-subcommand defaults.
+        flags = argparse.ArgumentParser(add_help=False)
+        flags.add_argument("--policies", default=policies)
+        flags.add_argument(
+            "--capacities", metavar="C1,C2,...", help=f"cache sizes (default: {capacities})"
+        )
+        flags.add_argument("--seed", type=int, default=0, help="RAND eviction seed")
+        return flags
+
+    clipped_sweep = (
+        "powers of two below the database size, plus it and the distinct-destination count"
+    )
+    search_flags = argparse.ArgumentParser(add_help=False)
+    search_flags.add_argument(
+        "--database-size",
+        type=int,
+        help="full table size n, at least the distinct destinations in the trace "
+        "(default: that count)",
+    )
+    search_flags.add_argument("--cost", choices=sorted(_COST_MODELS), default="binary")
+
+    p = sub.add_parser(
+        "summarize", parents=[trace_arg], help="print frame/address counts and duration"
+    )
     p.set_defaults(func=_cmd_summarize)
 
     p = sub.add_parser(
@@ -392,10 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True, help="number of references")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output trace file (default: stdout)")
-    p.set_defaults(func=None)  # handled specially: needs the parser for usage errors
+    p.set_defaults(func=partial(_cmd_gen, parser=p))  # flag-pairing errors are usage errors
 
-    p = sub.add_parser("split", help="split a trace by protocol tag")
-    p.add_argument("trace")
+    p = sub.add_parser("split", parents=[trace_arg], help="split a trace by protocol tag")
     p.add_argument("--proto", required=True, help="protocol token selecting the matching side")
     p.add_argument("--match-out", required=True)
     p.add_argument("--rest-out", required=True)
@@ -403,115 +373,84 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "concentration",
+        parents=[trace_arg, out_flag],
         help="cumulative traffic share of top-ranked destinations",
         description="CSV columns: dest_fraction, frame_fraction.",
     )
-    p.add_argument("trace")
-    p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(func=_cmd_concentration)
 
     p = sub.add_parser(
         "wss",
+        parents=[trace_arg, window_flags, out_flag],
         help="average working set size per window",
         description="CSV columns: window, mode, avg_wss. Windows larger than "
         "the trace are skipped with a note on stderr.",
     )
-    p.add_argument("trace")
-    default_windows = ",".join(str(w) for w in _DEFAULT_WINDOWS)
-    p.add_argument(
-        "--windows", metavar="W1,W2,...", help=f"window sizes (default: {default_windows})"
-    )
-    p.add_argument("--mode", choices=("disjoint", "sliding"), default="disjoint")
-    p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(func=_cmd_wss)
 
     p = sub.add_parser(
         "stackdist",
+        parents=[trace_arg, out_flag],
         help="LRU stack distance histogram",
         description="CSV columns: distance, count, pdf, cdf; final row 'inf' "
         "counts first references.",
     )
-    p.add_argument("trace")
-    p.add_argument("--method", choices=("fenwick", "naive"), default="fenwick")
-    p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(func=_cmd_stackdist)
 
     p = sub.add_parser(
         "runs",
+        parents=[trace_arg, out_flag],
         help="histogram of consecutive-reference run lengths",
         description="CSV columns: length, count, frequency.",
     )
-    p.add_argument("trace")
-    p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(func=_cmd_runs)
 
     p = sub.add_parser(
         "simulate",
+        parents=[
+            trace_arg,
+            sweep_flags(
+                "MIN,LRU,FIFO,RAND", "1,2,4,...,256 plus the distinct-destination count"
+            ),
+        ],
         help="miss ratio and interfault distance over a capacity sweep",
         description="Writes two CSVs (capacity + one column per policy): "
         "miss ratios and mean references per miss.",
     )
-    p.add_argument("trace")
-    p.add_argument("--policies", default="MIN,LRU,FIFO,RAND")
-    p.add_argument(
-        "--capacities",
-        metavar="C1,C2,...",
-        help="cache sizes (default: 1,2,4,...,256 plus the distinct-destination count)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="RAND eviction seed")
     p.add_argument("--miss-out", default="miss_ratio.csv")
     p.add_argument("--interfault-out", default="interfault.csv")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
         "searchtime",
+        parents=[trace_arg, sweep_flags("LRU", clipped_sweep), search_flags, out_flag],
         help="normalized search time over a capacity sweep",
         description="CSV columns: capacity + one normalized-time column per "
         "policy. T < 1 means the cache speeds lookups up.",
     )
-    p.add_argument("trace")
-    p.add_argument("--policies", default="LRU")
-    p.add_argument(
-        "--capacities",
-        metavar="C1,C2,...",
-        help="cache sizes (default: powers of two below the database size, plus it)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="RAND eviction seed")
-    p.add_argument(
-        "--database-size",
-        type=int,
-        help="full table size n (default: distinct destinations in the trace)",
-    )
-    p.add_argument("--cost", choices=sorted(_COST_MODELS), default="binary")
-    p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(func=_cmd_searchtime)
 
     p = sub.add_parser(
         "report",
+        parents=[
+            trace_arg,
+            window_flags,
+            sweep_flags("MIN,LRU,FIFO,RAND", clipped_sweep),
+            search_flags,
+        ],
         help="run the whole battery and write one file per analysis",
         description="Writes concentration.csv, wss.csv, stackdist.csv, runs.csv, "
         "miss_ratio.csv, interfault.csv, searchtime.csv, summary.txt into --out-dir.",
     )
-    p.add_argument("trace")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--windows", metavar="W1,W2,...")
-    p.add_argument("--mode", choices=("disjoint", "sliding"), default="disjoint")
-    p.add_argument("--policies", default="MIN,LRU,FIFO,RAND")
-    p.add_argument("--capacities", metavar="C1,C2,...")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--database-size", type=int)
-    p.add_argument("--cost", choices=sorted(_COST_MODELS), default="binary")
     p.set_defaults(func=_cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args, parser)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,10 +9,9 @@ address ids:
 * run_lengths         - maximal runs of identical consecutive destinations
 
 Stack distances drive the single-pass miss-count reconstruction in
-`addrloc.cachesim`, so the default implementation keeps an order-statistic
+`addrloc.cachesim`, so the implementation keeps an order-statistic
 tree over last-use slots: amortized O(N log D) for N references over D
-distinct destinations.  The quadratic explicit-stack variant is available
-as method="naive" for cross-checking.
+distinct destinations.
 """
 
 from __future__ import annotations
@@ -214,38 +213,13 @@ def _stack_distances_fenwick(seq: Sequence[int]) -> list:
     return distances
 
 
-def _stack_distances_naive(seq: Sequence[int]) -> list:
-    # Explicit move-to-top stack; O(N * D), for cross-checks and tiny inputs.
-    stack: list[int] = []
-    distances: list = []
-    for a in seq:
-        try:
-            idx = stack.index(a)
-        except ValueError:
-            distances.append(inf)
-        else:
-            distances.append(idx + 1)
-            del stack[idx]
-        stack.insert(0, a)
-    return distances
-
-
-def stack_distances(
-    dst_sequence: Sequence[int], method: str = "fenwick"
-) -> tuple[list, StackDistanceHistogram]:
+def stack_distances(dst_sequence: Sequence[int]) -> tuple[list, StackDistanceHistogram]:
     """Per-reference move-to-top stack distances and their histogram.
 
     A reference's distance is the 1-based depth of its address in the stack
-    at reference time; first-ever references get math.inf.  `method` selects
-    the amortized O(N log D) order-statistic implementation ("fenwick",
-    default) or the quadratic explicit stack ("naive").
+    at reference time; first-ever references get math.inf.
     """
-    if method == "fenwick":
-        distances = _stack_distances_fenwick(dst_sequence)
-    elif method == "naive":
-        distances = _stack_distances_naive(dst_sequence)
-    else:
-        raise ValueError(f"unknown stack-distance method {method!r}")
+    distances = _stack_distances_fenwick(dst_sequence)
     finite: Counter = Counter(d for d in distances if d is not inf)
     infinite_count = len(distances) - sum(finite.values())
     hist = StackDistanceHistogram(dict(finite), infinite_count, len(distances))

@@ -13,12 +13,12 @@ is a balanced binary search, cost(m) = 1 + log2(m) comparisons.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import log2
+from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence, TextIO
 
-from ._csvfmt import fmt
+from ._csvfmt import write_curve_table
 from .cachesim import MissCurve
 
 CostModel = Callable[[int], float]
@@ -98,16 +98,4 @@ def optimal_cache_size(curve: SearchTimeCurve) -> tuple[int, float]:
 
 def write_search_time_csv(curves: Sequence[SearchTimeCurve], stream: TextIO) -> None:
     """One row per capacity, one normalized-time column per policy."""
-    if not curves:
-        raise ValueError("no curves to write")
-    capacities = [e.capacity for e in curves[0].entries]
-    for curve in curves[1:]:
-        got = [e.capacity for e in curve.entries]
-        if got != capacities:
-            raise ValueError(
-                f"curve {curve.policy!r} has capacities {got}, expected {capacities}"
-            )
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["capacity"] + [c.policy for c in curves])
-    for i, cap in enumerate(capacities):
-        writer.writerow([cap] + [fmt(c.entries[i].time) for c in curves])
+    write_curve_table(curves, attrgetter("time"), stream)

@@ -208,8 +208,23 @@ def write_trace(trace: Trace, stream: TextIO) -> None:
 
 
 def read_trace(path) -> Trace:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_trace(f)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return parse_trace(f)
+    except UnicodeDecodeError:
+        # The text layer decodes in blocks, so its error has no line number.
+        # Rescan with each bad byte escaped to a lone surrogate, splitting
+        # lines exactly as parse_trace saw them, and report the first one.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+            for lineno, line in enumerate(f, start=1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise TraceParseError(
+                        lineno, f"not UTF-8: byte 0x{byte:02x} at column {exc.start + 1}"
+                    ) from None
+        raise
 
 
 def save_trace(trace: Trace, path) -> None:

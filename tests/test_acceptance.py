@@ -19,7 +19,6 @@ from addrloc import (
     GeneratorSpec,
     LruStackModel,
     UniformIrm,
-    brute_force_optimal,
     generate,
     lru_curve_from_distances,
     normalized_search_time,
@@ -34,6 +33,7 @@ from addrloc.locality import stack_distances
 from addrloc.searchcost import binary_search_cost, constant_cost
 
 from helpers import random_reference_string
+from oracles import brute_force_optimal
 
 
 @contextmanager

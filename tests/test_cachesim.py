@@ -10,7 +10,6 @@ import pytest
 
 from addrloc.cachesim import (
     CacheStats,
-    brute_force_optimal,
     lru_curve_from_distances,
     simulate,
     sweep,
@@ -21,6 +20,7 @@ from addrloc.locality import stack_distances
 from addrloc._rng import derive_seed
 
 from helpers import random_reference_string
+from oracles import brute_force_optimal
 
 ABCD3 = [0, 1, 2, 3] * 3
 BELADY = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5]

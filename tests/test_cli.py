@@ -221,3 +221,71 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("frames=2")
+
+
+SUBCOMMANDS = (
+    "summarize", "gen", "split", "concentration", "wss", "stackdist", "runs",
+    "simulate", "searchtime", "report",
+)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: addrloc {command}")
+
+
+@pytest.mark.parametrize(
+    "command, database_size",
+    [("searchtime", "0"), ("searchtime", "1"), ("report", "0"), ("report", "2")],
+)
+def test_database_size_below_distinct_is_rejected(tmp_path, capsys, command, database_size):
+    path = _write_fixture(tmp_path, "".join(f"{i}\tS\td{i % 3}\n" for i in range(30)))
+    argv = [command, str(path), "--database-size", database_size]
+    if command == "report":
+        argv += ["--out-dir", str(tmp_path / "rep")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: --database-size" in err and "3 distinct" in err
+
+
+def test_non_utf8_trace_reports_line(tmp_path, capsys):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"0\tA\tB\n1\tA\t\xffB\n")
+    assert main(["summarize", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2" in err and "0xff" in err
+
+
+def test_gen_bad_part_size_names_the_part(capsys):
+    assert main(["gen", "--interleave", "cyclic:x", "--pattern", "1", "--length", "5"]) == 1
+    assert "interleave part 'cyclic:x'" in capsys.readouterr().err
+
+
+def test_report_equals_its_parts(tmp_path):
+    text = "".join(f"{i}\tS\td{(i * i) % 17}\n" for i in range(2000))
+    path = str(_write_fixture(tmp_path, text))
+    sweep = ["--capacities", "1,2,4,8", "--seed", "3"]
+    out = tmp_path / "rep"
+    assert main(["report", path, "--out-dir", str(out), "--windows", "5,20",
+                 "--mode", "sliding", *sweep]) == 0
+    parts = tmp_path / "parts"
+    parts.mkdir()
+    for argv in (
+        ["concentration", path, "--out", str(parts / "concentration.csv")],
+        ["wss", path, "--windows", "5,20", "--mode", "sliding",
+         "--out", str(parts / "wss.csv")],
+        ["stackdist", path, "--out", str(parts / "stackdist.csv")],
+        ["runs", path, "--out", str(parts / "runs.csv")],
+        ["simulate", path, *sweep, "--miss-out", str(parts / "miss_ratio.csv"),
+         "--interfault-out", str(parts / "interfault.csv")],
+        ["searchtime", path, "--policies", "MIN,LRU,FIFO,RAND", *sweep,
+         "--out", str(parts / "searchtime.csv")],
+    ):
+        assert main(argv) == 0
+    names = sorted(p.name for p in parts.iterdir())
+    assert names == sorted(p.name for p in out.iterdir() if p.suffix == ".csv")
+    for name in names:
+        assert (out / name).read_bytes() == (parts / name).read_bytes(), name

@@ -23,6 +23,7 @@ from addrloc.locality import (
 )
 
 from helpers import random_reference_string
+from oracles import stack_distances_naive
 
 
 # --- concentration ---------------------------------------------------------
@@ -162,14 +163,14 @@ def test_stack_distances_methods_agree():
     rnd = random.Random(5)
     for _ in range(25):
         seq = random_reference_string(rnd, 40, 600)
-        assert stack_distances(seq, "fenwick") == stack_distances(seq, "naive")
+        assert stack_distances(seq)[0] == stack_distances_naive(seq)
 
 
 def test_stack_distances_agree_across_compaction():
     # alphabet far wider than the initial slot arena forces many rebuilds
     rnd = random.Random(6)
     seq = [rnd.randrange(500) for _ in range(3000)]
-    assert stack_distances(seq, "fenwick") == stack_distances(seq, "naive")
+    assert stack_distances(seq)[0] == stack_distances_naive(seq)
 
 
 def test_stack_distances_cyclic_mass():
@@ -179,11 +180,6 @@ def test_stack_distances_cyclic_mass():
     assert hist.pdf(30) >= 0.99
     assert hist.cdf(29) == 0.0
     assert max(hist.finite) <= len(set(seq))
-
-
-def test_stack_distances_unknown_method():
-    with pytest.raises(ValueError):
-        stack_distances([0], "bubble")
 
 
 def test_stack_distances_empty():
