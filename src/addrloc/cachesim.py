@@ -8,17 +8,29 @@ Policies:
 * RAND - evict a uniformly random entry (seeded, reproducible)
 
 Every reference to an address not currently cached counts as one miss,
-including compulsory misses while the cache is filling.  LRU miss counts
-for a whole capacity sweep can also be reconstructed in one pass from the
-stack distance histogram (`lru_curve_from_distances`); the two routes must
-agree exactly.
+including compulsory misses while the cache is filling.
+
+`sweep` prepares the reference string once and runs every capacity on it
+(`simulate` is a sweep of one capacity).  Immediate repeats are dropped,
+since they hit under every policy and change no state; `references`
+still counts them.  MIN's next-use keys are computed once per sweep.  Two
+capacities need no simulation: at c >= D (distinct destinations) only the
+D compulsory misses remain, and at c = 1 every remaining reference misses.
+All counts are exact.
+
+LRU miss counts for a whole sweep also fall out of one stack distance
+histogram (`lru_curve_from_distances`); `report`, which builds that
+histogram anyway, takes its LRU column from it.  The two routes agree
+exactly.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
+from array import array
+from collections import OrderedDict, deque
 from dataclasses import dataclass
+from heapq import heapify, heappush, heapreplace
+from itertools import groupby
 from math import inf
 from operator import attrgetter
 from typing import Sequence, TextIO
@@ -26,7 +38,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from ._csvfmt import write_curve_table
-from ._rng import SplitMix64, derive_seed
+from ._rng import _GOLDEN, _MASK64, derive_seed
 from .locality import StackDistanceHistogram
 
 POLICIES = ("MIN", "LRU", "FIFO", "RAND")
@@ -62,55 +74,79 @@ class MissCurve:
         return [e.miss_ratio for e in self.entries]
 
 
-def _simulate_min(seq: Sequence[int], capacity: int) -> int:
+def _collapse(seq: Sequence[int]) -> list[int]:
+    """`seq` without immediate repeats.
+
+    A reference equal to the one just before it hits under every policy
+    and changes no state that any policy here keeps, so dropping it keeps
+    every miss count exact.
+    """
+    return [a for a, _ in groupby(seq)]
+
+
+def _min_keys(seq: list[int]) -> array:
+    """Belady eviction keys: -next use, or i - 2n when position i is a last use.
+
+    Smaller keys evict first.  "Never used again" keys lie below -n and any
+    next use is above it, so infinite next uses go first, oldest last use
+    first among them.  Kept as a C array: 8 bytes a key, not an int object.
+    """
     n = len(seq)
-    next_use: list = [inf] * n
+    keys = array("q", [0]) * n
     upcoming: dict[int, int] = {}
     for i in range(n - 1, -1, -1):
         a = seq[i]
-        next_use[i] = upcoming.get(a, inf)
+        j = upcoming.get(a)
+        keys[i] = i - 2 * n if j is None else -j
         upcoming[a] = i
-    # cache maps addr -> (next use, last use); the heap holds
-    # (-next use, last use, addr) with stale entries dropped lazily.
-    # Ties on next use (only possible at infinity) evict the oldest
-    # last use first, then the lowest address id.
-    cache: dict[int, tuple] = {}
-    heap: list = []
+    return keys
+
+
+def _min_misses(seq: list[int], keys: array, capacity: int) -> int:
+    # The heap holds one key per reference still resident, plus the keys of
+    # re-referenced entries (stale).  At step i a stale key is >= -i, while a
+    # resident's key is < -i, so a stale key never reaches the top and the
+    # victim follows from the key alone.  Stale keys are dropped once the
+    # heap holds about two per slot.
+    n = len(seq)
+    cache: set[int] = set()
+    heap: list[int] = []
+    limit = 2 * capacity
     misses = 0
     for i, a in enumerate(seq):
-        nxt = next_use[i]
         if a in cache:
-            cache[a] = (nxt, i)
-            heapq.heappush(heap, (-nxt, i, a))
+            heappush(heap, keys[i])
+            if len(heap) > limit:
+                heap = [k for k in heap if k < -i]
+                heapify(heap)
             continue
         misses += 1
         if len(cache) >= capacity:
-            while True:
-                neg_next, last, victim = heapq.heappop(heap)
-                if cache.get(victim) == (-neg_next, last):
-                    del cache[victim]
-                    break
-        cache[a] = (nxt, i)
-        heapq.heappush(heap, (-nxt, i, a))
+            k = heapreplace(heap, keys[i])
+            cache.remove(seq[-k] if k >= -n else seq[k + 2 * n])
+        else:
+            heappush(heap, keys[i])
+        cache.add(a)
     return misses
 
 
-def _simulate_lru(seq: Sequence[int], capacity: int) -> int:
-    # Insertion-ordered dict doubles as the recency list (last = most recent).
-    cache: dict[int, None] = {}
+def _lru_misses(seq: list[int], capacity: int) -> int:
+    cache: OrderedDict[int, None] = OrderedDict()  # last = most recent
+    refresh = cache.move_to_end
+    evict = cache.popitem
     misses = 0
     for a in seq:
         if a in cache:
-            del cache[a]
-        else:
-            misses += 1
-            if len(cache) >= capacity:
-                del cache[next(iter(cache))]
+            refresh(a)
+            continue
+        misses += 1
+        if len(cache) >= capacity:
+            evict(last=False)
         cache[a] = None
     return misses
 
 
-def _simulate_fifo(seq: Sequence[int], capacity: int) -> int:
+def _fifo_misses(seq: list[int], capacity: int) -> int:
     cache: set[int] = set()
     order: deque[int] = deque()
     misses = 0
@@ -125,8 +161,10 @@ def _simulate_fifo(seq: Sequence[int], capacity: int) -> int:
     return misses
 
 
-def _simulate_rand(seq: Sequence[int], capacity: int, seed: int) -> int:
-    rng = SplitMix64(seed)
+def _rand_misses(seq: list[int], capacity: int, seed: int) -> int:
+    # Victims come from SplitMix64(seed).randbelow(capacity), drawn inline.
+    state = seed & _MASK64
+    limit = _MASK64 + 1 - ((_MASK64 + 1) % capacity)
     slots: list[int] = []
     index: dict[int, int] = {}
     misses = 0
@@ -135,7 +173,15 @@ def _simulate_rand(seq: Sequence[int], capacity: int, seed: int) -> int:
             continue
         misses += 1
         if len(slots) >= capacity:
-            pos = rng.randbelow(capacity)
+            while True:
+                state = (state + _GOLDEN) & _MASK64
+                z = state
+                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                z ^= z >> 31
+                if z < limit:
+                    break
+            pos = z % capacity
             del index[slots[pos]]
             slots[pos] = a
             index[a] = pos
@@ -143,6 +189,40 @@ def _simulate_rand(seq: Sequence[int], capacity: int, seed: int) -> int:
             index[a] = len(slots)
             slots.append(a)
     return misses
+
+
+def _simulate_all(
+    dst_sequence: Sequence[int], policy: str, capacities: Sequence[int], seeds: Sequence[int]
+) -> tuple[CacheStats, ...]:
+    """Miss counts at each capacity (RAND on the matching seed), from one prepared string."""
+    n = len(dst_sequence)
+    if n == 0:
+        raise ValueError("cannot simulate an empty reference sequence")
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}, expected one of {', '.join(POLICIES)}")
+    seq = _collapse(dst_sequence)
+    distinct = len(set(seq))
+    keys = None
+    entries = []
+    for c, seed in zip(capacities, seeds):
+        if c < 1:
+            raise ValueError(f"capacity must be >= 1, got {c}")
+        if c >= distinct:
+            misses = distinct         # nothing is ever evicted
+        elif c == 1:
+            misses = len(seq)         # no reference repeats the one before it
+        elif policy == "MIN":
+            if keys is None:
+                keys = _min_keys(seq)
+            misses = _min_misses(seq, keys, c)
+        elif policy == "LRU":
+            misses = _lru_misses(seq, c)
+        elif policy == "FIFO":
+            misses = _fifo_misses(seq, c)
+        else:
+            misses = _rand_misses(seq, c, seed)
+        entries.append(CacheStats(c, n, misses))
+    return tuple(entries)
 
 
 def simulate(dst_sequence: Sequence[int], policy: str, capacity: int, seed: int = 0) -> CacheStats:
@@ -153,20 +233,7 @@ def simulate(dst_sequence: Sequence[int], policy: str, capacity: int, seed: int 
     """
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
-    n = len(dst_sequence)
-    if n == 0:
-        raise ValueError("cannot simulate an empty reference sequence")
-    if policy == "MIN":
-        misses = _simulate_min(dst_sequence, capacity)
-    elif policy == "LRU":
-        misses = _simulate_lru(dst_sequence, capacity)
-    elif policy == "FIFO":
-        misses = _simulate_fifo(dst_sequence, capacity)
-    elif policy == "RAND":
-        misses = _simulate_rand(dst_sequence, capacity, seed)
-    else:
-        raise ValueError(f"unknown policy {policy!r}, expected one of {', '.join(POLICIES)}")
-    return CacheStats(capacity, n, misses)
+    return _simulate_all(dst_sequence, policy, (capacity,), (seed,))[0]
 
 
 def sweep(
@@ -174,15 +241,14 @@ def sweep(
 ) -> MissCurve:
     """Simulate one policy across a capacity sweep.
 
-    Each RAND capacity runs on its own stream derived from (seed, capacity),
-    so adding or removing capacities never perturbs the others.
+    The reference string is prepared once for the whole sweep.  Each RAND
+    capacity runs on its own stream derived from (seed, capacity), so
+    adding or removing capacities never perturbs the others.
     """
     if not capacities:
         raise ValueError("capacity sweep is empty")
-    entries = []
-    for c in capacities:
-        entries.append(simulate(dst_sequence, policy, c, seed=derive_seed(seed, c)))
-    return MissCurve(policy, tuple(entries))
+    seeds = [derive_seed(seed, c) for c in capacities]
+    return MissCurve(policy, _simulate_all(dst_sequence, policy, capacities, seeds))
 
 
 def lru_curve_from_distances(

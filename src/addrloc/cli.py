@@ -17,7 +17,14 @@ from functools import partial
 from pathlib import Path
 
 from . import synth
-from .cachesim import POLICIES, MissCurve, sweep, write_interfault_csv, write_miss_ratio_csv
+from .cachesim import (
+    POLICIES,
+    MissCurve,
+    lru_curve_from_distances,
+    sweep,
+    write_interfault_csv,
+    write_miss_ratio_csv,
+)
 from .locality import (
     ConcentrationCurve,
     WorkingSetReport,
@@ -159,18 +166,27 @@ def _working_sets(args, destinations) -> list[WorkingSetReport]:
     return reports
 
 
-def _sweep(args, destinations, default: list[int]) -> list[MissCurve]:
-    """One miss curve per --policies entry over --capacities (or the given default)."""
+def _sweep(args, destinations, default: list[int], hist=None) -> list[MissCurve]:
+    """One miss curve per --policies entry over --capacities (or the given default).
+
+    Given the trace's stack distance histogram, the LRU curve is read off
+    it instead of simulated.
+    """
     policies = _parse_policies(args.policies)
     capacities = default
     if args.capacities:
         capacities = sorted(set(_parse_int_list(args.capacities, "--capacities")))
         if capacities[0] < 1:
             raise ValueError("--capacities: entries must be >= 1")
-    return [sweep(destinations, policy, capacities, seed=args.seed) for policy in policies]
+    return [
+        lru_curve_from_distances(hist, capacities)
+        if policy == "LRU" and hist is not None
+        else sweep(destinations, policy, capacities, seed=args.seed)
+        for policy in policies
+    ]
 
 
-def _search_times(args, destinations) -> tuple[list[MissCurve], list[SearchTimeCurve]]:
+def _search_times(args, destinations, hist=None) -> tuple[list[MissCurve], list[SearchTimeCurve]]:
     """Miss curves and their normalized search times for a --database-size table.
 
     The default sweep is the powers of two below the database size, plus
@@ -184,7 +200,7 @@ def _search_times(args, destinations) -> tuple[list[MissCurve], list[SearchTimeC
             f"{distinct} distinct destinations"
         )
     default = sorted({c for c in _POWER_SWEEP if c < database_size} | {database_size, distinct})
-    miss_curves = _sweep(args, destinations, default)
+    miss_curves = _sweep(args, destinations, default, hist)
     cost = _COST_MODELS[args.cost]
     return miss_curves, [search_time_curve(c, database_size, cost) for c in miss_curves]
 
@@ -278,11 +294,11 @@ def _cmd_report(args) -> int:
     _write(out_dir / "concentration.csv", partial(write_concentration_csv, curve))
     _write(out_dir / "wss.csv", partial(write_wss_csv, _working_sets(args, destinations)))
     # Keep only the histogram: the per-reference distance list is freed here,
-    # before the sweeps run.
+    # before the sweeps run, which take their LRU curve from it.
     hist = stack_distances(destinations)[1]
     _write(out_dir / "stackdist.csv", partial(write_stackdist_csv, hist))
     _write(out_dir / "runs.csv", partial(write_runs_csv, run_lengths(destinations)))
-    miss_curves, time_curves = _search_times(args, destinations)
+    miss_curves, time_curves = _search_times(args, destinations, hist)
     _write(out_dir / "miss_ratio.csv", partial(write_miss_ratio_csv, miss_curves))
     _write(out_dir / "interfault.csv", partial(write_interfault_csv, miss_curves))
     _write(out_dir / "searchtime.csv", partial(write_search_time_csv, time_curves))

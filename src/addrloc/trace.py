@@ -190,21 +190,32 @@ def parse_trace(lines: Iterable[str]) -> Trace:
     return Trace(records, interns)
 
 
+def _breaks_line(token: str) -> bool:
+    return "\t" in token or "\n" in token or "\r" in token
+
+
 def write_trace(trace: Trace, stream: TextIO) -> None:
     """Write a trace in the file format; parse_trace(write_trace(t)) == t."""
-    interns = trace.interns
+    # Each address token and each distinct proto is checked once; a record
+    # is re-checked field by field only when one of its tokens is unsafe.
+    tokens = trace.interns.tokens
+    unsafe = {aid for aid, tok in enumerate(tokens) if _breaks_line(tok)}
+    safe_protos: set = {None}
+    write = stream.write
     for r in trace.records:
-        src_tok = interns.token_of(r.src)
-        dst_tok = interns.token_of(r.dst)
-        for tok in (src_tok, dst_tok, r.proto or ""):
-            if "\t" in tok or "\n" in tok or "\r" in tok:
-                raise ValueError(f"token {tok!r} contains a tab or line break")
+        src_tok = tokens[r.src]
+        dst_tok = tokens[r.dst]
+        if r.proto not in safe_protos or r.src in unsafe or r.dst in unsafe:
+            for tok in (src_tok, dst_tok, r.proto or ""):
+                if _breaks_line(tok):
+                    raise ValueError(f"token {tok!r} contains a tab or line break")
+            safe_protos.add(r.proto)
         if r.length is not None:
-            stream.write(f"{r.timestamp}\t{src_tok}\t{dst_tok}\t{r.proto or ''}\t{r.length}\n")
+            write(f"{r.timestamp}\t{src_tok}\t{dst_tok}\t{r.proto or ''}\t{r.length}\n")
         elif r.proto is not None:
-            stream.write(f"{r.timestamp}\t{src_tok}\t{dst_tok}\t{r.proto}\n")
+            write(f"{r.timestamp}\t{src_tok}\t{dst_tok}\t{r.proto}\n")
         else:
-            stream.write(f"{r.timestamp}\t{src_tok}\t{dst_tok}\n")
+            write(f"{r.timestamp}\t{src_tok}\t{dst_tok}\n")
 
 
 def read_trace(path) -> Trace:

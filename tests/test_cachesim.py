@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import heapq
 import io
 import random
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from addrloc import cachesim
 from addrloc.cachesim import (
+    POLICIES,
     CacheStats,
     lru_curve_from_distances,
     simulate,
@@ -20,7 +25,7 @@ from addrloc.locality import stack_distances
 from addrloc._rng import derive_seed
 
 from helpers import random_reference_string
-from oracles import brute_force_optimal
+from oracles import brute_force_optimal, oracle_misses, oracle_sweep
 
 ABCD3 = [0, 1, 2, 3] * 3
 BELADY = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5]
@@ -181,3 +186,104 @@ def test_csv_requires_aligned_capacities():
     b = sweep([0, 1], "MIN", [1])
     with pytest.raises(ValueError):
         write_miss_ratio_csv([a, b], io.StringIO())
+
+
+@st.composite
+def _reference_strings(draw):
+    """Short strings with heavy immediate repeats and one-shot addresses.
+
+    Addresses from `alphabet` upward occur once each, so their next use is
+    infinite from the start and MIN has ties at infinity to break.
+    """
+    alphabet = draw(st.integers(min_value=1, max_value=8))
+    runs = draw(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=alphabet - 1),
+                      st.integers(min_value=1, max_value=5)),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    seq = [a for a, repeat in runs for _ in range(repeat)]
+    one_shots = draw(st.lists(st.integers(min_value=0, max_value=len(seq)), max_size=6))
+    for k, pos in enumerate(sorted(one_shots, reverse=True)):
+        seq.insert(pos, alphabet + k)
+    return seq
+
+
+def _capacities(seq, extra):
+    distinct = len(set(seq))
+    return sorted({1, distinct, distinct + 2, *extra})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _reference_strings(),
+    st.lists(st.integers(min_value=1, max_value=16), max_size=4),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_sweep_equals_per_capacity_oracles(seq, extra, seed):
+    capacities = _capacities(seq, extra)
+    for policy in POLICIES:
+        curve = sweep(seq, policy, capacities, seed=seed)
+        assert [e.capacity for e in curve.entries] == capacities
+        assert all(e.references == len(seq) for e in curve.entries)
+        assert [e.misses for e in curve.entries] == oracle_sweep(seq, policy, capacities, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _reference_strings(),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_simulate_equals_per_capacity_oracles(seq, capacity, seed):
+    for c in _capacities(seq, [capacity]):
+        for policy in POLICIES:
+            stats = simulate(seq, policy, c, seed=seed)
+            assert stats == CacheStats(c, len(seq), oracle_misses(seq, policy, c, seed))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=10),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_hit_rich_sweeps_equal_oracles(alphabet, capacity, salt):
+    # Long strings over a few addresses: mostly hits at small capacities,
+    # so MIN's heap fills with stale keys and is compacted many times.
+    rnd = random.Random(salt)
+    seq = [rnd.randrange(alphabet) for _ in range(1500)] + list(range(alphabet, alphabet + 5))
+    capacities = [capacity, capacity + 1]
+    for policy in POLICIES:
+        misses = [e.misses for e in sweep(seq, policy, capacities, seed=salt).entries]
+        assert misses == oracle_sweep(seq, policy, capacities, salt)
+
+
+def test_min_heap_compaction_keeps_counts_exact(monkeypatch):
+    compactions = []
+
+    def counting_heapify(heap):
+        compactions.append(len(heap))
+        heapq.heapify(heap)
+
+    monkeypatch.setattr(cachesim, "heapify", counting_heapify)
+    rnd = random.Random(5)
+    seq = [rnd.randrange(6) for _ in range(3000)]
+    for c in (2, 3, 4, 5):
+        compactions.clear()
+        assert simulate(seq, "MIN", c).misses == oracle_misses(seq, "MIN", c)
+        assert compactions and max(compactions) <= c
+
+
+def test_exact_shortcuts_skip_simulation(monkeypatch):
+    # c = 1 and c >= D are answered without simulating, under every policy.
+    def refuse(*args):
+        raise AssertionError("simulated a capacity with an exact answer")
+
+    for name in ("_min_misses", "_lru_misses", "_fifo_misses", "_rand_misses"):
+        monkeypatch.setattr(cachesim, name, refuse)
+    seq = [0, 0, 1, 2, 2, 2, 0, 3, 1, 1]
+    for policy in POLICIES:
+        assert [e.misses for e in sweep(seq, policy, [1, 4, 9]).entries] == [6, 4, 4]

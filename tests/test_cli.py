@@ -267,10 +267,14 @@ def test_gen_bad_part_size_names_the_part(capsys):
 def test_report_equals_its_parts(tmp_path):
     text = "".join(f"{i}\tS\td{(i * i) % 17}\n" for i in range(2000))
     path = str(_write_fixture(tmp_path, text))
-    sweep = ["--capacities", "1,2,4,8", "--seed", "3"]
+    # 9 distinct destinations: the sweep spans capacity 1 to past D, where
+    # report's LRU column (from the stack distance histogram) must still
+    # match the simulated one byte for byte.
+    sweep = ["--capacities", "1,2,4,8,9,40", "--seed", "3"]
+    table = ["--database-size", "40"]
     out = tmp_path / "rep"
     assert main(["report", path, "--out-dir", str(out), "--windows", "5,20",
-                 "--mode", "sliding", *sweep]) == 0
+                 "--mode", "sliding", *sweep, *table]) == 0
     parts = tmp_path / "parts"
     parts.mkdir()
     for argv in (
@@ -281,7 +285,7 @@ def test_report_equals_its_parts(tmp_path):
         ["runs", path, "--out", str(parts / "runs.csv")],
         ["simulate", path, *sweep, "--miss-out", str(parts / "miss_ratio.csv"),
          "--interfault-out", str(parts / "interfault.csv")],
-        ["searchtime", path, "--policies", "MIN,LRU,FIFO,RAND", *sweep,
+        ["searchtime", path, "--policies", "MIN,LRU,FIFO,RAND", *sweep, *table,
          "--out", str(parts / "searchtime.csv")],
     ):
         assert main(argv) == 0

@@ -160,6 +160,19 @@ def test_write_rejects_separator_in_token():
         write_trace(t, io.StringIO())
 
 
+@pytest.mark.parametrize("field", [1, 2, 3])
+def test_write_names_the_first_bad_token_after_safe_records(field):
+    # Every token is checked once, so a bad one must still be caught on the
+    # first record that uses it, after the records before it are written.
+    bad_row = [2, "A", "B", "LAT"]
+    bad_row[field] = "x\ny"
+    t = Trace.from_token_rows([(0, "A", "B", "LAT"), (1, "B", "A", "LAT"), tuple(bad_row)])
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=r"^token 'x\\ny' contains a tab or line break$"):
+        write_trace(t, buf)
+    assert buf.getvalue() == "0\tA\tB\tLAT\n1\tB\tA\tLAT\n"
+
+
 def test_file_round_trip(tmp_path):
     t = Trace.from_token_rows([(0, "aa-bb-cc-dd-ee-ff", "ff-ee-dd-cc-bb-aa", "LAT", 1518)])
     path = tmp_path / "t.tsv"
