@@ -45,6 +45,7 @@ from .synth import (
 )
 from .trace import (
     FrameRecord,
+    InternTable,
     Trace,
     TraceOrderError,
     TraceParseError,
@@ -67,6 +68,7 @@ __all__ = [
     "FrameRecord",
     "GeneratorSpec",
     "Interleave",
+    "InternTable",
     "Irm",
     "LruStackModel",
     "MissCurve",

@@ -186,13 +186,14 @@ def _sweep(args, destinations, default: list[int], hist=None) -> list[MissCurve]
     ]
 
 
-def _search_times(args, destinations, hist=None) -> tuple[list[MissCurve], list[SearchTimeCurve]]:
+def _search_times(
+    args, destinations, distinct: int, hist=None
+) -> tuple[list[MissCurve], list[SearchTimeCurve]]:
     """Miss curves and their normalized search times for a --database-size table.
 
     The default sweep is the powers of two below the database size, plus
-    the database size and the distinct-destination count.
+    the database size and `distinct`, the trace's distinct-destination count.
     """
-    distinct = len(set(destinations))
     database_size = distinct if args.database_size is None else args.database_size
     if database_size < distinct:
         raise ValueError(
@@ -230,13 +231,13 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_concentration(args) -> int:
-    curve = concentration_curve(_read_nonempty(args.trace).destinations())
+    curve = concentration_curve(_read_nonempty(args.trace).dst)
     _write(args.out, partial(write_concentration_csv, curve))
     return 0
 
 
 def _cmd_wss(args) -> int:
-    reports = _working_sets(args, _read_nonempty(args.trace).destinations())
+    reports = _working_sets(args, _read_nonempty(args.trace).dst)
     _write(args.out, partial(write_wss_csv, reports))
     return 0
 
@@ -248,21 +249,25 @@ def _cmd_stackdist(args) -> int:
 
 
 def _cmd_runs(args) -> int:
-    hist = run_lengths(_read_nonempty(args.trace).destinations())
+    hist = run_lengths(_read_nonempty(args.trace).dst)
     _write(args.out, partial(write_runs_csv, hist))
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    destinations = _read_nonempty(args.trace).destinations()
-    curves = _sweep(args, destinations, sorted(set(_POWER_SWEEP) | {len(set(destinations))}))
+    trace = _read_nonempty(args.trace)
+    distinct = summarize(trace).distinct_destinations
+    curves = _sweep(args, trace.destinations(), sorted(set(_POWER_SWEEP) | {distinct}))
     _write(args.miss_out, partial(write_miss_ratio_csv, curves))
     _write(args.interfault_out, partial(write_interfault_csv, curves))
     return 0
 
 
 def _cmd_searchtime(args) -> int:
-    _, time_curves = _search_times(args, _read_nonempty(args.trace).destinations())
+    trace = _read_nonempty(args.trace)
+    _, time_curves = _search_times(
+        args, trace.destinations(), summarize(trace).distinct_destinations
+    )
     _write(args.out, partial(write_search_time_csv, time_curves))
     return 0
 
@@ -289,20 +294,23 @@ def _cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace = _read_nonempty(args.trace)
-    destinations = trace.destinations()
-    curve = concentration_curve(destinations)
+    summary = summarize(trace)
+    curve = concentration_curve(trace.dst)
     _write(out_dir / "concentration.csv", partial(write_concentration_csv, curve))
-    _write(out_dir / "wss.csv", partial(write_wss_csv, _working_sets(args, destinations)))
+    _write(out_dir / "wss.csv", partial(write_wss_csv, _working_sets(args, trace.dst)))
+    destinations = trace.destinations()
     # Keep only the histogram: the per-reference distance list is freed here,
     # before the sweeps run, which take their LRU curve from it.
     hist = stack_distances(destinations)[1]
     _write(out_dir / "stackdist.csv", partial(write_stackdist_csv, hist))
-    _write(out_dir / "runs.csv", partial(write_runs_csv, run_lengths(destinations)))
-    miss_curves, time_curves = _search_times(args, destinations, hist)
+    _write(out_dir / "runs.csv", partial(write_runs_csv, run_lengths(trace.dst)))
+    miss_curves, time_curves = _search_times(
+        args, destinations, summary.distinct_destinations, hist
+    )
     _write(out_dir / "miss_ratio.csv", partial(write_miss_ratio_csv, miss_curves))
     _write(out_dir / "interfault.csv", partial(write_interfault_csv, miss_curves))
     _write(out_dir / "searchtime.csv", partial(write_search_time_csv, time_curves))
-    _write(out_dir / "summary.txt", partial(_write_summary, summarize(trace), curve, time_curves))
+    _write(out_dir / "summary.txt", partial(_write_summary, summary, curve, time_curves))
     return 0
 
 

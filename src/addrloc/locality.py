@@ -1,17 +1,18 @@
 """Locality statistics over a destination reference string.
 
 Four analyses, all pure functions of the ordered sequence of destination
-address ids:
+address ids (integers in 0..2**31 - 1, as in a trace's dst column):
 
 * concentration_curve - how much traffic the most popular destinations absorb
 * working_set         - average number of distinct destinations per window
 * stack_distances     - move-to-top stack depth of every re-reference
 * run_lengths         - maximal runs of identical consecutive destinations
 
-Stack distances drive the single-pass miss-count reconstruction in
-`addrloc.cachesim`, so the implementation keeps an order-statistic
-tree over last-use slots: amortized O(N log D) for N references over D
-distinct destinations.
+Concentration, working set and run lengths are numpy kernels over an id
+array, with exact integer totals.  Stack distances drive the single-pass
+miss-count reconstruction in `addrloc.cachesim`; they are a sequential
+pass over an order-statistic tree of last-use slots: amortized
+O(N log D) for N references over D distinct destinations.
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
 from math import inf
 from typing import Sequence, TextIO
 
 import numpy as np
 
 from ._csvfmt import fmt
+
+
+# Largest destination id the vectorized analyses accept: a trace's int32 id.
+_MAX_ID = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -95,15 +99,37 @@ class RunLengthHistogram:
         return {n: c / self.total_runs for n, c in sorted(self.counts.items())}
 
 
+def _id_array(dst_sequence: Sequence[int]) -> np.ndarray:
+    ids = np.asarray(dst_sequence, dtype=np.intp)
+    if len(ids) and (ids.min() < 0 or ids.max() > _MAX_ID):
+        raise ValueError(f"destination ids must lie in 0..{_MAX_ID}")
+    return ids
+
+
+def _previous_use(ids: np.ndarray) -> np.ndarray:
+    """Per position, the last earlier position with the same id, or -1."""
+    n = len(ids)
+    # The keys id * n + position are distinct, so sorting them groups equal
+    # ids in position order.
+    keys = np.sort(ids * n + np.arange(n))
+    position = keys % n
+    repeat = keys[1:] // n == keys[:-1] // n
+    prev = np.full(n, -1, dtype=np.intp)
+    prev[position[1:][repeat]] = position[:-1][repeat]
+    return prev
+
+
 def concentration_curve(dst_sequence: Sequence[int]) -> ConcentrationCurve:
     """Rank destinations by descending frequency (ties by ascending id) and accumulate."""
     if len(dst_sequence) == 0:
         raise ValueError("cannot compute a concentration curve for an empty sequence")
-    freq = Counter(dst_sequence)
-    ranked = sorted(freq.items(), key=lambda item: (-item[1], item[0]))
-    counts = np.array([c for _, c in ranked], dtype=np.int64)
+    ids = _id_array(dst_sequence)
+    freq = np.bincount(ids)
+    freq = freq[freq > 0]
+    # A stable sort keeps equal counts in ascending id order.
+    counts = freq[np.argsort(-freq, kind="stable")]
     d = len(counts)
-    n = len(dst_sequence)
+    n = len(ids)
     return ConcentrationCurve(
         destination_fractions=np.arange(1, d + 1, dtype=np.float64) / d,
         frame_fractions=np.cumsum(counts) / n,
@@ -115,36 +141,31 @@ def working_set(dst_sequence: Sequence[int], window: int, mode: str = "disjoint"
 
     Disjoint mode partitions the sequence into consecutive windows and drops
     a trailing partial one; sliding mode averages over every window start.
+    A reference counts toward a window that holds it iff its previous use
+    lies before that window's start, so the total over all windows is an
+    exact integer count from one previous-use array.
     """
     n = len(dst_sequence)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if window > n:
         raise ValueError(f"window {window} exceeds sequence length {n}")
+    if mode not in ("disjoint", "sliding"):
+        raise ValueError(f"unknown working-set mode {mode!r}")
+    prev = _previous_use(_id_array(dst_sequence))
+    position = np.arange(n)
     if mode == "disjoint":
         window_count = n // window
-        total = 0
-        for w in range(window_count):
-            total += len(set(dst_sequence[w * window : (w + 1) * window]))
-        return WorkingSetReport(window, mode, total / window_count, window_count)
-    if mode == "sliding":
-        counts: Counter = Counter()
-        distinct = 0
-        total = 0
+        covered = window_count * window
+        total = np.count_nonzero(prev[:covered] < position[:covered] // window * window)
+    else:
+        # Position i counts for starts s with
+        # max(prev_i + 1, i - W + 1) <= s <= min(i, n - W).
         window_count = n - window + 1
-        for i, a in enumerate(dst_sequence):
-            counts[a] += 1
-            if counts[a] == 1:
-                distinct += 1
-            if i >= window:
-                old = dst_sequence[i - window]
-                counts[old] -= 1
-                if counts[old] == 0:
-                    distinct -= 1
-            if i >= window - 1:
-                total += distinct
-        return WorkingSetReport(window, mode, total / window_count, window_count)
-    raise ValueError(f"unknown working-set mode {mode!r}")
+        first = np.maximum(prev + 1, position - window + 1)
+        last = np.minimum(position, n - window)
+        total = np.maximum(last - first + 1, 0).sum()
+    return WorkingSetReport(window, mode, int(total) / window_count, window_count)
 
 
 class _FenwickTree:
@@ -228,10 +249,13 @@ def stack_distances(dst_sequence: Sequence[int]) -> tuple[list, StackDistanceHis
 
 def run_lengths(dst_sequence: Sequence[int]) -> RunLengthHistogram:
     """Histogram of maximal runs of identical consecutive destinations."""
-    counts: Counter = Counter()
-    for _, group in groupby(dst_sequence):
-        counts[sum(1 for _ in group)] += 1
-    return RunLengthHistogram(dict(counts), sum(counts.values()))
+    ids = _id_array(dst_sequence)
+    if len(ids) == 0:
+        return RunLengthHistogram({}, 0)
+    starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    runs = np.diff(np.concatenate(([0], starts, [len(ids)])))
+    lengths, counts = np.unique(runs, return_counts=True)
+    return RunLengthHistogram(dict(zip(lengths.tolist(), counts.tolist())), len(runs))
 
 
 def write_concentration_csv(curve: ConcentrationCurve, stream: TextIO) -> None:

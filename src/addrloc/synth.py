@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from ._rng import SplitMix64, derive_seed
-from .trace import Trace
+from .trace import InternTable, Trace
 
 PMF_SUM_TOLERANCE = 1e-9
 
@@ -196,4 +196,7 @@ def generate(spec: GeneratorSpec) -> Trace:
     """Produce the trace for `spec`; bit-identical for identical spec and seed."""
     spec.validate()
     tokens = spec.model.emit(spec.length, spec.seed)
-    return Trace.from_token_rows((i, "src", tok) for i, tok in enumerate(tokens))
+    # The source token comes first in every frame, so it takes id 0.
+    interns = InternTable(["src"] if tokens else [])
+    dst = interns.intern_all(tokens)
+    return Trace(np.arange(len(tokens)), np.zeros(len(tokens), np.int32), dst, interns)

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
+from itertools import groupby
 from math import inf
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from addrloc._rng import SplitMix64, derive_seed
+from addrloc.locality import ConcentrationCurve, RunLengthHistogram, WorkingSetReport
+from addrloc.trace import FrameRecord, InternTable, Trace, TraceOrderError, TraceParseError
 
 _BRUTE_MAX_LENGTH = 12
 _BRUTE_MAX_DISTINCT = 4
@@ -171,3 +176,107 @@ def oracle_sweep(
 ) -> list[int]:
     """Sweep misses, each RAND capacity on the stream derived from (seed, capacity)."""
     return [oracle_misses(seq, policy, c, derive_seed(seed, c)) for c in capacities]
+
+
+# Line-by-line and per-frame forms of the columnar trace code and the
+# vectorized locality kernels.
+
+def parse_trace_by_line(lines: Iterable[str]) -> tuple[list[FrameRecord], tuple[str, ...]]:
+    """The frames and address tokens of a trace file, parsed one line at a time.
+
+    Accepts any timestamp or length int() accepts; the product parser
+    also bounds them to int64.
+    """
+    interns = InternTable()
+    records: list[FrameRecord] = []
+    prev_ts = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) < 3 or len(fields) > 5:
+            raise TraceParseError(lineno, f"expected 3 to 5 tab-separated fields, got {len(fields)}")
+        try:
+            ts = int(fields[0])
+        except ValueError:
+            raise TraceParseError(lineno, f"bad timestamp {fields[0]!r}") from None
+        if ts < 0:
+            raise TraceParseError(lineno, f"negative timestamp {ts}")
+        if prev_ts is not None and ts < prev_ts:
+            raise TraceOrderError(lineno, f"timestamp {ts} decreases below {prev_ts}")
+        prev_ts = ts
+        src_tok, dst_tok = fields[1], fields[2]
+        if not src_tok or not dst_tok:
+            raise TraceParseError(lineno, "empty address token")
+        proto = fields[3] if len(fields) > 3 and fields[3] != "" else None
+        length = None
+        if len(fields) > 4:
+            try:
+                length = int(fields[4])
+            except ValueError:
+                raise TraceParseError(lineno, f"bad length {fields[4]!r}") from None
+            if length < 0:
+                raise TraceParseError(lineno, f"negative length {length}")
+        records.append(FrameRecord(ts, interns.intern(src_tok), interns.intern(dst_tok), proto, length))
+    return records, interns.tokens
+
+
+def working_set_loop(dst_sequence: Sequence[int], window: int, mode: str) -> WorkingSetReport:
+    """Working set by counting each window's distinct ids directly."""
+    n = len(dst_sequence)
+    if mode == "disjoint":
+        window_count = n // window
+        total = 0
+        for w in range(window_count):
+            total += len(set(dst_sequence[w * window : (w + 1) * window]))
+        return WorkingSetReport(window, mode, total / window_count, window_count)
+    counts: Counter = Counter()
+    distinct = 0
+    total = 0
+    window_count = n - window + 1
+    for i, a in enumerate(dst_sequence):
+        counts[a] += 1
+        if counts[a] == 1:
+            distinct += 1
+        if i >= window:
+            old = dst_sequence[i - window]
+            counts[old] -= 1
+            if counts[old] == 0:
+                distinct -= 1
+        if i >= window - 1:
+            total += distinct
+    return WorkingSetReport(window, mode, total / window_count, window_count)
+
+
+def run_lengths_groupby(dst_sequence: Sequence[int]) -> RunLengthHistogram:
+    counts: Counter = Counter()
+    for _, group in groupby(dst_sequence):
+        counts[sum(1 for _ in group)] += 1
+    return RunLengthHistogram(dict(counts), sum(counts.values()))
+
+
+def concentration_curve_counter(dst_sequence: Sequence[int]) -> ConcentrationCurve:
+    freq = Counter(dst_sequence)
+    ranked = sorted(freq.items(), key=lambda item: (-item[1], item[0]))
+    counts = np.array([c for _, c in ranked], dtype=np.int64)
+    d = len(counts)
+    return ConcentrationCurve(
+        destination_fractions=np.arange(1, d + 1, dtype=np.float64) / d,
+        frame_fractions=np.cumsum(counts) / len(dst_sequence),
+    )
+
+
+def split_by_protocol_rows(
+    trace: Trace, proto_predicate: Callable[[str], bool]
+) -> tuple[Trace, Trace]:
+    """Split frame by frame, re-interning each side from its token rows."""
+    matched: list[tuple] = []
+    rest: list[tuple] = []
+    for r in trace.records:
+        row = (r.timestamp, trace.token_of(r.src), trace.token_of(r.dst), r.proto, r.length)
+        if r.proto is not None and proto_predicate(r.proto):
+            matched.append(row)
+        else:
+            rest.append(row)
+    return Trace.from_token_rows(matched), Trace.from_token_rows(rest)

@@ -6,6 +6,7 @@ import io
 import random
 from math import inf
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,12 @@ from addrloc.locality import (
 )
 
 from helpers import random_reference_string
-from oracles import stack_distances_naive
+from oracles import (
+    concentration_curve_counter,
+    run_lengths_groupby,
+    stack_distances_naive,
+    working_set_loop,
+)
 
 
 # --- concentration ---------------------------------------------------------
@@ -68,6 +74,30 @@ def test_concentration_quantile_bounds():
         curve.quantile(0.0)
     with pytest.raises(ValueError):
         curve.quantile(1.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=60))
+def test_concentration_matches_counter_ranking(seq):
+    got, want = concentration_curve(seq), concentration_curve_counter(seq)
+    assert np.array_equal(got.destination_fractions, want.destination_fractions)
+    assert np.array_equal(got.frame_fractions, want.frame_fractions)
+
+
+def test_concentration_ties_rank_by_ascending_id():
+    # Every id occurs twice except 9 and 4, so all other ranks are ties.
+    seq = [5, 3, 9, 5, 3, 9, 9, 1, 1, 7, 7, 4, 0, 0]
+    assert concentration_curve(seq).frame_fractions.tolist() == (
+        concentration_curve_counter(seq).frame_fractions.tolist()
+    )
+    assert concentration_curve(seq).points[0] == (1 / 7, 3 / 14)
+
+
+@pytest.mark.parametrize("seq", [[-1, 0], [2**31]])
+def test_locality_rejects_ids_outside_int32(seq):
+    for analysis in (concentration_curve, run_lengths, lambda s: working_set(s, 1)):
+        with pytest.raises(ValueError, match="destination ids"):
+            analysis(seq)
 
 
 def test_concentration_empty_raises():
@@ -122,6 +152,31 @@ def test_working_set_disjoint_not_monotone_in_window():
     seq = [3, 2, 3, 3, 1, 1, 2, 1, 0, 4, 3, 5, 5, 2, 0]
     assert working_set(seq, 7, "disjoint").average_wss == 4.5
     assert working_set(seq, 8, "disjoint").average_wss == 3.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=80),
+    st.data(),
+)
+def test_working_set_matches_window_loop(seq, data):
+    n = len(seq)
+    windows = {1, n, data.draw(st.integers(min_value=1, max_value=n))}
+    for window in windows:
+        for mode in ("disjoint", "sliding"):
+            assert working_set(seq, window, mode) == working_set_loop(seq, window, mode)
+            assert working_set(np.array(seq, np.int32), window, mode) == working_set_loop(
+                seq, window, mode
+            )
+
+
+def test_working_set_matches_window_loop_on_long_strings():
+    rnd = random.Random(17)
+    for alphabet in (3, 60, 2000):
+        seq = [rnd.randrange(alphabet) for _ in range(5000)]
+        for window in (1, 10, 333, 5000):
+            for mode in ("disjoint", "sliding"):
+                assert working_set(seq, window, mode) == working_set_loop(seq, window, mode)
 
 
 def test_working_set_errors():
@@ -220,6 +275,12 @@ def test_run_lengths_mass_accounts_for_every_reference():
         seq = random_reference_string(rnd, 5, 200)
         hist = run_lengths(seq)
         assert sum(n * c for n, c in hist.counts.items()) == len(seq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=3), max_size=80))
+def test_run_lengths_match_groupby(seq):
+    assert run_lengths(seq) == run_lengths_groupby(seq)
 
 
 def test_run_lengths_empty():

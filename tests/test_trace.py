@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import gc
 import io
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addrloc import trace as trace_module
 from addrloc.trace import (
     FrameRecord,
+    InternTable,
     Trace,
     TraceOrderError,
     TraceParseError,
@@ -20,6 +26,8 @@ from addrloc.trace import (
     summarize,
     write_trace,
 )
+
+from oracles import parse_trace_by_line, split_by_protocol_rows
 
 
 def test_parse_two_line_file():
@@ -207,3 +215,208 @@ def test_round_trip_property(rows):
     write_trace(t, buf)
     back = parse_trace(io.StringIO(buf.getvalue()))
     assert back == t
+
+
+# --- columnar layout ---------------------------------------------------------
+
+def test_columns_and_tables():
+    t = parse_trace(io.StringIO("7\tA\tB\tLAT\t64\n8\tB\tC\n9\tC\tA\t\t5\n"))
+    assert t.timestamps.dtype == np.int64 and t.timestamps.tolist() == [7, 8, 9]
+    assert t.src.dtype == t.dst.dtype == np.int32
+    assert t.src.tolist() == [0, 1, 2] and t.dst.tolist() == [1, 2, 0]
+    assert t.protos == (None, "LAT") and t.proto.tolist() == [1, 0, 0]
+    assert t.length.tolist() == [64, -1, 5]
+    assert not t.dst.flags.writeable
+
+
+def test_destinations_are_python_ints():
+    # The sequential kernels (Fenwick tree, cache simulators) iterate this list.
+    dst = parse_trace(io.StringIO("0\tA\tB\n1\tB\tA\n")).destinations()
+    assert dst == [1, 0] and all(type(d) is int for d in dst)
+
+
+@pytest.mark.parametrize(
+    "columns,message",
+    [
+        (dict(timestamps=[0, 1], src=[0], dst=[0, 0]), "differ in length"),
+        (dict(timestamps=[0], src=[0], dst=[1]), "dst column"),
+        (dict(timestamps=[0], src=[-1], dst=[0]), "src column"),
+        (dict(timestamps=[0], src=[0], dst=[0], proto=[1]), "proto column"),
+        (dict(timestamps=[0], src=[0], dst=[0], protos=("LAT",)), "protos\\[0\\] must be None"),
+    ],
+)
+def test_constructor_rejects_inconsistent_columns(columns, message):
+    with pytest.raises(ValueError, match=message):
+        Trace(interns=InternTable(["A"]), **columns)
+
+
+def test_constructor_defaults_and_records_view():
+    t = Trace([3, 4], [0, 1], [1, 0], InternTable(["A", "B"]), proto=[0, 1], protos=(None, "ip"))
+    assert t.records == (FrameRecord(3, 0, 1, None, None), FrameRecord(4, 1, 0, "ip", None))
+    assert list(t) == list(t.records)
+
+
+# --- columnar parse vs the line-by-line parser -------------------------------
+
+def _spell(value: int, style: str) -> str:
+    """An int() spelling of `value`: plain, padded, signed or with an underscore."""
+    text = str(value)
+    if style == "pad":
+        return f" {text} "
+    if style == "plus":
+        return f"+{text}"
+    if style == "underscore" and len(text) > 1:
+        return f"{text[0]}_{text[1:]}"
+    return text
+
+
+# One line of each error kind; "0" as a timestamp decreases below any
+# earlier frame, whose timestamps start at 10.
+BAD_LINES = {
+    "too few fields": "10\tA",
+    "too many fields": "10\tA\tB\tP\t9\textra",
+    "bad timestamp": "1x\tA\tB",
+    "negative timestamp": "-3\tA\tB",
+    "decreasing timestamp": "0\tA\tB",
+    "empty src": "10\t\tB",
+    "empty dst": "10\tA\t\tP",
+    "bad length": "10\tA\tB\tP\t6.5",
+    "empty length": "10\tA\tB\tP\t",
+    "negative length": "10\tA\tB\t\t-4",
+}
+
+_styles = st.sampled_from(["plain", "pad", "plus", "underscore"])
+_tokens = st.sampled_from(["A", "B", "aa-bb", "x y", "C\r"])
+
+
+@st.composite
+def _trace_lines(draw) -> list[str]:
+    lines = []
+    ts = 10
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["frame", "frame", "frame", "comment", "blank"]))
+        if kind == "comment":
+            line = draw(st.sampled_from(["#", "# note", "#\ta\tb\tc"]))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t\t", " \t \t\x0b"]))
+        else:
+            ts += draw(st.integers(0, 3))
+            fields = [_spell(ts, draw(_styles)), draw(_tokens), draw(_tokens)]
+            width = draw(st.integers(3, 5))
+            if width >= 4:
+                fields.append(draw(st.sampled_from(["", "lat", "ip"])))
+            if width == 5:
+                fields.append(_spell(draw(st.integers(0, 1600)), draw(_styles)))
+            line = "\t".join(fields)
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    bad = draw(st.one_of(st.none(), st.sampled_from(sorted(BAD_LINES))))
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), BAD_LINES[bad] + "\n")
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\n")   # no line break at end of file
+    return lines
+
+
+def _assert_parses_like_oracle(lines: list[str]) -> None:
+    try:
+        expected = parse_trace_by_line(lines)
+    except TraceParseError as exc:
+        with pytest.raises(type(exc)) as info:
+            parse_trace(io.StringIO("".join(lines)))
+        assert (info.value.line, str(info.value)) == (exc.line, str(exc))
+        return
+    t = parse_trace(io.StringIO("".join(lines)))
+    assert (list(t.records), t.interns.tokens) == (expected[0], expected[1])
+    assert parse_trace(lines) == t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_lines(), st.integers(1, 6))
+def test_columnar_parse_matches_line_parser(lines, block_lines):
+    with mock.patch.object(trace_module, "_CHUNK_LINES", block_lines):
+        _assert_parses_like_oracle(lines)
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_LINES))
+@pytest.mark.parametrize("at", [2, 3, 4])
+def test_parse_error_on_either_side_of_a_block_boundary(bad, at):
+    # Blocks of 3 lines: the bad line is the last of the first block, or
+    # the first or second of the next one.
+    lines = [f"{10 + i}\tA\tB\n" for i in range(6)]
+    lines.insert(at, BAD_LINES[bad] + "\n")
+    with mock.patch.object(trace_module, "_CHUNK_LINES", 3):
+        with pytest.raises(TraceParseError) as info:
+            parse_trace(io.StringIO("".join(lines)))
+        assert info.value.line == at + 1
+        _assert_parses_like_oracle(lines)
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        (f"{2**63}\tA\tB", f"timestamp {2**63} exceeds 2**63 - 1"),
+        (f"5\tA\tB\tP\t{2**63}", f"length {2**63} exceeds 2**63 - 1"),
+        (f"{-2**63 - 1}\tA\tB", f"negative timestamp {-2**63 - 1}"),
+    ],
+)
+def test_parse_rejects_values_beyond_int64(line, message):
+    with pytest.raises(TraceParseError) as info:
+        parse_trace(io.StringIO(f"0\tA\tB\n{line}\n"))
+    assert info.value.line == 2
+    assert str(info.value) == f"line 2: {message}"
+
+
+def test_parse_accepts_int64_max():
+    t = parse_trace(io.StringIO(f"{2**63 - 1}\tA\tB\tP\t{2**63 - 1}\n"))
+    assert t.timestamps[0] == t.length[0] == 2**63 - 1
+
+
+def _capture_lines(n: int) -> list[str]:
+    return [
+        f"{1000 + 7 * i}\t{i * 7919 % 500:04x}-s\t{i * 104729 % 3000:04x}-d\tlat\t{60 + i % 1400}\n"
+        for i in range(n)
+    ]
+
+
+def test_parse_memory_is_bounded():
+    # Retained: about 28 bytes of columns per frame plus the intern table.
+    # Transient: one block of line strings, whatever the trace length.
+    transient = {}
+    for n in (50_000, 200_000):
+        lines = _capture_lines(n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            t = parse_trace(lines)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(t) == n
+        assert (retained - base) / n <= 48
+        transient[n] = peak - retained
+    assert transient[200_000] < 1.25 * transient[50_000]
+
+
+# --- split and write ---------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["A", "B", "C", "D"]),
+            st.sampled_from(["A", "B", "C", "D"]),
+            st.sampled_from([None, "lat", "ip", "arp"]),
+            st.one_of(st.none(), st.integers(0, 1500)),
+        ),
+        max_size=30,
+    ),
+    st.sets(st.sampled_from(["lat", "ip", "arp"])),
+)
+def test_split_matches_per_frame_split(frames, wanted):
+    t = Trace.from_token_rows([(i, *frame) for i, frame in enumerate(frames)])
+    got = split_by_protocol(t, wanted.__contains__)
+    expected = split_by_protocol_rows(t, wanted.__contains__)
+    for side, want in zip(got, expected):
+        assert side == want
+        assert side.records == want.records and side.interns == want.interns
