@@ -30,7 +30,6 @@ from array import array
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from heapq import heapify, heappush, heapreplace
-from itertools import groupby
 from math import inf
 from operator import attrgetter
 from typing import Sequence, TextIO
@@ -39,7 +38,7 @@ import numpy as np
 
 from ._csvfmt import write_curve_table
 from ._rng import _GOLDEN, _MASK64, derive_seed
-from .locality import StackDistanceHistogram
+from .locality import StackDistanceHistogram, _run_heads
 
 POLICIES = ("MIN", "LRU", "FIFO", "RAND")
 
@@ -74,14 +73,17 @@ class MissCurve:
         return [e.miss_ratio for e in self.entries]
 
 
-def _collapse(seq: Sequence[int]) -> list[int]:
-    """`seq` without immediate repeats.
+def _collapse(seq: Sequence[int]) -> tuple[list[int], int]:
+    """`seq` without immediate repeats, and its count of distinct addresses.
 
     A reference equal to the one just before it hits under every policy
     and changes no state that any policy here keeps, so dropping it keeps
-    every miss count exact.
+    every miss count exact.  Lists and id arrays take the same numpy path;
+    the simulators loop over the collapsed string as Python ints.
     """
-    return [a for a, _ in groupby(seq)]
+    ids = np.asarray(seq)
+    collapsed = ids[_run_heads(ids)]
+    return collapsed.tolist(), len(np.unique(collapsed))
 
 
 def _min_keys(seq: list[int]) -> array:
@@ -200,8 +202,7 @@ def _simulate_all(
         raise ValueError("cannot simulate an empty reference sequence")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {', '.join(POLICIES)}")
-    seq = _collapse(dst_sequence)
-    distinct = len(set(seq))
+    seq, distinct = _collapse(dst_sequence)
     keys = None
     entries = []
     for c, seed in zip(capacities, seeds):

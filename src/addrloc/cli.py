@@ -243,7 +243,7 @@ def _cmd_wss(args) -> int:
 
 
 def _cmd_stackdist(args) -> int:
-    _, hist = stack_distances(_read_nonempty(args.trace).destinations())
+    _, hist = stack_distances(_read_nonempty(args.trace).dst)
     _write(args.out, partial(write_stackdist_csv, hist))
     return 0
 
@@ -257,7 +257,7 @@ def _cmd_runs(args) -> int:
 def _cmd_simulate(args) -> int:
     trace = _read_nonempty(args.trace)
     distinct = summarize(trace).distinct_destinations
-    curves = _sweep(args, trace.destinations(), sorted(set(_POWER_SWEEP) | {distinct}))
+    curves = _sweep(args, trace.dst, sorted(set(_POWER_SWEEP) | {distinct}))
     _write(args.miss_out, partial(write_miss_ratio_csv, curves))
     _write(args.interfault_out, partial(write_interfault_csv, curves))
     return 0
@@ -265,9 +265,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_searchtime(args) -> int:
     trace = _read_nonempty(args.trace)
-    _, time_curves = _search_times(
-        args, trace.destinations(), summarize(trace).distinct_destinations
-    )
+    _, time_curves = _search_times(args, trace.dst, summarize(trace).distinct_destinations)
     _write(args.out, partial(write_search_time_csv, time_curves))
     return 0
 
@@ -298,15 +296,11 @@ def _cmd_report(args) -> int:
     curve = concentration_curve(trace.dst)
     _write(out_dir / "concentration.csv", partial(write_concentration_csv, curve))
     _write(out_dir / "wss.csv", partial(write_wss_csv, _working_sets(args, trace.dst)))
-    destinations = trace.destinations()
-    # Keep only the histogram: the per-reference distance list is freed here,
-    # before the sweeps run, which take their LRU curve from it.
-    hist = stack_distances(destinations)[1]
+    # Keep only the histogram, from which the sweeps take their LRU curve.
+    hist = stack_distances(trace.dst)[1]
     _write(out_dir / "stackdist.csv", partial(write_stackdist_csv, hist))
     _write(out_dir / "runs.csv", partial(write_runs_csv, run_lengths(trace.dst)))
-    miss_curves, time_curves = _search_times(
-        args, destinations, summary.distinct_destinations, hist
-    )
+    miss_curves, time_curves = _search_times(args, trace.dst, summary.distinct_destinations, hist)
     _write(out_dir / "miss_ratio.csv", partial(write_miss_ratio_csv, miss_curves))
     _write(out_dir / "interfault.csv", partial(write_interfault_csv, miss_curves))
     _write(out_dir / "searchtime.csv", partial(write_search_time_csv, time_curves))

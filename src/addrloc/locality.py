@@ -8,19 +8,22 @@ address ids (integers in 0..2**31 - 1, as in a trace's dst column):
 * stack_distances     - move-to-top stack depth of every re-reference
 * run_lengths         - maximal runs of identical consecutive destinations
 
-Concentration, working set and run lengths are numpy kernels over an id
-array, with exact integer totals.  Stack distances drive the single-pass
-miss-count reconstruction in `addrloc.cachesim`; they are a sequential
-pass over an order-statistic tree of last-use slots: amortized
-O(N log D) for N references over D distinct destinations.
+All four are numpy kernels over an id array, with exact integer results;
+a trace's int32 dst column is read without a copy.  Working set and stack
+distances both start from one previous-use array prev (the last earlier
+position of the same id, or -1).  Stack distances drive the single-pass
+miss-count reconstruction in `addrloc.cachesim`.  A re-reference at i has
+distance i - prev[i] - #{j < i : prev[j] > prev[i]}, and the counts are
+taken offline in blocks of `_BLOCK` positions: a stable bit-by-bit
+partition counts within a block, and a sorted array of earlier prev
+values counts across blocks.  Each block of B costs O(B log B) plus one
+merge into that array, and the scratch arrays are bounded by the block.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass
-from math import inf
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -100,21 +103,38 @@ class RunLengthHistogram:
 
 
 def _id_array(dst_sequence: Sequence[int]) -> np.ndarray:
-    ids = np.asarray(dst_sequence, dtype=np.intp)
+    """The ids as an array; a trace's int32 column is used without a copy."""
+    ids = np.asarray(dst_sequence)
+    if ids.dtype != np.int32:
+        ids = ids.astype(np.intp, copy=False)
     if len(ids) and (ids.min() < 0 or ids.max() > _MAX_ID):
         raise ValueError(f"destination ids must lie in 0..{_MAX_ID}")
     return ids
 
 
+def _run_heads(ids: np.ndarray) -> np.ndarray:
+    """Mask of the references that differ from the one just before them."""
+    heads = np.ones(len(ids), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=heads[1:])
+    return heads
+
+
 def _previous_use(ids: np.ndarray) -> np.ndarray:
-    """Per position, the last earlier position with the same id, or -1."""
+    """Per position, the last earlier position with the same id, or -1 (int32)."""
     n = len(ids)
+    if n > _MAX_ID:
+        raise ValueError(f"sequence length {n} exceeds {_MAX_ID}")
     # The keys id * n + position are distinct, so sorting them groups equal
     # ids in position order.
-    keys = np.sort(ids * n + np.arange(n))
-    position = keys % n
-    repeat = keys[1:] // n == keys[:-1] // n
-    prev = np.full(n, -1, dtype=np.intp)
+    keys = ids.astype(np.int64)
+    keys *= n
+    keys += np.arange(n)
+    keys.sort()
+    position = (keys % n).astype(np.int32)
+    keys //= n
+    repeat = keys[1:] == keys[:-1]
+    del keys
+    prev = np.full(n, -1, dtype=np.int32)
     prev[position[1:][repeat]] = position[:-1][repeat]
     return prev
 
@@ -168,83 +188,80 @@ def working_set(dst_sequence: Sequence[int], window: int, mode: str = "disjoint"
     return WorkingSetReport(window, mode, int(total) / window_count, window_count)
 
 
-class _FenwickTree:
-    """Prefix sums over slot activity flags, 1-based."""
-
-    __slots__ = ("size", "tree")
-
-    def __init__(self, size: int, active_prefix: int = 0):
-        # Linear-time build of a tree whose first `active_prefix` slots are 1.
-        self.size = size
-        values = [0] * (size + 1)
-        for i in range(1, active_prefix + 1):
-            values[i] = 1
-        for i in range(1, size + 1):
-            parent = i + (i & -i)
-            if parent <= size:
-                values[parent] += values[i]
-        self.tree = values
-
-    def add(self, index: int, delta: int) -> None:
-        while index <= self.size:
-            self.tree[index] += delta
-            index += index & -index
-
-    def prefix_sum(self, index: int) -> int:
-        total = 0
-        while index > 0:
-            total += self.tree[index]
-            index -= index & -index
-        return total
+# Positions per block of the stack-distance count; bounds its scratch arrays.
+_BLOCK = 1 << 15
 
 
-_MIN_SLOTS = 64
+def _greater_before(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per k, #{j < k : values[j] > values[k]}, and the order that sorts `values`.
+
+    `values` must be distinct.  Their ranks are partitioned stably, one bit
+    per pass from the most significant: within a group of equal higher bits,
+    each element with bit 0 is passed by every earlier one with bit 1.
+    Ranks are 0..m-1, so after the pass for bit b the group of prefix g
+    fills slots [g << b, (g + 1) << b) and group starts need no bookkeeping.
+    """
+    m = len(values)
+    order = np.argsort(values)
+    rank = np.empty(m, dtype=np.int32)
+    rank[order] = np.arange(m, dtype=np.int32)
+    slot = np.arange(m, dtype=np.int32)
+    arr, count = rank.copy(), np.zeros(m, dtype=np.int32)
+    new_arr, new_count = np.empty_like(arr), np.empty_like(count)
+    for b in range(max(m - 1, 0).bit_length() - 1, -1, -1):
+        bit = (arr >> b) & 1
+        start = (arr >> (b + 1)) << (b + 1)
+        ones = np.cumsum(bit, dtype=np.int32)
+        ones -= bit
+        ones -= ones[start]                    # earlier 1s in the same group
+        zero = bit == 0
+        count += np.where(zero, ones, 0)
+        # A group holding a 1 at bit b holds all 2**b ranks with a 0 there.
+        target = np.where(zero, slot - ones, start + (1 << b) + ones)
+        new_arr[target] = arr
+        new_count[target] = count
+        arr, new_arr = new_arr, arr
+        count, new_count = new_count, count
+    return count[rank], order
 
 
-def _stack_distances_fenwick(seq: Sequence[int]) -> list:
-    # One slot per reference; a slot is active while it is the most recent
-    # use of its address.  The distance of a re-reference is the number of
-    # active slots after the address's own, plus one.  Compacting whenever
-    # the slot array fills keeps the tree O(D) wide.
-    slot_of: dict[int, int] = {}
-    capacity = _MIN_SLOTS
-    tree = _FenwickTree(capacity)
-    next_slot = 1
-    distances: list = []
-    for a in seq:
-        old = slot_of.get(a)
-        if old is None:
-            distances.append(inf)
-        else:
-            distances.append(len(slot_of) - tree.prefix_sum(old) + 1)
-            tree.add(old, -1)
-            del slot_of[a]  # keep the dict in step with the tree for compaction
-        if next_slot > capacity:
-            # Renumber active slots 1..A in recency order, then regrow.
-            ordered = sorted(slot_of.items(), key=lambda item: item[1])
-            for rank, (addr, _) in enumerate(ordered, start=1):
-                slot_of[addr] = rank
-            active = len(slot_of)
-            capacity = max(_MIN_SLOTS, 2 * active)
-            tree = _FenwickTree(capacity, active_prefix=active)
-            next_slot = active + 1
-        tree.add(next_slot, 1)
-        slot_of[a] = next_slot
-        next_slot += 1
-    return distances
-
-
-def stack_distances(dst_sequence: Sequence[int]) -> tuple[list, StackDistanceHistogram]:
+def stack_distances(dst_sequence: Sequence[int]) -> tuple[np.ndarray, StackDistanceHistogram]:
     """Per-reference move-to-top stack distances and their histogram.
 
     A reference's distance is the 1-based depth of its address in the stack
-    at reference time; first-ever references get math.inf.
+    at reference time; first references get 0.  The distances come back as
+    a read-only int32 array.
+
+    A re-reference at position i whose previous use is p = prev[i] has
+    distance i - p - #{j < i : prev[j] > p}: of the positions strictly
+    between p and i, those with prev[j] > p repeat an address already seen
+    there (Bennett & Kruskal's offline count).  Immediate repeats are
+    dropped first (distance 1, stack unchanged).  The count runs in
+    position blocks: `_greater_before` counts within a block, and a sorted
+    array of the earlier blocks' prev values counts across blocks.
     """
-    distances = _stack_distances_fenwick(dst_sequence)
-    finite: Counter = Counter(d for d in distances if d is not inf)
-    infinite_count = len(distances) - sum(finite.values())
-    hist = StackDistanceHistogram(dict(finite), infinite_count, len(distances))
-    return distances, hist
+    ids = _id_array(dst_sequence)
+    n = len(ids)
+    kept = _run_heads(ids)
+    prev = _previous_use(ids[kept])
+    del ids
+    collapsed = np.zeros(len(prev), dtype=np.int32)
+    seen = np.empty(0, dtype=np.int32)     # prev values of earlier blocks, sorted
+    for s in range(0, len(prev), _BLOCK):
+        block = prev[s : s + _BLOCK]
+        reref = np.flatnonzero(block >= 0)
+        p = block[reref]
+        within, order = _greater_before(p)
+        below = np.searchsorted(seen, p)
+        collapsed[s + reref] = (s + reref) - p - within - (len(seen) - below)
+        seen = np.insert(seen, below[order], p[order])
+    del prev, seen
+    distances = np.ones(n, dtype=np.int32)
+    distances[kept] = collapsed
+    distances.flags.writeable = False
+    counts = np.bincount(distances, minlength=1).tolist()
+    finite = {d: c for d, c in enumerate(counts) if d and c}
+    return distances, StackDistanceHistogram(finite, counts[0], n)
 
 
 def run_lengths(dst_sequence: Sequence[int]) -> RunLengthHistogram:
@@ -252,8 +269,7 @@ def run_lengths(dst_sequence: Sequence[int]) -> RunLengthHistogram:
     ids = _id_array(dst_sequence)
     if len(ids) == 0:
         return RunLengthHistogram({}, 0)
-    starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
-    runs = np.diff(np.concatenate(([0], starts, [len(ids)])))
+    runs = np.diff(np.append(np.flatnonzero(_run_heads(ids)), len(ids)))
     lengths, counts = np.unique(runs, return_counts=True)
     return RunLengthHistogram(dict(zip(lengths.tolist(), counts.tolist())), len(runs))
 

@@ -12,7 +12,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from addrloc._rng import SplitMix64, derive_seed
-from addrloc.locality import ConcentrationCurve, RunLengthHistogram, WorkingSetReport
+from addrloc.locality import (
+    ConcentrationCurve,
+    RunLengthHistogram,
+    StackDistanceHistogram,
+    WorkingSetReport,
+)
 from addrloc.trace import FrameRecord, InternTable, Trace, TraceOrderError, TraceParseError
 
 _BRUTE_MAX_LENGTH = 12
@@ -72,6 +77,84 @@ def stack_distances_naive(seq: Sequence[int]) -> list:
             del stack[idx]
         stack.insert(0, a)
     return distances
+
+
+class FenwickTree:
+    """Prefix sums over slot activity flags, 1-based."""
+
+    __slots__ = ("size", "tree")
+
+    def __init__(self, size: int, active_prefix: int = 0):
+        # Linear-time build of a tree whose first `active_prefix` slots are 1.
+        self.size = size
+        values = [0] * (size + 1)
+        for i in range(1, active_prefix + 1):
+            values[i] = 1
+        for i in range(1, size + 1):
+            parent = i + (i & -i)
+            if parent <= size:
+                values[parent] += values[i]
+        self.tree = values
+
+    def add(self, index: int, delta: int) -> None:
+        while index <= self.size:
+            self.tree[index] += delta
+            index += index & -index
+
+    def prefix_sum(self, index: int) -> int:
+        total = 0
+        while index > 0:
+            total += self.tree[index]
+            index -= index & -index
+        return total
+
+
+_MIN_SLOTS = 64
+
+
+def stack_distances_fenwick(seq: Sequence[int]) -> list:
+    """Move-to-top stack distances from one sequential pass over a Fenwick tree."""
+    # One slot per reference; a slot is active while it is the most recent
+    # use of its address.  The distance of a re-reference is the number of
+    # active slots after the address's own, plus one.  Compacting whenever
+    # the slot array fills keeps the tree O(D) wide.
+    slot_of: dict[int, int] = {}
+    capacity = _MIN_SLOTS
+    tree = FenwickTree(capacity)
+    next_slot = 1
+    distances: list = []
+    for a in seq:
+        old = slot_of.get(a)
+        if old is None:
+            distances.append(inf)
+        else:
+            distances.append(len(slot_of) - tree.prefix_sum(old) + 1)
+            tree.add(old, -1)
+            del slot_of[a]  # keep the dict in step with the tree for compaction
+        if next_slot > capacity:
+            # Renumber active slots 1..A in recency order, then regrow.
+            ordered = sorted(slot_of.items(), key=lambda item: item[1])
+            for rank, (addr, _) in enumerate(ordered, start=1):
+                slot_of[addr] = rank
+            active = len(slot_of)
+            capacity = max(_MIN_SLOTS, 2 * active)
+            tree = FenwickTree(capacity, active_prefix=active)
+            next_slot = active + 1
+        tree.add(next_slot, 1)
+        slot_of[a] = next_slot
+        next_slot += 1
+    return distances
+
+
+def zero_for_inf(distances: Sequence) -> list:
+    """An oracle's distance list in the product's form: 0 marks a first reference."""
+    return [0 if d is inf else d for d in distances]
+
+
+def stack_histogram(distances: Sequence) -> StackDistanceHistogram:
+    """The histogram of an oracle's distance list (math.inf for first references)."""
+    finite = Counter(d for d in distances if d is not inf)
+    return StackDistanceHistogram(dict(finite), len(distances) - sum(finite.values()), len(distances))
 
 
 # Per-capacity simulators: each replays the whole reference string at one

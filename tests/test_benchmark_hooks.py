@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -23,3 +25,24 @@ def test_span_targets_resolve_to_callables():
             if not callable(owner):
                 missing.append(f"{module_name}.{dotted}")
     assert missing == []
+
+
+def test_span_counts_read_real_return_values():
+    # Each work counter reads the wrapped function's return value; a change
+    # to that value's type must not crash the traced run.  The counts are
+    # written to JSON, so they must be plain ints.
+    calls = {
+        "trace.parse_trace": ((io.StringIO("0\tA\tB\n1\tB\tC\n2\tC\tB\n"),), {}, 3),
+        "locality.stack_distances": (([4, 7, 4, 4, 9],), {}, 3),
+        "cachesim.simulate": (([4, 7, 4, 4, 9], "LRU", 2), {}, 5),
+    }
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)  # defines COUNTS; install() is never called
+    assert set(spans.COUNTS) == set(calls)
+    for name, (args, kwargs, expected) in calls.items():
+        module_name, function_name = name.split(".")
+        function = getattr(importlib.import_module(f"addrloc.{module_name}"), function_name)
+        count = spans.COUNTS[name](args, kwargs, function(*args, **kwargs))
+        assert count == expected
+        assert json.loads(json.dumps(count)) == expected

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import random
-from math import inf
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addrloc import locality
 from addrloc.cachesim import simulate, lru_curve_from_distances
 from addrloc.locality import (
     concentration_curve,
@@ -27,8 +29,11 @@ from helpers import random_reference_string
 from oracles import (
     concentration_curve_counter,
     run_lengths_groupby,
+    stack_distances_fenwick,
     stack_distances_naive,
+    stack_histogram,
     working_set_loop,
+    zero_for_inf,
 )
 
 
@@ -192,7 +197,8 @@ def test_working_set_errors():
 
 def test_stack_distances_alternating():
     distances, hist = stack_distances([0, 1, 0, 1])
-    assert distances == [inf, inf, 2, 2]
+    assert distances.dtype == np.int32 and not distances.flags.writeable
+    assert distances.tolist() == [0, 0, 2, 2]
     assert hist.finite == {2: 2}
     assert hist.infinite_count == 2
     assert hist.total == 4
@@ -200,7 +206,7 @@ def test_stack_distances_alternating():
 
 def test_stack_distances_repeat():
     distances, _ = stack_distances([0, 0])
-    assert distances == [inf, 1]
+    assert distances.tolist() == [0, 1]
 
 
 def test_stack_distance_histogram_pdf_cdf():
@@ -218,14 +224,14 @@ def test_stack_distances_methods_agree():
     rnd = random.Random(5)
     for _ in range(25):
         seq = random_reference_string(rnd, 40, 600)
-        assert stack_distances(seq)[0] == stack_distances_naive(seq)
+        assert stack_distances(seq)[0].tolist() == zero_for_inf(stack_distances_naive(seq))
 
 
 def test_stack_distances_agree_across_compaction():
     # alphabet far wider than the initial slot arena forces many rebuilds
     rnd = random.Random(6)
     seq = [rnd.randrange(500) for _ in range(3000)]
-    assert stack_distances(seq)[0] == stack_distances_naive(seq)
+    assert stack_distances(seq)[0].tolist() == zero_for_inf(stack_distances_naive(seq))
 
 
 def test_stack_distances_cyclic_mass():
@@ -239,7 +245,80 @@ def test_stack_distances_cyclic_mass():
 
 def test_stack_distances_empty():
     distances, hist = stack_distances([])
-    assert distances == [] and hist.total == 0
+    assert distances.tolist() == [] and hist.total == 0
+
+
+# Reference strings for the differential test: small alphabets, runs of
+# immediate repeats, all-distinct strings, one address, and ids near 2**31 - 1.
+_MAX_ID = 2**31 - 1
+_reference_strings = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=9), max_size=120),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=6)),
+        max_size=30,
+    ).map(lambda runs: [a for a, k in runs for _ in range(k)]),
+    st.lists(st.integers(min_value=0, max_value=10**6), unique=True, max_size=60),
+    st.tuples(st.integers(min_value=0, max_value=_MAX_ID), st.integers(0, 40)).map(
+        lambda pair: [pair[0]] * pair[1]
+    ),
+    st.lists(st.integers(min_value=_MAX_ID - 4, max_value=_MAX_ID), max_size=60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reference_strings, st.sampled_from([1, 2, 8, None]))
+def test_stack_distances_match_oracles(seq, block):
+    # A tiny block size makes most counts cross block boundaries.
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(locality, "_BLOCK", block)
+        results = [stack_distances(seq), stack_distances(np.array(seq, dtype=np.int32))]
+    for oracle in (stack_distances_naive, stack_distances_fenwick):
+        want = oracle(seq)
+        for distances, hist in results:
+            assert distances.tolist() == zero_for_inf(want)
+            assert hist == stack_histogram(want)
+
+
+def test_stack_distances_match_fenwick_on_long_strings():
+    rnd = random.Random(19)
+    for alphabet in (3, 60, 2000):
+        seq = [rnd.randrange(alphabet) for _ in range(20_000)]
+        want = stack_distances_fenwick(seq)
+        for block in (64, locality._BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(locality, "_BLOCK", block)
+                distances, hist = stack_distances(seq)
+            assert distances.tolist() == zero_for_inf(want)
+            assert hist == stack_histogram(want)
+
+
+@pytest.mark.parametrize("seq", [[-1, 0], [3, -7, 3], np.array([0, -2], dtype=np.int32)])
+def test_stack_distances_rejects_negative_ids(seq):
+    with pytest.raises(ValueError, match="destination ids"):
+        stack_distances(seq)
+
+
+def test_stack_distances_memory_is_bounded():
+    # Peak bytes per reference above the caller's, for a trace's int32 dst
+    # column with few immediate repeats (the case that collapses least).
+    # The per-block scratch is fixed, so the bound per reference must not
+    # grow with the trace.
+    rng = np.random.default_rng(0)
+    per_reference = {}
+    for n in (50_000, 200_000):
+        ids = rng.integers(0, 20_000, size=n).astype(np.int32)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stack_distances(ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_reference[n] = (peak - base) / n
+    assert per_reference[200_000] <= 48
+    assert per_reference[200_000] < 1.25 * per_reference[50_000]
 
 
 @settings(max_examples=80, deadline=None)
