@@ -44,7 +44,6 @@ from .synth import (
     generate,
 )
 from .trace import (
-    FrameRecord,
     InternTable,
     Trace,
     TraceOrderError,
@@ -65,7 +64,6 @@ __all__ = [
     "CacheStats",
     "ConcentrationCurve",
     "Cyclic",
-    "FrameRecord",
     "GeneratorSpec",
     "Interleave",
     "InternTable",

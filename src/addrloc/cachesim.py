@@ -10,24 +10,23 @@ Policies:
 Every reference to an address not currently cached counts as one miss,
 including compulsory misses while the cache is filling.
 
-`sweep` prepares the reference string once and runs every capacity on it
-(`simulate` is a sweep of one capacity).  Immediate repeats are dropped,
-since they hit under every policy and change no state; `references`
-still counts them.  MIN's next-use keys are computed once per sweep.  Two
-capacities need no simulation: at c >= D (distinct destinations) only the
-D compulsory misses remain, and at c = 1 every remaining reference misses.
-All counts are exact.
-
-LRU miss counts for a whole sweep also fall out of one stack distance
-histogram (`lru_curve_from_distances`); `report`, which builds that
-histogram anyway, takes its LRU column from it.  The two routes agree
-exactly.
+LRU is a stack algorithm: capacity c misses exactly the references whose
+stack distance exceeds c, so every LRU sweep is read off one stack
+distance histogram (`lru_curve_from_distances`); `report` passes in the
+one it builds anyway.  For the other policies, `sweep` prepares the
+reference string once and runs every capacity on it (`simulate` is a
+sweep of one capacity).  Immediate repeats are dropped, since they hit
+under every policy and change no state; `references` still counts them.
+MIN's next-use keys are computed once per sweep.  Two capacities need no
+simulation: at c >= D (distinct destinations) only the D compulsory
+misses remain, and at c = 1 every remaining reference misses.  All
+counts are exact.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappush, heapreplace
 from math import inf
@@ -38,7 +37,7 @@ import numpy as np
 
 from ._csvfmt import write_curve_table
 from ._rng import _GOLDEN, _MASK64, derive_seed
-from .locality import StackDistanceHistogram, _run_heads
+from .locality import StackDistanceHistogram, _id_array, _run_heads, stack_distances
 
 POLICIES = ("MIN", "LRU", "FIFO", "RAND")
 
@@ -66,22 +65,16 @@ class MissCurve:
     policy: str
     entries: tuple[CacheStats, ...]
 
-    def capacities(self) -> list[int]:
-        return [e.capacity for e in self.entries]
-
-    def miss_ratios(self) -> list[float]:
-        return [e.miss_ratio for e in self.entries]
-
 
 def _collapse(seq: Sequence[int]) -> tuple[list[int], int]:
     """`seq` without immediate repeats, and its count of distinct addresses.
 
     A reference equal to the one just before it hits under every policy
     and changes no state that any policy here keeps, so dropping it keeps
-    every miss count exact.  Lists and id arrays take the same numpy path;
-    the simulators loop over the collapsed string as Python ints.
+    every miss count exact.  Lists and id arrays take the same checked
+    numpy path; the simulators loop over the collapsed string as Python ints.
     """
-    ids = np.asarray(seq)
+    ids = _id_array(seq)
     collapsed = ids[_run_heads(ids)]
     return collapsed.tolist(), len(np.unique(collapsed))
 
@@ -129,22 +122,6 @@ def _min_misses(seq: list[int], keys: array, capacity: int) -> int:
         else:
             heappush(heap, keys[i])
         cache.add(a)
-    return misses
-
-
-def _lru_misses(seq: list[int], capacity: int) -> int:
-    cache: OrderedDict[int, None] = OrderedDict()  # last = most recent
-    refresh = cache.move_to_end
-    evict = cache.popitem
-    misses = 0
-    for a in seq:
-        if a in cache:
-            refresh(a)
-            continue
-        misses += 1
-        if len(cache) >= capacity:
-            evict(last=False)
-        cache[a] = None
     return misses
 
 
@@ -202,6 +179,8 @@ def _simulate_all(
         raise ValueError("cannot simulate an empty reference sequence")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {', '.join(POLICIES)}")
+    if policy == "LRU":
+        return lru_curve_from_distances(stack_distances(dst_sequence)[1], capacities).entries
     seq, distinct = _collapse(dst_sequence)
     keys = None
     entries = []
@@ -216,8 +195,6 @@ def _simulate_all(
             if keys is None:
                 keys = _min_keys(seq)
             misses = _min_misses(seq, keys, c)
-        elif policy == "LRU":
-            misses = _lru_misses(seq, c)
         elif policy == "FIFO":
             misses = _fifo_misses(seq, c)
         else:

@@ -151,7 +151,8 @@ def _model_from_args(args, parser: argparse.ArgumentParser) -> synth.Model:
 
 def _working_sets(args, destinations) -> list[WorkingSetReport]:
     """Average working set per --windows size in --mode; oversized windows are skipped."""
-    requested = _parse_int_list(args.windows, "--windows") if args.windows else _DEFAULT_WINDOWS
+    windows = args.windows
+    requested = _DEFAULT_WINDOWS if windows is None else _parse_int_list(windows, "--windows")
     reports = []
     for window in requested:
         if window > len(destinations):
@@ -166,23 +167,26 @@ def _working_sets(args, destinations) -> list[WorkingSetReport]:
     return reports
 
 
-def _sweep(args, destinations, default: list[int], hist=None) -> list[MissCurve]:
-    """One miss curve per --policies entry over --capacities (or the given default).
+def _capacities(args, default: list[int]) -> list[int]:
+    """--capacities, sorted and without duplicates, or `default` when not given."""
+    if args.capacities is None:
+        return default
+    capacities = sorted(set(_parse_int_list(args.capacities, "--capacities")))
+    if capacities[0] < 1:
+        raise ValueError("--capacities: entries must be >= 1")
+    return capacities
 
-    Given the trace's stack distance histogram, the LRU curve is read off
-    it instead of simulated.
+
+def _sweep(args, destinations, capacities: list[int], hist=None) -> list[MissCurve]:
+    """One miss curve per --policies entry over `capacities`.
+
+    Given the trace's stack distance histogram, the LRU curve reuses it.
     """
-    policies = _parse_policies(args.policies)
-    capacities = default
-    if args.capacities:
-        capacities = sorted(set(_parse_int_list(args.capacities, "--capacities")))
-        if capacities[0] < 1:
-            raise ValueError("--capacities: entries must be >= 1")
     return [
         lru_curve_from_distances(hist, capacities)
         if policy == "LRU" and hist is not None
         else sweep(destinations, policy, capacities, seed=args.seed)
-        for policy in policies
+        for policy in _parse_policies(args.policies)
     ]
 
 
@@ -201,7 +205,10 @@ def _search_times(
             f"{distinct} distinct destinations"
         )
     default = sorted({c for c in _POWER_SWEEP if c < database_size} | {database_size, distinct})
-    miss_curves = _sweep(args, destinations, default, hist)
+    capacities = _capacities(args, default)
+    if capacities[-1] > database_size:
+        raise ValueError(f"--capacities: {capacities[-1]} exceeds --database-size {database_size}")
+    miss_curves = _sweep(args, destinations, capacities, hist)
     cost = _COST_MODELS[args.cost]
     return miss_curves, [search_time_curve(c, database_size, cost) for c in miss_curves]
 
@@ -257,7 +264,7 @@ def _cmd_runs(args) -> int:
 def _cmd_simulate(args) -> int:
     trace = _read_nonempty(args.trace)
     distinct = summarize(trace).distinct_destinations
-    curves = _sweep(args, trace.dst, sorted(set(_POWER_SWEEP) | {distinct}))
+    curves = _sweep(args, trace.dst, _capacities(args, sorted(set(_POWER_SWEEP) | {distinct})))
     _write(args.miss_out, partial(write_miss_ratio_csv, curves))
     _write(args.interfault_out, partial(write_interfault_csv, curves))
     return 0

@@ -29,7 +29,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -53,14 +53,6 @@ class TraceParseError(ValueError):
 
 class TraceOrderError(TraceParseError):
     """Timestamps went backwards."""
-
-
-class FrameRecord(NamedTuple):
-    timestamp: int
-    src: int
-    dst: int
-    proto: Optional[str] = None
-    length: Optional[int] = None
 
 
 class InternTable:
@@ -95,9 +87,6 @@ class InternTable:
                 ids[token] = len(self._tokens)
                 self._tokens.append(token)
             return np.fromiter(map(ids.__getitem__, tokens), np.int32, len(tokens))
-
-    def id_of(self, token: str) -> int:
-        return self._ids[token]
 
     def token_of(self, address_id: int) -> str:
         return self._tokens[address_id]
@@ -194,11 +183,6 @@ class Trace:
         )
         return columns.trace()
 
-    @property
-    def records(self) -> tuple[FrameRecord, ...]:
-        """The frames as FrameRecord tuples, built on each access."""
-        return tuple(self)
-
     def destinations(self) -> list[int]:
         """The destination reference string: the ordered sequence of dst ids."""
         return self.dst.tolist()
@@ -208,17 +192,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def __iter__(self) -> Iterator[FrameRecord]:
-        protos = self.protos
-        for ts, src, dst, code, length in zip(
-            self.timestamps.tolist(),
-            self.src.tolist(),
-            self.dst.tolist(),
-            self.proto.tolist(),
-            self.length.tolist(),
-        ):
-            yield FrameRecord(ts, src, dst, protos[code], None if length < 0 else length)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):

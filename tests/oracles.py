@@ -18,7 +18,9 @@ from addrloc.locality import (
     StackDistanceHistogram,
     WorkingSetReport,
 )
-from addrloc.trace import FrameRecord, InternTable, Trace, TraceOrderError, TraceParseError
+from addrloc.trace import InternTable, Trace, TraceOrderError, TraceParseError
+
+from helpers import rows
 
 _BRUTE_MAX_LENGTH = 12
 _BRUTE_MAX_DISTINCT = 4
@@ -264,14 +266,15 @@ def oracle_sweep(
 # Line-by-line and per-frame forms of the columnar trace code and the
 # vectorized locality kernels.
 
-def parse_trace_by_line(lines: Iterable[str]) -> tuple[list[FrameRecord], tuple[str, ...]]:
+def parse_trace_by_line(lines: Iterable[str]) -> tuple[list[tuple], tuple[str, ...]]:
     """The frames and address tokens of a trace file, parsed one line at a time.
 
-    Accepts any timestamp or length int() accepts; the product parser
-    also bounds them to int64.
+    Frames are (timestamp, src, dst, proto, length) tuples, as
+    `helpers.rows` yields them.  Accepts any timestamp or length int()
+    accepts; the product parser also bounds them to int64.
     """
     interns = InternTable()
-    records: list[FrameRecord] = []
+    records: list[tuple] = []
     prev_ts = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
@@ -301,7 +304,7 @@ def parse_trace_by_line(lines: Iterable[str]) -> tuple[list[FrameRecord], tuple[
                 raise TraceParseError(lineno, f"bad length {fields[4]!r}") from None
             if length < 0:
                 raise TraceParseError(lineno, f"negative length {length}")
-        records.append(FrameRecord(ts, interns.intern(src_tok), interns.intern(dst_tok), proto, length))
+        records.append((ts, interns.intern(src_tok), interns.intern(dst_tok), proto, length))
     return records, interns.tokens
 
 
@@ -356,9 +359,9 @@ def split_by_protocol_rows(
     """Split frame by frame, re-interning each side from its token rows."""
     matched: list[tuple] = []
     rest: list[tuple] = []
-    for r in trace.records:
-        row = (r.timestamp, trace.token_of(r.src), trace.token_of(r.dst), r.proto, r.length)
-        if r.proto is not None and proto_predicate(r.proto):
+    for ts, src, dst, proto, length in rows(trace):
+        row = (ts, trace.token_of(src), trace.token_of(dst), proto, length)
+        if proto is not None and proto_predicate(proto):
             matched.append(row)
         else:
             rest.append(row)

@@ -33,7 +33,7 @@ from addrloc.locality import stack_distances
 from addrloc.searchcost import binary_search_cost, constant_cost
 
 from helpers import random_reference_string
-from oracles import brute_force_optimal
+from oracles import brute_force_optimal, simulate_lru
 
 
 @contextmanager
@@ -76,8 +76,9 @@ def test_criterion_2_mattson_equivalence():
             capacities = list(range(1, len(set(seq)) + 2))
             _, hist = stack_distances(seq)
             recon = lru_curve_from_distances(hist, capacities)
-            direct = sweep(seq, "LRU", capacities)
-            assert [e.misses for e in recon.entries] == [e.misses for e in direct.entries]
+            direct = [simulate_lru(seq, c) for c in capacities]
+            assert [e.misses for e in recon.entries] == direct
+            assert [e.misses for e in sweep(seq, "LRU", capacities).entries] == direct
 
 
 def test_criterion_3_reciprocity_anchor():

@@ -160,6 +160,14 @@ def test_simulate_validation():
         sweep([0], "LRU", [])
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("bad_id", [-1, 2**31])
+def test_ids_outside_int32_range_are_rejected_by_every_policy(policy, bad_id):
+    with pytest.raises(ValueError, match=r"destination ids must lie in 0\.\.2147483647"):
+        sweep([bad_id, 0], policy, [1, 2])
+    assert sweep([2**31 - 1, 0], policy, [1, 2]).entries[-1].misses == 2
+
+
 def test_brute_force_guard():
     big = list(range(4)) * 4  # 16 references: past the length guard
     with pytest.raises(ValueError):
@@ -282,7 +290,7 @@ def test_exact_shortcuts_skip_simulation(monkeypatch):
     def refuse(*args):
         raise AssertionError("simulated a capacity with an exact answer")
 
-    for name in ("_min_misses", "_lru_misses", "_fifo_misses", "_rand_misses"):
+    for name in ("_min_misses", "_fifo_misses", "_rand_misses"):
         monkeypatch.setattr(cachesim, name, refuse)
     seq = [0, 0, 1, 2, 2, 2, 0, 3, 1, 1]
     for policy in POLICIES:

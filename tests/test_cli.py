@@ -155,6 +155,43 @@ def test_searchtime_rejects_capacity_beyond_database(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, extra", [("searchtime", []), ("searchtime", ["--database-size", "4"]), ("report", [])]
+)
+def test_capacity_beyond_database_names_both_flags(tmp_path, capsys, command, extra):
+    path = _write_fixture(tmp_path, "".join(f"{i}\tS\td{i % 2}\n" for i in range(20)))
+    argv = [command, str(path), "--capacities", "2,5", *extra]
+    if command == "report":
+        argv += ["--out-dir", str(tmp_path / "rep")]
+    assert main(argv) == 1
+    database_size = extra[-1] if extra else "2"  # default: the 2 distinct destinations
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: --capacities: 5 exceeds --database-size {database_size}"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("simulate", "--capacities"),
+        ("searchtime", "--capacities"),
+        ("wss", "--windows"),
+        ("report", "--capacities"),
+        ("report", "--windows"),
+    ],
+)
+def test_empty_list_flag_is_rejected(tmp_path, capsys, command, flag):
+    path = _write_fixture(tmp_path, "".join(f"{i}\tS\td{i % 3}\n" for i in range(30)))
+    argv = [command, str(path), flag, ""]
+    if command == "simulate":
+        argv += ["--miss-out", str(tmp_path / "m.csv"), "--interfault-out", str(tmp_path / "i.csv")]
+    if command == "report":
+        argv += ["--out-dir", str(tmp_path / "rep")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {flag}: empty list"
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_report_outputs_are_mutually_consistent(tmp_path):
     text = "".join(f"{i}\tS\td{(i * i) % 17}\n" for i in range(2000))
     path = _write_fixture(tmp_path, text)
@@ -268,8 +305,8 @@ def test_report_equals_its_parts(tmp_path):
     text = "".join(f"{i}\tS\td{(i * i) % 17}\n" for i in range(2000))
     path = str(_write_fixture(tmp_path, text))
     # 9 distinct destinations: the sweep spans capacity 1 to past D, where
-    # report's LRU column (from the stack distance histogram) must still
-    # match the simulated one byte for byte.
+    # report's LRU column (read off the histogram it also writes) must
+    # still match the one simulate and searchtime build, byte for byte.
     sweep = ["--capacities", "1,2,4,8,9,40", "--seed", "3"]
     table = ["--database-size", "40"]
     out = tmp_path / "rep"

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addrloc import locality
-from addrloc.cachesim import simulate, lru_curve_from_distances
+from addrloc.cachesim import lru_curve_from_distances
 from addrloc.locality import (
     concentration_curve,
     run_lengths,
@@ -29,6 +29,7 @@ from helpers import random_reference_string
 from oracles import (
     concentration_curve_counter,
     run_lengths_groupby,
+    simulate_lru,
     stack_distances_fenwick,
     stack_distances_naive,
     stack_histogram,
@@ -330,7 +331,7 @@ def test_mattson_equivalence_property(seq):
     capacities = list(range(1, len(set(seq)) + 2))
     recon = lru_curve_from_distances(hist, capacities)
     for entry in recon.entries:
-        assert entry.misses == simulate(seq, "LRU", entry.capacity).misses
+        assert entry.misses == simulate_lru(seq, entry.capacity)
 
 
 # --- run lengths -----------------------------------------------------------

@@ -29,8 +29,8 @@ def _tokens(model, length, seed=0):
 def test_generate_trace_shape():
     trace = generate(GeneratorSpec(Cyclic(4), 10, seed=3))
     assert len(trace) == 10
-    assert [r.timestamp for r in trace] == list(range(10))
-    src_tokens = {trace.token_of(r.src) for r in trace}
+    assert trace.timestamps.tolist() == list(range(10))
+    src_tokens = {trace.token_of(src) for src in trace.src.tolist()}
     assert len(src_tokens) == 1  # single dummy source
 
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from addrloc import trace as trace_module
 from addrloc.trace import (
-    FrameRecord,
     InternTable,
     Trace,
     TraceOrderError,
@@ -27,14 +26,14 @@ from addrloc.trace import (
     write_trace,
 )
 
+from helpers import rows
 from oracles import parse_trace_by_line, split_by_protocol_rows
 
 
 def test_parse_two_line_file():
     t = parse_trace(io.StringIO("0\tA\tB\n5\tB\tA\n"))
     assert len(t) == 2
-    assert t.records[0] == FrameRecord(0, 0, 1, None, None)
-    assert t.records[1] == FrameRecord(5, 1, 0, None, None)
+    assert list(rows(t)) == [(0, 0, 1, None, None), (5, 1, 0, None, None)]
     assert t.interns.tokens == ("A", "B")
 
 
@@ -45,10 +44,11 @@ def test_parse_skips_comments_and_blanks():
 
 def test_parse_optional_fields():
     t = parse_trace(io.StringIO("0\tA\tB\tLAT\n1\tA\tB\tLAT\t64\n2\tA\tB\t\t128\n"))
-    assert t.records[0].proto == "LAT" and t.records[0].length is None
-    assert t.records[1].proto == "LAT" and t.records[1].length == 64
+    frames = list(rows(t))
+    assert frames[0][3:] == ("LAT", None)
+    assert frames[1][3:] == ("LAT", 64)
     # empty proto field means "no tag" even when a length follows
-    assert t.records[2].proto is None and t.records[2].length == 128
+    assert frames[2][3:] == (None, 128)
 
 
 def test_parse_decreasing_timestamp_is_order_error():
@@ -119,7 +119,7 @@ def test_split_by_protocol_example():
     )
     matching, rest = split_by_protocol(t, lambda p: p == "LAT")
     assert len(matching) == 2 and len(rest) == 1
-    assert rest.records[0].proto == "DECnet"
+    assert next(rows(rest))[3] == "DECnet"
 
 
 def test_split_absent_proto_never_matches():
@@ -130,20 +130,20 @@ def test_split_absent_proto_never_matches():
 
 
 def test_split_partitions_and_reinterns_densely():
-    rows = [(i, "A", f"d{i % 3}", "LAT" if i % 2 == 0 else "OTH") for i in range(10)]
-    t = Trace.from_token_rows(rows)
+    token_rows = [(i, "A", f"d{i % 3}", "LAT" if i % 2 == 0 else "OTH") for i in range(10)]
+    t = Trace.from_token_rows(token_rows)
     matching, rest = split_by_protocol(t, lambda p: p == "LAT")
     assert len(matching) + len(rest) == len(t)
     assert len(matching) == 5
     for side in (matching, rest):
-        ids = {r.src for r in side.records} | {r.dst for r in side.records}
+        ids = {r[1] for r in rows(side)} | {r[2] for r in rows(side)}
         assert ids == set(range(len(side.interns)))
     # merging the two sides back by timestamp restores the destination tokens
     merged = sorted(
-        [(r.timestamp, matching.token_of(r.dst)) for r in matching.records]
-        + [(r.timestamp, rest.token_of(r.dst)) for r in rest.records]
+        [(r[0], matching.token_of(r[2])) for r in rows(matching)]
+        + [(r[0], rest.token_of(r[2])) for r in rows(rest)]
     )
-    assert [tok for _, tok in merged] == [t.token_of(r.dst) for r in t.records]
+    assert [tok for _, tok in merged] == [t.token_of(r[2]) for r in rows(t)]
 
 
 def test_round_trip_basic_and_optional_fields():
@@ -252,8 +252,12 @@ def test_constructor_rejects_inconsistent_columns(columns, message):
 
 def test_constructor_defaults_and_records_view():
     t = Trace([3, 4], [0, 1], [1, 0], InternTable(["A", "B"]), proto=[0, 1], protos=(None, "ip"))
-    assert t.records == (FrameRecord(3, 0, 1, None, None), FrameRecord(4, 1, 0, "ip", None))
-    assert list(t) == list(t.records)
+    assert t.length.tolist() == [-1, -1] and t.length.dtype == np.int64
+    assert list(rows(t)) == [(3, 0, 1, None, None), (4, 1, 0, "ip", None)]
+    bare = Trace([3], [0], [1], InternTable(["A", "B"]))
+    assert bare.proto.tolist() == [0] and bare.proto.dtype == np.int32
+    assert bare.protos == (None,)
+    assert list(rows(bare)) == [(3, 0, 1, None, None)]
 
 
 # --- columnar parse vs the line-by-line parser -------------------------------
@@ -326,7 +330,7 @@ def _assert_parses_like_oracle(lines: list[str]) -> None:
         assert (info.value.line, str(info.value)) == (exc.line, str(exc))
         return
     t = parse_trace(io.StringIO("".join(lines)))
-    assert (list(t.records), t.interns.tokens) == (expected[0], expected[1])
+    assert (list(rows(t)), t.interns.tokens) == (expected[0], expected[1])
     assert parse_trace(lines) == t
 
 
@@ -419,4 +423,4 @@ def test_split_matches_per_frame_split(frames, wanted):
     expected = split_by_protocol_rows(t, wanted.__contains__)
     for side, want in zip(got, expected):
         assert side == want
-        assert side.records == want.records and side.interns == want.interns
+        assert list(rows(side)) == list(rows(want)) and side.interns == want.interns
