@@ -11,16 +11,15 @@ Every reference to an address not currently cached counts as one miss,
 including compulsory misses while the cache is filling.
 
 LRU is a stack algorithm: capacity c misses exactly the references whose
-stack distance exceeds c, so every LRU sweep is read off one stack
-distance histogram (`lru_curve_from_distances`); `report` passes in the
-one it builds anyway.  For the other policies, `sweep` prepares the
-reference string once and runs every capacity on it (`simulate` is a
-sweep of one capacity).  Immediate repeats are dropped, since they hit
-under every policy and change no state; `references` still counts them.
-MIN's next-use keys are computed once per sweep.  Two capacities need no
-simulation: at c >= D (distinct destinations) only the D compulsory
-misses remain, and at c = 1 every remaining reference misses.  All
-counts are exact.
+stack distance exceeds c, so every LRU sweep is read off the prepared
+string's one stack distance histogram (`lru_curve_from_distances`).  The
+other policies run every capacity on the prepared string without its
+immediate repeats, which hit under every policy and change no state;
+`references` still counts them.  MIN's next-use keys are scattered from
+the prepared previous-use array; nothing is sorted again.  Two
+capacities need no simulation: at c >= D (distinct destinations) only
+the D compulsory misses remain, and at c = 1 every remaining reference
+misses.  All counts are exact.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from ._csvfmt import write_curve_table
 from ._rng import _GOLDEN, _MASK64, derive_seed
-from .locality import StackDistanceHistogram, _id_array, _run_heads, stack_distances
+from .locality import StackDistanceHistogram, _refs
 
 POLICIES = ("MIN", "LRU", "FIFO", "RAND")
 
@@ -66,35 +65,19 @@ class MissCurve:
     entries: tuple[CacheStats, ...]
 
 
-def _collapse(seq: Sequence[int]) -> tuple[list[int], int]:
-    """`seq` without immediate repeats, and its count of distinct addresses.
-
-    A reference equal to the one just before it hits under every policy
-    and changes no state that any policy here keeps, so dropping it keeps
-    every miss count exact.  Lists and id arrays take the same checked
-    numpy path; the simulators loop over the collapsed string as Python ints.
-    """
-    ids = _id_array(seq)
-    collapsed = ids[_run_heads(ids)]
-    return collapsed.tolist(), len(np.unique(collapsed))
-
-
-def _min_keys(seq: list[int]) -> array:
-    """Belady eviction keys: -next use, or i - 2n when position i is a last use.
+def _min_keys(refs) -> array:
+    """Belady eviction keys of the collapsed string: -next use, or i - 2n at a last use.
 
     Smaller keys evict first.  "Never used again" keys lie below -n and any
     next use is above it, so infinite next uses go first, oldest last use
     first among them.  Kept as a C array: 8 bytes a key, not an int object.
     """
-    n = len(seq)
-    keys = array("q", [0]) * n
-    upcoming: dict[int, int] = {}
-    for i in range(n - 1, -1, -1):
-        a = seq[i]
-        j = upcoming.get(a)
-        keys[i] = i - 2 * n if j is None else -j
-        upcoming[a] = i
-    return keys
+    prev = refs.collapsed_prev
+    n = len(prev)
+    keys = np.arange(-2 * n, -n, dtype=np.int64)
+    reref = np.flatnonzero(prev >= 0)
+    keys[prev[reref]] = -reref
+    return array("q", keys.tobytes())
 
 
 def _min_misses(seq: list[int], keys: array, capacity: int) -> int:
@@ -174,14 +157,15 @@ def _simulate_all(
     dst_sequence: Sequence[int], policy: str, capacities: Sequence[int], seeds: Sequence[int]
 ) -> tuple[CacheStats, ...]:
     """Miss counts at each capacity (RAND on the matching seed), from one prepared string."""
-    n = len(dst_sequence)
+    refs = _refs(dst_sequence)
+    n = len(refs)
     if n == 0:
         raise ValueError("cannot simulate an empty reference sequence")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {', '.join(POLICIES)}")
     if policy == "LRU":
-        return lru_curve_from_distances(stack_distances(dst_sequence)[1], capacities).entries
-    seq, distinct = _collapse(dst_sequence)
+        return lru_curve_from_distances(refs.hist, capacities).entries
+    seq, distinct = refs.collapsed.tolist(), refs.distinct
     keys = None
     entries = []
     for c, seed in zip(capacities, seeds):
@@ -193,7 +177,7 @@ def _simulate_all(
             misses = len(seq)         # no reference repeats the one before it
         elif policy == "MIN":
             if keys is None:
-                keys = _min_keys(seq)
+                keys = _min_keys(refs)
             misses = _min_misses(seq, keys, c)
         elif policy == "FIFO":
             misses = _fifo_misses(seq, c)
@@ -207,7 +191,8 @@ def simulate(dst_sequence: Sequence[int], policy: str, capacity: int, seed: int 
     """Count misses for one policy at one capacity.
 
     `seed` matters only for RAND; identical seeds give identical victim
-    choices on every platform.
+    choices on every platform.  RAND runs on stream `seed` itself, while
+    `sweep(seed=s)` runs capacity c on stream `derive_seed(s, c)`.
     """
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -220,8 +205,8 @@ def sweep(
     """Simulate one policy across a capacity sweep.
 
     The reference string is prepared once for the whole sweep.  Each RAND
-    capacity runs on its own stream derived from (seed, capacity), so
-    adding or removing capacities never perturbs the others.
+    capacity c runs on its own stream, `derive_seed(seed, c)`, so adding
+    or removing capacities never perturbs the others.
     """
     if not capacities:
         raise ValueError("capacity sweep is empty")

@@ -20,7 +20,6 @@ from . import synth
 from .cachesim import (
     POLICIES,
     MissCurve,
-    lru_curve_from_distances,
     sweep,
     write_interfault_csv,
     write_miss_ratio_csv,
@@ -28,9 +27,9 @@ from .cachesim import (
 from .locality import (
     ConcentrationCurve,
     WorkingSetReport,
+    _Refs,
     concentration_curve,
     run_lengths,
-    stack_distances,
     working_set,
     write_concentration_csv,
     write_runs_csv,
@@ -149,21 +148,21 @@ def _model_from_args(args, parser: argparse.ArgumentParser) -> synth.Model:
 # Analysis steps.  Each subcommand runs one of them and `report` runs them
 # all, so a flag means the same thing everywhere it is accepted.
 
-def _working_sets(args, destinations) -> list[WorkingSetReport]:
+def _working_sets(args, refs: _Refs) -> list[WorkingSetReport]:
     """Average working set per --windows size in --mode; oversized windows are skipped."""
     windows = args.windows
     requested = _DEFAULT_WINDOWS if windows is None else _parse_int_list(windows, "--windows")
     reports = []
     for window in requested:
-        if window > len(destinations):
+        if window > len(refs):
             print(
-                f"note: skipping window {window}: exceeds trace length {len(destinations)}",
+                f"note: skipping window {window}: exceeds trace length {len(refs)}",
                 file=sys.stderr,
             )
         else:
-            reports.append(working_set(destinations, window, args.mode))
+            reports.append(working_set(refs, window, args.mode))
     if not reports:
-        raise ValueError(f"no window fits a trace of {len(destinations)} references")
+        raise ValueError(f"no window fits a trace of {len(refs)} references")
     return reports
 
 
@@ -177,27 +176,20 @@ def _capacities(args, default: list[int]) -> list[int]:
     return capacities
 
 
-def _sweep(args, destinations, capacities: list[int], hist=None) -> list[MissCurve]:
-    """One miss curve per --policies entry over `capacities`.
-
-    Given the trace's stack distance histogram, the LRU curve reuses it.
-    """
+def _sweep(args, refs: _Refs, capacities: list[int]) -> list[MissCurve]:
+    """One miss curve per --policies entry over `capacities`."""
     return [
-        lru_curve_from_distances(hist, capacities)
-        if policy == "LRU" and hist is not None
-        else sweep(destinations, policy, capacities, seed=args.seed)
-        for policy in _parse_policies(args.policies)
+        sweep(refs, policy, capacities, seed=args.seed) for policy in _parse_policies(args.policies)
     ]
 
 
-def _search_times(
-    args, destinations, distinct: int, hist=None
-) -> tuple[list[MissCurve], list[SearchTimeCurve]]:
+def _search_times(args, refs: _Refs) -> tuple[list[MissCurve], list[SearchTimeCurve]]:
     """Miss curves and their normalized search times for a --database-size table.
 
     The default sweep is the powers of two below the database size, plus
-    the database size and `distinct`, the trace's distinct-destination count.
+    the database size and the trace's distinct-destination count.
     """
+    distinct = refs.distinct
     database_size = distinct if args.database_size is None else args.database_size
     if database_size < distinct:
         raise ValueError(
@@ -208,7 +200,7 @@ def _search_times(
     capacities = _capacities(args, default)
     if capacities[-1] > database_size:
         raise ValueError(f"--capacities: {capacities[-1]} exceeds --database-size {database_size}")
-    miss_curves = _sweep(args, destinations, capacities, hist)
+    miss_curves = _sweep(args, refs, capacities)
     cost = _COST_MODELS[args.cost]
     return miss_curves, [search_time_curve(c, database_size, cost) for c in miss_curves]
 
@@ -238,41 +230,39 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_concentration(args) -> int:
-    curve = concentration_curve(_read_nonempty(args.trace).dst)
+    curve = concentration_curve(_Refs(_read_nonempty(args.trace).dst))
     _write(args.out, partial(write_concentration_csv, curve))
     return 0
 
 
 def _cmd_wss(args) -> int:
-    reports = _working_sets(args, _read_nonempty(args.trace).dst)
+    reports = _working_sets(args, _Refs(_read_nonempty(args.trace).dst))
     _write(args.out, partial(write_wss_csv, reports))
     return 0
 
 
 def _cmd_stackdist(args) -> int:
-    _, hist = stack_distances(_read_nonempty(args.trace).dst)
+    hist = _Refs(_read_nonempty(args.trace).dst).hist
     _write(args.out, partial(write_stackdist_csv, hist))
     return 0
 
 
 def _cmd_runs(args) -> int:
-    hist = run_lengths(_read_nonempty(args.trace).dst)
+    hist = run_lengths(_Refs(_read_nonempty(args.trace).dst))
     _write(args.out, partial(write_runs_csv, hist))
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    trace = _read_nonempty(args.trace)
-    distinct = summarize(trace).distinct_destinations
-    curves = _sweep(args, trace.dst, _capacities(args, sorted(set(_POWER_SWEEP) | {distinct})))
+    refs = _Refs(_read_nonempty(args.trace).dst)
+    curves = _sweep(args, refs, _capacities(args, sorted(set(_POWER_SWEEP) | {refs.distinct})))
     _write(args.miss_out, partial(write_miss_ratio_csv, curves))
     _write(args.interfault_out, partial(write_interfault_csv, curves))
     return 0
 
 
 def _cmd_searchtime(args) -> int:
-    trace = _read_nonempty(args.trace)
-    _, time_curves = _search_times(args, trace.dst, summarize(trace).distinct_destinations)
+    _, time_curves = _search_times(args, _Refs(_read_nonempty(args.trace).dst))
     _write(args.out, partial(write_search_time_csv, time_curves))
     return 0
 
@@ -299,15 +289,14 @@ def _cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace = _read_nonempty(args.trace)
-    summary = summarize(trace)
-    curve = concentration_curve(trace.dst)
+    summary, refs = summarize(trace), _Refs(trace.dst)
+    del trace
+    curve = concentration_curve(refs)
     _write(out_dir / "concentration.csv", partial(write_concentration_csv, curve))
-    _write(out_dir / "wss.csv", partial(write_wss_csv, _working_sets(args, trace.dst)))
-    # Keep only the histogram, from which the sweeps take their LRU curve.
-    hist = stack_distances(trace.dst)[1]
-    _write(out_dir / "stackdist.csv", partial(write_stackdist_csv, hist))
-    _write(out_dir / "runs.csv", partial(write_runs_csv, run_lengths(trace.dst)))
-    miss_curves, time_curves = _search_times(args, trace.dst, summary.distinct_destinations, hist)
+    _write(out_dir / "wss.csv", partial(write_wss_csv, _working_sets(args, refs)))
+    _write(out_dir / "stackdist.csv", partial(write_stackdist_csv, refs.hist))
+    _write(out_dir / "runs.csv", partial(write_runs_csv, run_lengths(refs)))
+    miss_curves, time_curves = _search_times(args, refs)
     _write(out_dir / "miss_ratio.csv", partial(write_miss_ratio_csv, miss_curves))
     _write(out_dir / "interfault.csv", partial(write_interfault_csv, miss_curves))
     _write(out_dir / "searchtime.csv", partial(write_search_time_csv, time_curves))

@@ -8,10 +8,10 @@ address ids (integers in 0..2**31 - 1, as in a trace's dst column):
 * stack_distances     - move-to-top stack depth of every re-reference
 * run_lengths         - maximal runs of identical consecutive destinations
 
-All four are numpy kernels over an id array, with exact integer results;
-a trace's int32 dst column is read without a copy.  Working set and stack
-distances both start from one previous-use array prev (the last earlier
-position of the same id, or -1).  Stack distances drive the single-pass
+All four are numpy kernels with exact integer results.  Each takes ids or
+a `_Refs`, the string prepared once per command, whose one previous-use
+array prev (the last earlier position of the same id, or -1) serves the
+working set and stack distances.  Stack distances drive the single-pass
 miss-count reconstruction in `addrloc.cachesim`.  A re-reference at i has
 distance i - prev[i] - #{j < i : prev[j] > prev[i]}, and the counts are
 taken offline in blocks of `_BLOCK` positions: a stable bit-by-bit
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -102,54 +103,91 @@ class RunLengthHistogram:
         return {n: c / self.total_runs for n, c in sorted(self.counts.items())}
 
 
-def _id_array(dst_sequence: Sequence[int]) -> np.ndarray:
-    """The ids as an array; a trace's int32 column is used without a copy."""
-    ids = np.asarray(dst_sequence)
-    if ids.dtype != np.int32:
-        ids = ids.astype(np.intp, copy=False)
-    if len(ids) and (ids.min() < 0 or ids.max() > _MAX_ID):
-        raise ValueError(f"destination ids must lie in 0..{_MAX_ID}")
-    return ids
+class _Refs:
+    """A reference string prepared once for all the analyses that share it.
+
+    `ids` is the checked id array (a trace's int32 column is not copied).
+    Cached properties are computed on first use; `collapsed_prev` holds
+    the only sort, and everything else is derived without sorting again.
+    """
+
+    def __init__(self, dst_sequence: Sequence[int]):
+        ids = np.asarray(dst_sequence)
+        if ids.dtype != np.int32:
+            ids = ids.astype(np.intp, copy=False)
+        if len(ids) and (ids.min() < 0 or ids.max() > _MAX_ID):
+            raise ValueError(f"destination ids must lie in 0..{_MAX_ID}")
+        if len(ids) > _MAX_ID:
+            raise ValueError(f"sequence length {len(ids)} exceeds {_MAX_ID}")
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @cached_property
+    def heads(self) -> np.ndarray:
+        heads = np.ones(len(self.ids), dtype=bool)
+        np.not_equal(self.ids[1:], self.ids[:-1], out=heads[1:])
+        return heads
+
+    @cached_property
+    def collapsed(self) -> np.ndarray:
+        return self.ids[self.heads]
+
+    @cached_property
+    def collapsed_prev(self) -> np.ndarray:
+        ids = self.collapsed
+        n = len(ids)
+        # The keys id * n + position are distinct, so sorting them groups equal
+        # ids in position order.
+        keys = ids.astype(np.int64)
+        keys *= n
+        keys += np.arange(n)
+        keys.sort()
+        position = np.empty(n, dtype=np.int32)
+        np.remainder(keys, n, out=position, casting="unsafe")
+        keys //= n
+        repeat = keys[1:] == keys[:-1]
+        del keys
+        prev = np.full(n, -1, dtype=np.int32)
+        prev[position[1:][repeat]] = position[:-1][repeat]
+        return prev
+
+    @cached_property
+    def distinct(self) -> int:
+        return int(np.count_nonzero(self.collapsed_prev < 0))
+
+    @cached_property
+    def hist(self) -> StackDistanceHistogram:
+        return stack_distances(self)[1]
+
+    def previous_use(self) -> np.ndarray:
+        """Per position, the last earlier position of the same id, or -1.
+
+        A reference that is no run head repeats the one before it.  A run
+        head's previous use ends the earlier run k of its id, so it is
+        before[k + 1], the position just before run k + 1 (before[0] = -1).
+        """
+        prev = np.arange(-1, len(self.ids) - 1, dtype=np.int32)
+        before = prev[self.heads]
+        prev[self.heads] = before[self.collapsed_prev + 1]
+        return prev
 
 
-def _run_heads(ids: np.ndarray) -> np.ndarray:
-    """Mask of the references that differ from the one just before them."""
-    heads = np.ones(len(ids), dtype=bool)
-    np.not_equal(ids[1:], ids[:-1], out=heads[1:])
-    return heads
-
-
-def _previous_use(ids: np.ndarray) -> np.ndarray:
-    """Per position, the last earlier position with the same id, or -1 (int32)."""
-    n = len(ids)
-    if n > _MAX_ID:
-        raise ValueError(f"sequence length {n} exceeds {_MAX_ID}")
-    # The keys id * n + position are distinct, so sorting them groups equal
-    # ids in position order.
-    keys = ids.astype(np.int64)
-    keys *= n
-    keys += np.arange(n)
-    keys.sort()
-    position = (keys % n).astype(np.int32)
-    keys //= n
-    repeat = keys[1:] == keys[:-1]
-    del keys
-    prev = np.full(n, -1, dtype=np.int32)
-    prev[position[1:][repeat]] = position[:-1][repeat]
-    return prev
+def _refs(dst_sequence: Sequence[int] | _Refs) -> _Refs:
+    return dst_sequence if isinstance(dst_sequence, _Refs) else _Refs(dst_sequence)
 
 
 def concentration_curve(dst_sequence: Sequence[int]) -> ConcentrationCurve:
     """Rank destinations by descending frequency (ties by ascending id) and accumulate."""
-    if len(dst_sequence) == 0:
+    refs = _refs(dst_sequence)
+    if len(refs) == 0:
         raise ValueError("cannot compute a concentration curve for an empty sequence")
-    ids = _id_array(dst_sequence)
-    freq = np.bincount(ids)
-    freq = freq[freq > 0]
+    freq = np.unique(refs.ids, return_counts=True)[1]
     # A stable sort keeps equal counts in ascending id order.
     counts = freq[np.argsort(-freq, kind="stable")]
     d = len(counts)
-    n = len(ids)
+    n = len(refs)
     return ConcentrationCurve(
         destination_fractions=np.arange(1, d + 1, dtype=np.float64) / d,
         frame_fractions=np.cumsum(counts) / n,
@@ -165,15 +203,16 @@ def working_set(dst_sequence: Sequence[int], window: int, mode: str = "disjoint"
     lies before that window's start, so the total over all windows is an
     exact integer count from one previous-use array.
     """
-    n = len(dst_sequence)
+    refs = _refs(dst_sequence)
+    n = len(refs)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if window > n:
         raise ValueError(f"window {window} exceeds sequence length {n}")
     if mode not in ("disjoint", "sliding"):
         raise ValueError(f"unknown working-set mode {mode!r}")
-    prev = _previous_use(_id_array(dst_sequence))
-    position = np.arange(n)
+    prev = refs.previous_use()
+    position = np.arange(n, dtype=np.int32)
     if mode == "disjoint":
         window_count = n // window
         covered = window_count * window
@@ -240,11 +279,8 @@ def stack_distances(dst_sequence: Sequence[int]) -> tuple[np.ndarray, StackDista
     position blocks: `_greater_before` counts within a block, and a sorted
     array of the earlier blocks' prev values counts across blocks.
     """
-    ids = _id_array(dst_sequence)
-    n = len(ids)
-    kept = _run_heads(ids)
-    prev = _previous_use(ids[kept])
-    del ids
+    refs = _refs(dst_sequence)
+    prev = refs.collapsed_prev
     collapsed = np.zeros(len(prev), dtype=np.int32)
     seen = np.empty(0, dtype=np.int32)     # prev values of earlier blocks, sorted
     for s in range(0, len(prev), _BLOCK):
@@ -255,21 +291,21 @@ def stack_distances(dst_sequence: Sequence[int]) -> tuple[np.ndarray, StackDista
         below = np.searchsorted(seen, p)
         collapsed[s + reref] = (s + reref) - p - within - (len(seen) - below)
         seen = np.insert(seen, below[order], p[order])
-    del prev, seen
-    distances = np.ones(n, dtype=np.int32)
-    distances[kept] = collapsed
+    del seen
+    distances = np.ones(len(refs), dtype=np.int32)
+    distances[refs.heads] = collapsed
     distances.flags.writeable = False
     counts = np.bincount(distances, minlength=1).tolist()
     finite = {d: c for d, c in enumerate(counts) if d and c}
-    return distances, StackDistanceHistogram(finite, counts[0], n)
+    return distances, StackDistanceHistogram(finite, counts[0], len(refs))
 
 
 def run_lengths(dst_sequence: Sequence[int]) -> RunLengthHistogram:
     """Histogram of maximal runs of identical consecutive destinations."""
-    ids = _id_array(dst_sequence)
-    if len(ids) == 0:
+    refs = _refs(dst_sequence)
+    if len(refs) == 0:
         return RunLengthHistogram({}, 0)
-    runs = np.diff(np.append(np.flatnonzero(_run_heads(ids)), len(ids)))
+    runs = np.diff(np.append(np.flatnonzero(refs.heads), len(refs)))
     lengths, counts = np.unique(runs, return_counts=True)
     return RunLengthHistogram(dict(zip(lengths.tolist(), counts.tolist())), len(runs))
 

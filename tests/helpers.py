@@ -1,11 +1,15 @@
-"""Shared test utilities: seeded random reference strings and a trace's frames as rows."""
+"""Shared test utilities: random reference strings and a trace's frames as rows."""
 
 from __future__ import annotations
 
 import random
 from typing import Iterator, Optional
 
+from hypothesis import strategies as st
+
 from addrloc.trace import Trace
+
+_MAX_ID = 2**31 - 1
 
 
 def random_reference_string(
@@ -15,6 +19,28 @@ def random_reference_string(
     length = rnd.randint(min_length, max_length)
     alphabet = rnd.randint(1, max_distinct)
     return [rnd.randrange(alphabet) for _ in range(length)]
+
+
+def reference_strings(min_size: int = 0) -> st.SearchStrategy[list[int]]:
+    """Strings for differential tests: small alphabets, runs of immediate
+    repeats, all-distinct strings, one address, and ids near 2**31 - 1."""
+    return st.one_of(
+        st.lists(st.integers(min_value=0, max_value=9), min_size=min_size, max_size=120),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=6)),
+            min_size=min_size,
+            max_size=30,
+        ).map(lambda runs: [a for a, k in runs for _ in range(k)]),
+        st.lists(
+            st.integers(min_value=0, max_value=10**6), unique=True, min_size=min_size, max_size=60
+        ),
+        st.tuples(st.integers(min_value=0, max_value=_MAX_ID), st.integers(min_size, 40)).map(
+            lambda pair: [pair[0]] * pair[1]
+        ),
+        st.lists(
+            st.integers(min_value=_MAX_ID - 4, max_value=_MAX_ID), min_size=min_size, max_size=60
+        ),
+    )
 
 
 def rows(trace: Trace) -> Iterator[tuple[int, int, int, Optional[str], Optional[int]]]:

@@ -195,6 +195,19 @@ def simulate_min(seq: Sequence[int], capacity: int) -> int:
     return misses
 
 
+def min_keys_loop(seq: Sequence[int]) -> list[int]:
+    """Belady keys of a string: -next use, or i - 2n when position i is a last use."""
+    n = len(seq)
+    keys = [0] * n
+    upcoming: dict[int, int] = {}
+    for i in range(n - 1, -1, -1):
+        a = seq[i]
+        j = upcoming.get(a)
+        keys[i] = i - 2 * n if j is None else -j
+        upcoming[a] = i
+    return keys
+
+
 def simulate_lru(seq: Sequence[int], capacity: int) -> int:
     # Insertion-ordered dict doubles as the recency list (last = most recent).
     cache: dict[int, None] = {}

@@ -25,7 +25,7 @@ from addrloc.locality import (
     write_wss_csv,
 )
 
-from helpers import random_reference_string
+from helpers import random_reference_string, reference_strings
 from oracles import (
     concentration_curve_counter,
     run_lengths_groupby,
@@ -97,6 +97,20 @@ def test_concentration_ties_rank_by_ascending_id():
         concentration_curve_counter(seq).frame_fractions.tolist()
     )
     assert concentration_curve(seq).points[0] == (1 / 7, 3 / 14)
+
+
+def test_concentration_counts_sparse_ids_without_a_dense_table():
+    # A table indexed by id would take 8 bytes per id up to the largest.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        curve = concentration_curve([0, 2**24])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert curve.points == [(0.5, 0.5), (1.0, 1.0)]
+    assert concentration_curve([2**31 - 1, 0, 2**31 - 1]).points == [(0.5, 2 / 3), (1.0, 1.0)]
 
 
 @pytest.mark.parametrize("seq", [[-1, 0], [2**31]])
@@ -249,25 +263,8 @@ def test_stack_distances_empty():
     assert distances.tolist() == [] and hist.total == 0
 
 
-# Reference strings for the differential test: small alphabets, runs of
-# immediate repeats, all-distinct strings, one address, and ids near 2**31 - 1.
-_MAX_ID = 2**31 - 1
-_reference_strings = st.one_of(
-    st.lists(st.integers(min_value=0, max_value=9), max_size=120),
-    st.lists(
-        st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=6)),
-        max_size=30,
-    ).map(lambda runs: [a for a, k in runs for _ in range(k)]),
-    st.lists(st.integers(min_value=0, max_value=10**6), unique=True, max_size=60),
-    st.tuples(st.integers(min_value=0, max_value=_MAX_ID), st.integers(0, 40)).map(
-        lambda pair: [pair[0]] * pair[1]
-    ),
-    st.lists(st.integers(min_value=_MAX_ID - 4, max_value=_MAX_ID), max_size=60),
-)
-
-
 @settings(max_examples=300, deadline=None)
-@given(_reference_strings, st.sampled_from([1, 2, 8, None]))
+@given(reference_strings(), st.sampled_from([1, 2, 8, None]))
 def test_stack_distances_match_oracles(seq, block):
     # A tiny block size makes most counts cross block boundaries.
     with pytest.MonkeyPatch.context() as mp:

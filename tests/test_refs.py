@@ -1,0 +1,109 @@
+"""The prepared reference string: the same results as a plain sequence, one
+previous-use sort and one stack-distance pass per command, and derived
+arrays equal to their direct computations."""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from addrloc import cachesim, locality
+from addrloc.cachesim import POLICIES, simulate, sweep
+from addrloc.cli import main
+from addrloc.locality import _Refs, concentration_curve, run_lengths, stack_distances, working_set
+
+from helpers import reference_strings
+from oracles import min_keys_loop
+
+
+def _results(x, window, capacities, seed) -> list:
+    """Every public kernel's result on `x`, in a form that compares with ==."""
+    distances, hist = stack_distances(x)
+    return [
+        concentration_curve(x).points,
+        working_set(x, window, "disjoint"),
+        working_set(x, window, "sliding"),
+        distances.tolist(),
+        hist,
+        run_lengths(x),
+        *(sweep(x, policy, capacities, seed=seed) for policy in POLICIES),
+        *(simulate(x, policy, capacities[0], seed=seed) for policy in POLICIES),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_strings(min_size=1), st.data())
+def test_kernels_agree_on_prepared_and_plain_strings(seq, data):
+    window = data.draw(st.integers(min_value=1, max_value=len(seq)))
+    capacities = sorted(data.draw(st.sets(st.integers(1, 12), min_size=1, max_size=4)))
+    seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
+    want = _results(seq, window, capacities, seed)
+    assert _results(_Refs(seq), window, capacities, seed) == want
+    shared = _Refs(seq)
+    # The first pass fills the caches as it goes; the second finds them full.
+    assert _results(shared, window, capacities, seed) == want
+    assert _results(shared, window, capacities, seed) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_strings())
+def test_derived_previous_use_equals_a_direct_sort(seq):
+    ids = np.array(seq, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")      # equal ids in position order
+    repeat = ids[order][1:] == ids[order][:-1]
+    want = np.full(len(seq), -1)
+    want[order[1:][repeat]] = order[:-1][repeat]
+    refs = _Refs(seq)
+    assert refs.previous_use().tolist() == want.tolist()
+    assert refs.distinct == len(set(seq))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_strings(min_size=1))
+def test_min_keys_equal_the_loop_oracle(seq):
+    refs = _Refs(seq)
+    assert cachesim._min_keys(refs).tolist() == min_keys_loop(refs.collapsed.tolist())
+
+
+@pytest.mark.parametrize(
+    "command, stack_passes",
+    [
+        (["report", "--out-dir", "{out}"], 1),
+        (["wss", "--out", "{out}/wss.csv"], 0),                       # 7 default windows
+        (["simulate", "--miss-out", "{out}/m.csv", "--interfault-out", "{out}/i.csv"], 1),
+        (["simulate", "--policies", "LRU", "--miss-out", "{out}/m.csv",
+          "--interfault-out", "{out}/i.csv"], 1),
+    ],
+)
+def test_each_command_sorts_once_and_builds_one_histogram(
+    tmp_path, monkeypatch, command, stack_passes
+):
+    trace = tmp_path / "t.txt"
+    gen = ["gen", "--uniform-irm", "40", "--length", "1500", "--seed", "5", "--out", str(trace)]
+    assert main(gen) == 0
+    sorts, passes = [], []
+    sort = _Refs.collapsed_prev.func
+
+    def counted_sort(refs):
+        sorts.append(len(refs))
+        return sort(refs)
+
+    prop = functools.cached_property(counted_sort)
+    prop.__set_name__(_Refs, "collapsed_prev")
+    monkeypatch.setattr(_Refs, "collapsed_prev", prop)
+    # Wrapped where it is defined, as a tracer does, so every caller's pass counts.
+    stack = locality.stack_distances
+
+    def counted_stack(seq):
+        passes.append(len(seq))
+        return stack(seq)
+
+    monkeypatch.setattr(locality, "stack_distances", counted_stack)
+    argv = [command[0], str(trace)] + [a.format(out=tmp_path) for a in command[1:]]
+    assert main(argv) == 0
+    assert sorts == [1500]
+    assert len(passes) == stack_passes
