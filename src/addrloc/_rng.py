@@ -1,46 +1,67 @@
-"""Deterministic 64-bit pseudo-random generator (splitmix64).
+"""Deterministic 64-bit pseudo-random streams (SplitMix64).
 
-Every random draw in this package (synthetic trace generation, RAND
-replacement) goes through this generator so that results are bit-identical
-across runs, platforms, and Python versions.  The stdlib Mersenne Twister
-deliberately is not used: its integer helpers carry no cross-version
-stability guarantee.
+Every random draw in this package (synthetic traces, RAND eviction) comes
+from SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), so results are
+bit-identical across runs, platforms, and Python versions; the stdlib
+Mersenne Twister's integer helpers carry no cross-version guarantee.
+Output k (k = 1, 2, ...) of the stream seeded s is mix(s + k * golden mod
+2**64), so outputs are computed in blocks of numpy uint64 arithmetic, which
+wraps exactly.  Blocks double from `_FIRST_BLOCK` to `_BLOCK` draws, so a
+short stream stays cheap and scratch memory stays bounded.  Each stream
+equals the scalar generator's draws one at a time (tests/oracles.py).
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from typing import Iterator
+
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_FIRST_BLOCK = 16
+_BLOCK = 1 << 14
+RANDBELOW_MAX = 1 << 64
 
 
-class SplitMix64:
-    """splitmix64 stream: 64-bit state advanced by the golden-ratio increment."""
+def _mix(seed: int, start: int, count: int) -> np.ndarray:
+    """Outputs start + 1 .. start + count of the stream seeded `seed`, as uint64."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
-    __slots__ = ("_state",)
 
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
+def _blocks(seed: int) -> Iterator[np.ndarray]:
+    start, count = 0, _FIRST_BLOCK
+    while True:
+        yield _mix(seed, start, count)
+        start += count
+        count = min(2 * count, _BLOCK)
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
 
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * 2.0**-53
+def random_stream(seed: int) -> Iterator[float]:
+    """Uniform floats in [0, 1) with 53 bits of precision: output >> 11, scaled."""
+    return chain.from_iterable(((b >> np.uint64(11)) * 2.0**-53).tolist() for b in _blocks(seed))
 
-    def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n), rejection-sampled to avoid modulo bias."""
-        if n <= 0:
-            raise ValueError(f"randbelow() requires n >= 1, got {n}")
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
-        while True:
-            r = self.next_u64()
-            if r < limit:
-                return r % n
+
+def randbelow_stream(seed: int, n: int) -> Iterator[int]:
+    """Uniform integers in [0, n), 1 <= n <= RANDBELOW_MAX, without modulo bias.
+
+    An output r is rejected when r >= 2**64 - 2**64 % n, and r % n kept
+    otherwise.  A power of two rejects nothing: its limit is 2**64.
+    """
+    if not 1 <= n <= RANDBELOW_MAX:
+        raise ValueError(f"randbelow needs 1 <= n <= 2**64, got {n}")
+    if n & (n - 1) == 0:
+        mask = np.uint64(n - 1)
+        draws = ((b & mask).tolist() for b in _blocks(seed))
+    else:
+        limit, n64 = np.uint64(RANDBELOW_MAX - RANDBELOW_MAX % n), np.uint64(n)
+        draws = ((b[b < limit] % n64).tolist() for b in _blocks(seed))
+    return chain.from_iterable(draws)
 
 
 def derive_seed(seed: int, salt: int) -> int:
@@ -49,4 +70,4 @@ def derive_seed(seed: int, salt: int) -> int:
     Used to give every (seed, capacity) pair of a RAND sweep and every
     sub-stream of an interleaved generator its own independent stream.
     """
-    return SplitMix64((seed ^ (salt * _GOLDEN)) & _MASK64).next_u64()
+    return int(_mix(seed ^ (salt * _GOLDEN), 0, 1)[0])

@@ -35,7 +35,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from ._csvfmt import write_curve_table
-from ._rng import _GOLDEN, _MASK64, derive_seed
+from ._rng import derive_seed, randbelow_stream
 from .locality import StackDistanceHistogram, _refs
 
 POLICIES = ("MIN", "LRU", "FIFO", "RAND")
@@ -124,9 +124,9 @@ def _fifo_misses(seq: list[int], capacity: int) -> int:
 
 
 def _rand_misses(seq: list[int], capacity: int, seed: int) -> int:
-    # Victims come from SplitMix64(seed).randbelow(capacity), drawn inline.
-    state = seed & _MASK64
-    limit = _MASK64 + 1 - ((_MASK64 + 1) % capacity)
+    # Victim slots are the successive values of randbelow(capacity) on
+    # stream `seed`; the stream draws them in blocks, so this loop only indexes.
+    victims = randbelow_stream(seed, capacity)
     slots: list[int] = []
     index: dict[int, int] = {}
     misses = 0
@@ -135,15 +135,7 @@ def _rand_misses(seq: list[int], capacity: int, seed: int) -> int:
             continue
         misses += 1
         if len(slots) >= capacity:
-            while True:
-                state = (state + _GOLDEN) & _MASK64
-                z = state
-                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-                z ^= z >> 31
-                if z < limit:
-                    break
-            pos = z % capacity
+            pos = next(victims)
             del index[slots[pos]]
             slots[pos] = a
             index[a] = pos

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Union
 
 import numpy as np
 
-from ._rng import SplitMix64, derive_seed
+from ._rng import RANDBELOW_MAX, derive_seed, random_stream, randbelow_stream
 from .trace import InternTable, Trace
 
 PMF_SUM_TOLERANCE = 1e-9
@@ -53,13 +53,12 @@ class UniformIrm:
     n_addresses: int
 
     def validate(self) -> None:
-        if self.n_addresses < 1:
-            raise ValueError(f"UniformIrm needs n_addresses >= 1, got {self.n_addresses}")
+        if not 1 <= self.n_addresses <= RANDBELOW_MAX:
+            raise ValueError(f"UniformIrm needs 1 <= n_addresses <= 2**64, got {self.n_addresses}")
 
     def emit(self, length: int, seed: int) -> list[str]:
-        rng = SplitMix64(seed)
-        n = self.n_addresses
-        return [f"a{rng.randbelow(n)}" for _ in range(length)]
+        draws = islice(randbelow_stream(seed, self.n_addresses), length)
+        return [f"a{i}" for i in draws]
 
 
 @dataclass(frozen=True)
@@ -72,11 +71,10 @@ class Irm:
         _check_pmf(self.pmf, "Irm")
 
     def emit(self, length: int, seed: int) -> list[str]:
-        rng = SplitMix64(seed)
         weights = np.asarray(self.pmf, dtype=np.float64)
         cum = np.cumsum(weights / weights.sum())
         cum[-1] = 1.0  # uniforms live in [0, 1), so indices stay in range
-        uniforms = np.fromiter((rng.random() for _ in range(length)), dtype=np.float64, count=length)
+        uniforms = np.fromiter(random_stream(seed), dtype=np.float64, count=length)
         indices = np.searchsorted(cum, uniforms, side="right")
         return [f"a{i}" for i in indices]
 
@@ -125,13 +123,12 @@ class LruStackModel:
             )
 
     def emit(self, length: int, seed: int) -> list[str]:
-        rng = SplitMix64(seed)
         cum = list(accumulate(self.pmf))
         cum[-1] = 1.0
         stack = list(self.resolved_stack())
         out = []
-        for _ in range(length):
-            depth = bisect_right(cum, rng.random()) + 1
+        for u in islice(random_stream(seed), length):
+            depth = bisect_right(cum, u) + 1
             token = stack.pop(depth - 1)
             stack.insert(0, token)
             out.append(token)

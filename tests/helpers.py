@@ -1,12 +1,16 @@
-"""Shared test utilities: random reference strings and a trace's frames as rows."""
+"""Shared test utilities: random reference strings, a trace's frames as rows,
+and patched random-draw block sizes."""
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from typing import Iterator, Optional
 
+import pytest
 from hypothesis import strategies as st
 
+from addrloc import _rng
 from addrloc.trace import Trace
 
 _MAX_ID = 2**31 - 1
@@ -56,3 +60,16 @@ def rows(trace: Trace) -> Iterator[tuple[int, int, int, Optional[str], Optional[
         trace.length.tolist(),
     ):
         yield ts, src, dst, trace.protos[code], None if length < 0 else length
+
+
+@contextmanager
+def rng_blocks(blocks: Optional[tuple[int, int]]) -> Iterator[None]:
+    """Inside the `with`, draw blocks start at `first` draws and double up to `cap`.
+
+    `blocks` is (first, cap); None keeps the package defaults.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if blocks is not None:
+            mp.setattr(_rng, "_FIRST_BLOCK", blocks[0])
+            mp.setattr(_rng, "_BLOCK", blocks[1])
+        yield

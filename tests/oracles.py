@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from addrloc._rng import SplitMix64, derive_seed
+from addrloc._rng import derive_seed
 from addrloc.locality import (
     ConcentrationCurve,
     RunLengthHistogram,
@@ -236,6 +236,37 @@ def simulate_fifo(seq: Sequence[int], capacity: int) -> int:
         cache.add(a)
         order.append(a)
     return misses
+
+
+class SplitMix64:
+    """Scalar splitmix64: the reference for the block streams in `addrloc._rng`."""
+
+    __slots__ = ("_state",)
+    _MASK64 = (1 << 64) - 1
+
+    def __init__(self, seed: int):
+        self._state = seed & self._MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK64
+        return z ^ (z >> 31)
+
+    def random(self) -> float:
+        """Uniform float in [0, 1) with 53 bits of precision."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def randbelow(self, n: int) -> int:
+        """Uniform integer in [0, n), rejection-sampled to avoid modulo bias."""
+        if n <= 0:
+            raise ValueError(f"randbelow() requires n >= 1, got {n}")
+        limit = self._MASK64 + 1 - ((self._MASK64 + 1) % n)
+        while True:
+            r = self.next_u64()
+            if r < limit:
+                return r % n
 
 
 def simulate_rand(seq: Sequence[int], capacity: int, seed: int) -> int:

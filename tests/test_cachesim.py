@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import heapq
 import io
 import random
+import tracemalloc
 from math import inf
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +24,10 @@ from addrloc.cachesim import (
     write_interfault_csv,
     write_miss_ratio_csv,
 )
-from addrloc.locality import stack_distances
+from addrloc.locality import _refs, stack_distances
 from addrloc._rng import derive_seed
 
-from helpers import random_reference_string
+from helpers import random_reference_string, rng_blocks
 from oracles import brute_force_optimal, oracle_misses, oracle_sweep
 
 ABCD3 = [0, 1, 2, 3] * 3
@@ -257,16 +260,19 @@ def test_simulate_equals_per_capacity_oracles(seq, capacity, seed):
     st.integers(min_value=3, max_value=10),
     st.integers(min_value=2, max_value=4),
     st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([(1, 1), (2, 7), None]),
 )
-def test_hit_rich_sweeps_equal_oracles(alphabet, capacity, salt):
+def test_hit_rich_sweeps_equal_oracles(alphabet, capacity, salt, blocks):
     # Long strings over a few addresses: mostly hits at small capacities,
     # so MIN's heap fills with stale keys and is compacted many times.
+    # Tiny random-draw blocks make RAND's victims cross many block edges.
     rnd = random.Random(salt)
     seq = [rnd.randrange(alphabet) for _ in range(1500)] + list(range(alphabet, alphabet + 5))
     capacities = [capacity, capacity + 1]
-    for policy in POLICIES:
-        misses = [e.misses for e in sweep(seq, policy, capacities, seed=salt).entries]
-        assert misses == oracle_sweep(seq, policy, capacities, salt)
+    with rng_blocks(blocks):
+        curves = {policy: sweep(seq, policy, capacities, seed=salt) for policy in POLICIES}
+    for policy, curve in curves.items():
+        assert [e.misses for e in curve.entries] == oracle_sweep(seq, policy, capacities, salt)
 
 
 def test_min_heap_compaction_keeps_counts_exact(monkeypatch):
@@ -295,3 +301,26 @@ def test_exact_shortcuts_skip_simulation(monkeypatch):
     seq = [0, 0, 1, 2, 2, 2, 0, 3, 1, 1]
     for policy in POLICIES:
         assert [e.misses for e in sweep(seq, policy, [1, 4, 9]).entries] == [6, 4, 4]
+
+
+def test_rand_sweep_memory_is_bounded():
+    # Beyond the collapsed string as a list, a RAND sweep holds one block of
+    # victim draws.  Drawing every victim at once would add 8 B per
+    # reference plus an int object per draw.
+    ids = np.random.default_rng(3).integers(0, 5000, size=200_000).astype(np.int32)
+    refs = _refs(ids)
+    refs.collapsed, refs.distinct  # prepared before measuring
+    gc.collect()
+    tracemalloc.start()
+    try:
+        listed = refs.collapsed.tolist()
+        list_bytes = tracemalloc.get_traced_memory()[1]
+        del listed
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        curve = sweep(refs, "RAND", [256], seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(e.misses > 150_000 for e in curve.entries)
+    assert peak <= list_bytes + 2 * 2**20

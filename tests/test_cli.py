@@ -301,6 +301,13 @@ def test_gen_bad_part_size_names_the_part(capsys):
     assert "interleave part 'cyclic:x'" in capsys.readouterr().err
 
 
+def test_gen_uniform_irm_beyond_draw_range_fails(capsys):
+    # Above 2**64 addresses no 64-bit draw maps uniformly onto an address.
+    n = str(2**65)
+    assert main(["gen", "--uniform-irm", n, "--length", "3"]) == 1
+    assert n in capsys.readouterr().err
+
+
 def test_report_equals_its_parts(tmp_path):
     text = "".join(f"{i}\tS\td{(i * i) % 17}\n" for i in range(2000))
     path = str(_write_fixture(tmp_path, text))

@@ -1,54 +1,128 @@
-"""The seeded generator behind RAND eviction and the synthetic models."""
+"""The seeded block streams behind RAND eviction and the synthetic models.
+
+Each stream is checked value for value against the scalar generator in
+`oracles.SplitMix64`, the one-draw-at-a-time form of the same sequence.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from addrloc._rng import SplitMix64, derive_seed
+from addrloc import _rng
+from addrloc._rng import derive_seed, random_stream, randbelow_stream
+
+from helpers import rng_blocks
+from oracles import SplitMix64
+
+GOLDEN = 0x9E3779B97F4A7C15
+
+SEEDS = st.one_of(
+    st.sampled_from([0, -1, -(2**63), 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 5]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+# Block sizes (first, cap): tiny ones make every short draw cross blocks.
+BLOCKS = st.sampled_from([(1, 1), (1, 3), (2, 5), None])
 
 
 def test_matches_published_reference_vectors():
     # First outputs of the canonical splitmix64 stream; pinned so the
     # victim/sample streams can never drift across platforms or releases.
-    rng = SplitMix64(1234567)
-    assert [rng.next_u64() for _ in range(5)] == [
+    vectors = [
         6457827717110365317,
         3203168211198807973,
         9817491932198370423,
         4593380528125082431,
         16408922859458223821,
     ]
-    rng = SplitMix64(0)
-    assert rng.next_u64() == 16294208416658607535
+    rng = SplitMix64(1234567)
+    assert [rng.next_u64() for _ in range(5)] == vectors
+    assert _rng._mix(1234567, 0, 5).tolist() == vectors
+    assert _rng._mix(1234567, 3, 2).tolist() == vectors[3:]
+    assert SplitMix64(0).next_u64() == 16294208416658607535
+    assert _rng._mix(0, 0, 1).tolist() == [16294208416658607535]
 
 
-def test_streams_are_reproducible():
-    a = SplitMix64(99)
-    b = SplitMix64(99)
-    assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.integers(min_value=0, max_value=3000), st.integers(min_value=1, max_value=40))
+def test_block_matches_scalar_at_any_offset(seed, start, count):
+    rng = SplitMix64(seed)
+    for _ in range(start):
+        rng.next_u64()
+    assert _rng._mix(seed, start, count).tolist() == [rng.next_u64() for _ in range(count)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, BLOCKS, st.integers(min_value=0, max_value=200))
+def test_random_stream_matches_scalar(seed, blocks, count):
+    with rng_blocks(blocks):
+        got = list(islice(random_stream(seed), count))
+    rng = SplitMix64(seed)
+    assert got == [rng.random() for _ in range(count)]
 
 
 def test_random_unit_interval():
-    rng = SplitMix64(7)
-    values = [rng.random() for _ in range(2000)]
+    values = list(islice(random_stream(7), 2000))
     assert all(0.0 <= v < 1.0 for v in values)
 
 
+RANDBELOW_SIZES = st.one_of(
+    st.sampled_from([1, 2**63 + 1, 2**64 - 1, 2**64]),
+    st.builds(lambda k, d: max(1, 2**k + d), st.integers(0, 64), st.sampled_from([-1, 0, 1])),
+    st.integers(min_value=1, max_value=2**64),
+).filter(lambda n: n <= 2**64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, RANDBELOW_SIZES, BLOCKS, st.integers(min_value=0, max_value=150))
+def test_randbelow_stream_matches_scalar(seed, n, blocks, count):
+    with rng_blocks(blocks):
+        got = list(islice(randbelow_stream(seed, n), count))
+    rng = SplitMix64(seed)
+    assert got == [rng.randbelow(n) for _ in range(count)]
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 5), None])
+def test_randbelow_stream_rejection_path_runs(blocks):
+    # With n = 2**63 + 1 about half of all outputs are rejected, so the kept
+    # draws are not the first outputs mod n, yet they equal the scalar draws.
+    n, seed, count = 2**63 + 1, 11, 300
+    with rng_blocks(blocks):
+        got = list(islice(randbelow_stream(seed, n), count))
+    rng = SplitMix64(seed)
+    assert got == [rng.randbelow(n) for _ in range(count)]
+    assert got != [r % n for r in _rng._mix(seed, 0, count).tolist()]
+
+
+def test_randbelow_validates():
+    for n in (0, -3, 2**64 + 1):
+        with pytest.raises(ValueError, match=str(n)):
+            randbelow_stream(0, n)
+    with pytest.raises(ValueError):
+        SplitMix64(0).randbelow(0)
+
+
+def test_streams_are_reproducible():
+    a = list(islice(randbelow_stream(99, 1000), 500))
+    assert a == list(islice(randbelow_stream(99, 1000), 500))
+
+
 def test_randbelow_range_and_rough_uniformity():
-    rng = SplitMix64(3)
     n = 10
-    draws = [rng.randbelow(n) for _ in range(20_000)]
-    counts = Counter(draws)
+    counts = Counter(islice(randbelow_stream(3, n), 20_000))
     assert set(counts) == set(range(n))
     for value in range(n):
         assert abs(counts[value] - 2000) < 300  # ~7 sigma, seeded so exact anyway
 
 
-def test_randbelow_validates():
-    with pytest.raises(ValueError):
-        SplitMix64(0).randbelow(0)
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(min_value=0, max_value=2**40))
+def test_derive_seed_is_first_output_of_salted_stream(seed, salt):
+    assert derive_seed(seed, salt) == SplitMix64(seed ^ (salt * GOLDEN)).next_u64()
 
 
 def test_derive_seed_separates_streams():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 
@@ -138,3 +139,26 @@ def test_interleave_is_deterministic():
         Interleave(parts=(UniformIrm(5), Cyclic(4)), pattern=(3, 1)), 200, seed=11
     )
     assert generate(spec) == generate(spec)
+
+
+@pytest.mark.parametrize(
+    "model, digest",
+    [
+        (UniformIrm(37), "25fc0ad96d423f68d81684c7e5273562484d4785de1f973bb5b2d6772e2c434b"),
+        (UniformIrm(2**63 + 1),
+         "29552f03930b4d8baf93ff119e7e812ab13ccd68cb915a2c3fc733039dd8833f"),
+        (Irm((0.5, 0.25, 0.125, 0.125)),
+         "ead2d4ee5703b4e7e872a25ef376e4b0da30a0a78547a6f3d76d23ba39c856e1"),
+        (LruStackModel((0.4, 0.3, 0.2, 0.1), initial_stack=("x", "y", "z", "w", "v")),
+         "0d18c5594fe07ba8ca72e44dd31a9fc368087840a30221ab479c75fe9a206f23"),
+        (Interleave(parts=(LruStackModel((8 / 15, 4 / 15, 2 / 15, 1 / 15)), UniformIrm(2000),
+                           Irm((0.7, 0.3))), pattern=(3, 1, 2)),
+         "06ddaf4a20287bf541b91c9c42368386bc5125b7c3b5689c3f358dc745670861"),
+    ],
+    ids=["uniform-irm", "uniform-irm-rejecting", "irm", "lru-stack", "interleave"],
+)
+def test_model_tokens_never_drift(model, digest):
+    # Pinned from the one-draw-at-a-time generator: drawing in blocks must
+    # leave every model's tokens unchanged.
+    tokens = " ".join(model.emit(5000, 2024))
+    assert hashlib.sha256(tokens.encode()).hexdigest() == digest
