@@ -12,6 +12,7 @@ Exit status: 0 on success, 1 on input or value errors (message on stderr),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -88,9 +89,9 @@ def _parse_weights(text: str, what: str) -> tuple[float, ...]:
         weights = [float(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise ValueError(f"{what}: expected comma-separated numbers, got {text!r}") from None
-    total = sum(weights)
-    if not weights or total <= 0 or any(w < 0 for w in weights):
-        raise ValueError(f"{what}: weights must be nonnegative with a positive sum")
+    total = sum(weights)  # NaN or infinite if any weight is
+    if not weights or not 0 < total < math.inf or any(w < 0 for w in weights):
+        raise ValueError(f"{what}: weights must be finite and nonnegative with a positive sum")
     return tuple(w / total for w in weights)
 
 
@@ -116,10 +117,9 @@ def _part_model(text: str) -> synth.Model:
         except ValueError:
             raise ValueError(f"interleave part {text!r}: expected an integer, got {arg!r}") from None
         return synth.Cyclic(size) if kind == "cyclic" else synth.UniformIrm(size)
-    if kind == "irm":
-        return synth.Irm(_parse_weights(arg, "irm part"))
-    if kind == "lru-stack":
-        return synth.LruStackModel(_parse_weights(arg, "lru-stack part"))
+    if kind in ("irm", "lru-stack"):
+        pmf = _parse_weights(arg, f"interleave part {text!r}")
+        return synth.Irm(pmf) if kind == "irm" else synth.LruStackModel(pmf)
     raise ValueError(f"interleave part {text!r}: unknown kind {kind!r}")
 
 
@@ -138,6 +138,8 @@ def _model_from_args(args, parser: argparse.ArgumentParser) -> synth.Model:
         pmf = _parse_weights(args.lru_stack, "--lru-stack")
         if args.stack_size is None:
             return synth.LruStackModel(pmf)
+        if args.stack_size < 1:
+            raise ValueError(f"--stack-size must be >= 1, got {args.stack_size}")
         stack = tuple(f"a{i}" for i in range(args.stack_size))
         return synth.LruStackModel(pmf, stack)
     parts = tuple(_part_model(part) for part in args.interleave.split(";") if part)

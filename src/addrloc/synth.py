@@ -13,10 +13,12 @@ Four workload models, each deterministic for a fixed (spec, seed):
 Models can be interleaved deterministically (fixed integer round-robin
 ratios) to blend, say, a cyclic stream into an IRM background.
 
-Generated traces have timestamps 0, 1, 2, ... microseconds, a single dummy
-source address, and destination tokens "a0", "a1", ... (prefixed "s<j>."
-per sub-stream when interleaving, so sub-stream address spaces stay
-disjoint).
+A model's `emit(length, seed)` returns `(codes, tokens)`: one int code per
+reference and the token of each code, so a token string is made once per
+distinct address.  Generated traces have timestamps 0, 1, 2, ...
+microseconds, a single dummy source address, and destination tokens "a0",
+"a1", ... (prefixed "s<j>." per sub-stream when interleaving, so sub-stream
+address spaces stay disjoint), interned in order of first appearance.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ Model = Union["UniformIrm", "Irm", "Cyclic", "LruStackModel", "Interleave"]
 def _check_pmf(pmf: tuple[float, ...], what: str) -> None:
     if not pmf:
         raise ValueError(f"{what}: pmf is empty")
-    if any(p < 0 for p in pmf):
-        raise ValueError(f"{what}: pmf has negative entries")
+    if not all(0 <= p < np.inf for p in pmf):
+        raise ValueError(f"{what}: pmf entries must be finite and nonnegative")
     total = sum(pmf)
     if abs(total - 1.0) > PMF_SUM_TOLERANCE:
         raise ValueError(f"{what}: pmf sums to {total!r}, not 1")
@@ -56,9 +58,11 @@ class UniformIrm:
         if not 1 <= self.n_addresses <= RANDBELOW_MAX:
             raise ValueError(f"UniformIrm needs 1 <= n_addresses <= 2**64, got {self.n_addresses}")
 
-    def emit(self, length: int, seed: int) -> list[str]:
-        draws = islice(randbelow_stream(seed, self.n_addresses), length)
-        return [f"a{i}" for i in draws]
+    def emit(self, length: int, seed: int) -> tuple[np.ndarray, list[str]]:
+        draws = np.fromiter(randbelow_stream(seed, self.n_addresses), np.uint64, count=length)
+        # n can be 2**64, so only the drawn addresses get a token.
+        drawn, codes = np.unique(draws, return_inverse=True)
+        return codes, [f"a{i}" for i in drawn.tolist()]
 
 
 @dataclass(frozen=True)
@@ -70,13 +74,13 @@ class Irm:
     def validate(self) -> None:
         _check_pmf(self.pmf, "Irm")
 
-    def emit(self, length: int, seed: int) -> list[str]:
+    def emit(self, length: int, seed: int) -> tuple[np.ndarray, list[str]]:
         weights = np.asarray(self.pmf, dtype=np.float64)
         cum = np.cumsum(weights / weights.sum())
         cum[-1] = 1.0  # uniforms live in [0, 1), so indices stay in range
         uniforms = np.fromiter(random_stream(seed), dtype=np.float64, count=length)
-        indices = np.searchsorted(cum, uniforms, side="right")
-        return [f"a{i}" for i in indices]
+        codes = np.searchsorted(cum, uniforms, side="right")
+        return codes, [f"a{i}" for i in range(len(self.pmf))]
 
 
 @dataclass(frozen=True)
@@ -89,9 +93,9 @@ class Cyclic:
         if self.k < 1:
             raise ValueError(f"Cyclic needs k >= 1, got {self.k}")
 
-    def emit(self, length: int, seed: int) -> list[str]:
-        k = self.k
-        return [f"a{i % k}" for i in range(length)]
+    def emit(self, length: int, seed: int) -> tuple[np.ndarray, list[str]]:
+        k = min(self.k, length)  # k may exceed int64; i mod k == i for i < length
+        return np.arange(length) % k, [f"a{i}" for i in range(k)]
 
 
 @dataclass(frozen=True)
@@ -122,17 +126,15 @@ class LruStackModel:
                 f"LruStackModel stack of {len(stack)} addresses cannot serve depth {max_depth}"
             )
 
-    def emit(self, length: int, seed: int) -> list[str]:
-        cum = list(accumulate(self.pmf))
-        cum[-1] = 1.0
-        stack = list(self.resolved_stack())
+    def emit(self, length: int, seed: int) -> tuple[np.ndarray, list[str]]:
+        cum = [*accumulate(self.pmf[:-1]), 1.0]  # u < 1, so depths stay in range
+        stack = list(range(len(self.resolved_stack())))  # codes, top first
         out = []
         for u in islice(random_stream(seed), length):
-            depth = bisect_right(cum, u) + 1
-            token = stack.pop(depth - 1)
-            stack.insert(0, token)
-            out.append(token)
-        return out
+            code = stack.pop(bisect_right(cum, u))
+            stack.insert(0, code)
+            out.append(code)
+        return np.array(out, dtype=np.intp), list(self.resolved_stack())
 
 
 @dataclass(frozen=True)
@@ -154,27 +156,18 @@ class Interleave:
         for part in self.parts:
             part.validate()
 
-    def emit(self, length: int, seed: int) -> list[str]:
-        # Figure out how many references each part contributes, then weave.
-        counts = [0] * len(self.parts)
-        remaining = length
-        while remaining > 0:
-            for j, take in enumerate(self.pattern):
-                take = min(take, remaining)
-                counts[j] += take
-                remaining -= take
-                if remaining == 0:
-                    break
-        streams = [
-            iter(part.emit(counts[j], derive_seed(seed, j)))
-            for j, part in enumerate(self.parts)
-        ]
-        out: list[str] = []
-        while len(out) < length:
-            for j, take in enumerate(self.pattern):
-                for _ in range(min(take, length - len(out))):
-                    out.append(f"s{j}.{next(streams[j])}")
-        return out
+    def emit(self, length: int, seed: int) -> tuple[np.ndarray, list[str]]:
+        # owner[i] makes reference i; a take past `length` cannot change it.
+        takes = [min(take, length) for take in self.pattern]
+        owner = np.resize(np.repeat(np.arange(len(self.parts)), takes), length)
+        codes = np.empty(length, np.intp)
+        tokens: list[str] = []
+        for j, part in enumerate(self.parts):
+            mine = owner == j
+            part_codes, part_tokens = part.emit(int(np.count_nonzero(mine)), derive_seed(seed, j))
+            codes[mine] = part_codes + len(tokens)  # after earlier parts' tokens
+            tokens += [f"s{j}.{token}" for token in part_tokens]
+        return codes, tokens
 
 
 @dataclass(frozen=True)
@@ -192,8 +185,12 @@ class GeneratorSpec:
 def generate(spec: GeneratorSpec) -> Trace:
     """Produce the trace for `spec`; bit-identical for identical spec and seed."""
     spec.validate()
-    tokens = spec.model.emit(spec.length, spec.seed)
-    # The source token comes first in every frame, so it takes id 0.
-    interns = InternTable(["src"] if tokens else [])
-    dst = interns.intern_all(tokens)
-    return Trace(np.arange(len(tokens)), np.zeros(len(tokens), np.int32), dst, interns)
+    n = spec.length
+    codes, tokens = spec.model.emit(n, spec.seed)
+    # Intern the used codes' tokens by first appearance, after the source "src" (id 0).
+    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    interns = InternTable(["src"] if n else [])
+    ids = np.empty(len(used), np.int32)
+    ids[order] = interns.intern_all([tokens[c] for c in used[order].tolist()])
+    return Trace(np.arange(n), np.zeros(n, np.int32), ids[inverse], interns)

@@ -301,6 +301,27 @@ def test_gen_bad_part_size_names_the_part(capsys):
     assert "interleave part 'cyclic:x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--irm", "nan,1"], "--irm"),
+        (["--irm", "inf,1"], "--irm"),
+        (["--lru-stack", "1,nan"], "--lru-stack"),
+        (["--lru-stack", "1,inf"], "--lru-stack"),
+        (["--interleave", "irm:nan,1", "--pattern", "1"], "interleave part 'irm:nan,1'"),
+        (["--interleave", "cyclic:2;lru-stack:inf,1", "--pattern", "1,1"],
+         "interleave part 'lru-stack:inf,1'"),
+        (["--lru-stack", "1,1", "--stack-size", "0"], "--stack-size"),
+        (["--lru-stack", "1,1", "--stack-size", "-2"], "--stack-size"),
+    ],
+)
+def test_gen_bad_model_value_names_the_flag(capsys, flags, named):
+    # Each of these once wrote a trace: NaN and infinite weights slipped
+    # past the sign and sum checks, and an empty stack read as the default.
+    assert main(["gen", *flags, "--length", "5"]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_gen_uniform_irm_beyond_draw_range_fails(capsys):
     # Above 2**64 addresses no 64-bit draw maps uniformly onto an address.
     n = str(2**65)

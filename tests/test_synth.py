@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -25,6 +26,15 @@ from addrloc._rng import derive_seed
 def _tokens(model, length, seed=0):
     trace = generate(GeneratorSpec(model, length, seed))
     return [trace.token_of(d) for d in trace.destinations()]
+
+
+def _emitted(model, length, seed):
+    codes, tokens = model.emit(length, seed)
+    return [tokens[c] for c in codes.tolist()]
+
+
+def _digest(tokens):
+    return hashlib.sha256(" ".join(tokens).encode()).hexdigest()
 
 
 def test_generate_trace_shape():
@@ -78,6 +88,11 @@ def test_pmf_validation():
         generate(GeneratorSpec(Irm((1.5, -0.5)), 1))     # negative mass
     with pytest.raises(ValueError):
         generate(GeneratorSpec(Irm(()), 1))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            Irm((bad, 1.0)).validate()
+        with pytest.raises(ValueError, match="finite"):
+            LruStackModel((1.0, bad)).validate()
 
 
 def test_spec_validation():
@@ -121,8 +136,13 @@ def test_interleave_pattern_and_prefixes():
     ]
     part0 = [t[3:] for t in tokens if t.startswith("s0.")]
     part1 = [t[3:] for t in tokens if t.startswith("s1.")]
-    assert part0 == Cyclic(2).emit(7, derive_seed(5, 0))
-    assert part1 == Cyclic(3).emit(3, derive_seed(5, 1))
+    assert part0 == _emitted(Cyclic(2), 7, derive_seed(5, 0))
+    assert part1 == _emitted(Cyclic(3), 3, derive_seed(5, 1))
+
+
+def test_interleave_take_beyond_length():
+    model = Interleave(parts=(Cyclic(3), Cyclic(2)), pattern=(2**70, 1))
+    assert _tokens(model, 5) == ["s0.a0", "s0.a1", "s0.a2", "s0.a0", "s0.a1"]
 
 
 def test_interleave_validation():
@@ -160,5 +180,60 @@ def test_interleave_is_deterministic():
 def test_model_tokens_never_drift(model, digest):
     # Pinned from the one-draw-at-a-time generator: drawing in blocks must
     # leave every model's tokens unchanged.
-    tokens = " ".join(model.emit(5000, 2024))
-    assert hashlib.sha256(tokens.encode()).hexdigest() == digest
+    assert _digest(_emitted(model, 5000, 2024)) == digest
+
+
+def test_nested_interleave_tokens_never_drift():
+    inner = Interleave(parts=(Cyclic(3), UniformIrm(50)), pattern=(1, 2))
+    model = Interleave(parts=(inner, LruStackModel((0.5, 0.3, 0.2))), pattern=(2, 3))
+    tokens = _tokens(model, 2000, seed=7)
+    assert tokens[:6] == ["s0.s0.a0", "s0.s1.a43", "s1.a1", "s1.a1", "s1.a0", "s0.s1.a17"]
+    assert _digest(tokens) == "b83fcb7f0603cd5be9e773371bb0a9ed6bcb38c8cb7b38c809f8fb39240ed99b"
+
+
+def test_uniform_irm_over_the_full_draw_range():
+    tokens = _tokens(UniformIrm(2**64), 1000, seed=3)
+    assert tokens[0] == "a2092789425003139053"
+    assert _digest(tokens) == "4cddf72b11caf7f26fbc8a5293d71cda4e6f62c8e9d13a3f74fe2a4c0ee1b46d"
+
+
+def test_stack_token_named_src_shares_the_source_id():
+    model = LruStackModel((0.5, 0.5), initial_stack=("src", "x"))
+    trace = generate(GeneratorSpec(model, 50, seed=0))
+    assert trace.interns.tokens == ("src", "x")
+    assert trace.dst.tolist()[:8] == [1, 1, 1, 0, 0, 0, 0, 1]
+    assert set(trace.src.tolist()) == {0}
+
+
+def test_cyclic_larger_than_the_trace():
+    for k in (10**15, 2**70):  # 2**70 does not fit in int64
+        assert _tokens(Cyclic(k), 5) == ["a0", "a1", "a2", "a3", "a4"]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Cyclic(3), UniformIrm(2**64), Irm((0.5, 0.5)), LruStackModel((1.0,)),
+     Interleave(parts=(Cyclic(2), UniformIrm(5)), pattern=(2, 1))],
+    ids=["cyclic", "uniform-irm", "irm", "lru-stack", "interleave"],
+)
+def test_length_zero_is_an_empty_trace(model):
+    trace = generate(GeneratorSpec(model, 0, seed=1))
+    assert len(trace) == 0
+    assert len(trace.interns) == 0
+
+
+def test_generate_memory_is_bounded():
+    # The ROADMAP baseline mix at 100k references.  Interning one token per
+    # reference peaked at about 92 B/reference; interning one per distinct
+    # address needs about half that.
+    length = 100_000
+    model = Interleave(
+        parts=(LruStackModel((8 / 15, 4 / 15, 2 / 15, 1 / 15)), UniformIrm(2000)), pattern=(3, 1)
+    )
+    tracemalloc.start()
+    try:
+        generate(GeneratorSpec(model, length, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / length < 60
