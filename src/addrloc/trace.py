@@ -22,13 +22,27 @@ Timestamps are integer microseconds, non-negative and non-decreasing
 (ties allowed).  Timestamps and lengths must fit in a signed 64-bit
 integer, so neither may exceed 2**63 - 1.  Lines starting with '#' and
 blank lines are skipped.  An empty proto field stands for "no proto tag".
+
+`parse_trace` reads a few thousand lines at a time, with one of two
+readers per block.  The block reader encodes the block to UTF-8 once and
+works on its bytes with numpy: it finds the tabs and line breaks, reads
+the numbers from their ASCII digits and groups equal tokens by a hash of
+their 8-byte words, checked byte for byte, so only each distinct token
+is decoded and interned.  It takes the plain shape that writers produce:
+numbers of 1 to 18 digits, every line starting with a digit or '#' or
+empty.  Any other block goes to the line reader, which reads one line at
+a time.  The line reader defines the accepted syntax: a timestamp or
+length is anything `int()` accepts, such as " 5", "+5" or "1_0", and it
+raises the error naming the first bad line.  Both readers give the same
+trace, and the syntax and errors are those of the line reader alone.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
+from operator import not_
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -36,9 +50,9 @@ import numpy as np
 MICROSECONDS_PER_HOUR = 3_600_000_000
 _INT64_MAX = 2**63 - 1
 
-# Lines parsed (or frames split) per block.  Bounds the transient memory,
-# which is the per-line strings of one block.
-_CHUNK_LINES = 4096
+# Lines parsed (or frames split) per block.  Bounds the transient memory:
+# one block's lines, its UTF-8 bytes and the numpy arrays over them.
+_CHUNK_LINES = 2048
 # Frames written per output block.
 _WRITE_CHUNK = 8192
 
@@ -77,16 +91,10 @@ class InternTable:
 
     def intern_all(self, tokens: list[str]) -> np.ndarray:
         """Ids of `tokens` as an int32 array, new tokens numbered in order of first appearance."""
-        ids = self._ids
-        try:
-            return np.fromiter(map(ids.__getitem__, tokens), np.int32, len(tokens))
-        except KeyError:
-            fresh = dict.fromkeys(tokens)
-            new = fresh.keys() - ids.keys()
-            for token in filter(new.__contains__, fresh):
-                ids[token] = len(self._tokens)
-                self._tokens.append(token)
-            return np.fromiter(map(ids.__getitem__, tokens), np.int32, len(tokens))
+        ids = np.fromiter(map(self._ids.get, tokens, repeat(-1)), np.int32, len(tokens))
+        for i in np.flatnonzero(ids < 0).tolist():
+            ids[i] = self.intern(tokens[i])
+        return ids
 
     def token_of(self, address_id: int) -> str:
         return self._tokens[address_id]
@@ -175,12 +183,7 @@ class Trace:
             protos.append(row[3] or "" if len(row) > 3 else "")
             length = row[4] if len(row) > 4 else None
             lengths.append(-1 if length is None else length)
-        columns.append(
-            np.array(timestamps, np.int64),
-            addresses,
-            columns.protos.intern_all(protos),
-            np.array(lengths, np.int64),
-        )
+        columns.append_tokens(timestamps, addresses, protos, lengths)
         return columns.trace()
 
     def destinations(self) -> list[int]:
@@ -224,10 +227,9 @@ class _Columns:
         self.protos = InternTable([""])  # "" -> 0, the "no tag" code
 
     def append(
-        self, timestamps: np.ndarray, addresses: list[str], proto: np.ndarray, lengths: np.ndarray
+        self, timestamps: np.ndarray, ids: np.ndarray, proto: np.ndarray, lengths: np.ndarray
     ) -> None:
-        """Add one block: `addresses` alternates src and dst tokens; `proto` indexes `protos`."""
-        ids = self.interns.intern_all(addresses)
+        """Add one block: `ids` alternates src and dst ids; `proto` indexes `protos`."""
         for column, values in (
             (self.timestamps, timestamps),
             (self.src, ids[0::2]),
@@ -236,6 +238,17 @@ class _Columns:
             (self.length, lengths),
         ):
             column.frombytes(np.ascontiguousarray(values).view(np.uint8))
+
+    def append_tokens(
+        self, timestamps: list[int], addresses: list[str], protos: list[str], lengths: list[int]
+    ) -> None:
+        """Add one block of tokens: a proto of "" is no tag, a length of -1 is absent."""
+        self.append(
+            np.array(timestamps, np.int64),
+            self.interns.intern_all(addresses),
+            self.protos.intern_all(protos),
+            np.array(lengths, np.int64),
+        )
 
     def trace(self) -> Trace:
         return Trace(
@@ -257,12 +270,18 @@ class TraceSummary:
     duration_hours: float        # last timestamp minus first, in hours
 
 
-def _check_lines(lines: list[str], first_lineno: int, prev_ts: Optional[int]) -> None:
-    """Raise the error of the first bad line in `lines`, checking one line at a time.
+def _read_lines(lines: list[str], first_lineno: int, prev_ts: int, columns: _Columns) -> int:
+    """Append the frames of `lines` to `columns` one line at a time; return the last timestamp.
 
-    `parse_trace` calls this only for a block that it found to hold a bad
-    line; the checks and their order define what a bad line is.
+    The checks and their order define the accepted syntax: a timestamp or
+    length is anything `int()` takes, within 0..2**63 - 1.  Raises the
+    error of the first bad line, after which the parse fails and `columns`
+    is not used again.
     """
+    timestamps: list[int] = []
+    addresses: list[str] = []
+    protos: list[str] = []
+    lengths: list[int] = []
     for lineno, raw in enumerate(lines, start=first_lineno):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.startswith("#"):
@@ -278,11 +297,12 @@ def _check_lines(lines: list[str], first_lineno: int, prev_ts: Optional[int]) ->
             raise TraceParseError(lineno, f"negative timestamp {ts}")
         if ts > _INT64_MAX:
             raise TraceParseError(lineno, f"timestamp {ts} exceeds 2**63 - 1")
-        if prev_ts is not None and ts < prev_ts:
+        if ts < prev_ts:
             raise TraceOrderError(lineno, f"timestamp {ts} decreases below {prev_ts}")
         prev_ts = ts
         if not fields[1] or not fields[2]:
             raise TraceParseError(lineno, "empty address token")
+        length = -1
         if len(fields) > 4:
             try:
                 length = int(fields[4])
@@ -292,61 +312,182 @@ def _check_lines(lines: list[str], first_lineno: int, prev_ts: Optional[int]) ->
                 raise TraceParseError(lineno, f"negative length {length}")
             if length > _INT64_MAX:
                 raise TraceParseError(lineno, f"length {length} exceeds 2**63 - 1")
-    raise AssertionError("a block failed a check that none of its lines fails")
+        timestamps.append(ts)
+        addresses += fields[1:3]
+        protos.append(fields[3] if len(fields) > 3 else "")
+        lengths.append(length)
+    columns.append_tokens(timestamps, addresses, protos, lengths)
+    return prev_ts
 
 
-class _BadBlock(Exception):
-    """A check failed somewhere in the current block."""
+# The block reader pads a block's bytes so that the digits before any field
+# end, and the 8-byte word at any token byte, can be read without a bounds
+# check.  The lead ends in a line break, which starts the block's first
+# line.  At most 18 digits keep a number below 10**18 < 2**63.
+_DIGITS = 18
+_LEAD = "\n" * (_DIGITS + 1)
+_TAIL = "\0" * 8
+_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)  # the low r bytes
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _int64s(texts: list[str]) -> np.ndarray:
-    try:
-        return np.fromiter(map(int, texts), np.int64, len(texts))
-    except (ValueError, OverflowError):
-        raise _BadBlock from None
+def _words(words: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> list[tuple]:
+    """Each token's bytes as 8-byte words: a (live, word) pair for k = 0, 8, 16, ...
 
-
-def _parse_block(rows: list[str], prev_ts: int, columns: _Columns) -> int:
-    """Append the frames of `rows` (line breaks stripped) to `columns`; return the last timestamp.
-
-    Raises _BadBlock if any line fails a check; the parse then fails, so
-    `columns` may be left holding part of the block.
+    `live` picks the tokens longer than k bytes (a slice while that is all
+    of them) and `word` holds 8 of their bytes from k on.  `words[p]` is
+    the buffer's bytes p..p+7.  A token's last word is its last 8 bytes, and
+    a token shorter than 8 bytes is zero-padded, so no word reaches past
+    its token.
     """
-    tabs = list(map(str.count, rows, repeat("\t")))
-    fewest, most = min(tabs), max(tabs)
-    if fewest < 2 or most > 4:
-        raise _BadBlock
-    fields = "\t".join(rows).split("\t")
-    widths = np.array(tabs) + 1
-    if fewest == most:
-        width = fewest + 1
+    last = np.maximum(widths - 8, 0)
+    mask = _MASKS[np.minimum(widths, 8)]
+    shortest = widths.min() if len(widths) else 0
+    pairs = []
+    for k in range(0, widths.max(initial=0), 8):
+        live = slice(None) if k < shortest else np.flatnonzero(widths > k)
+        pairs.append((live, words[starts[live] + np.minimum(last[live], k)] & mask[live]))
+    return pairs
 
-        def column(j: int) -> list[str]:
-            return fields[j::width] if j < width else []
-    else:
-        table = np.array(fields, dtype=object)
-        starts = np.cumsum(widths) - widths
 
-        def column(j: int) -> list[str]:
-            return table[starts[widths > j] + j].tolist()
+def _hash(widths: np.ndarray, pairs: list[tuple]) -> np.ndarray:
+    """A uint64 hash of each token from its width and words (`_words`)."""
+    h = widths.astype(np.uint64)
+    for live, word in pairs:
+        h[live] = (h[live] ^ word) * _MIX
+    return h
 
-    timestamps = _int64s(column(0))
-    # Non-decreasing from max(prev_ts, 0) also rules out negative timestamps.
-    if timestamps[0] < prev_ts or (np.diff(timestamps) < 0).any():
-        raise _BadBlock
-    given = _int64s(column(4))
-    if (given < 0).any():
-        raise _BadBlock
-    lengths = np.full(len(rows), -1, np.int64)
-    lengths[widths > 4] = given
-    proto = np.zeros(len(rows), np.int32)
-    proto[widths > 3] = columns.protos.intern_all(column(3))
-    addresses = [""] * (2 * len(rows))
-    addresses[0::2] = column(1)
-    addresses[1::2] = column(2)
-    columns.append(timestamps, addresses, proto, lengths)
-    if "" in columns.interns:
-        raise _BadBlock
+
+def _distinct(words: np.ndarray, ends: np.ndarray, fields: np.ndarray):
+    """Group equal tokens exactly: (first, inverse), or None on a hash collision.
+
+    Token i is field `fields[i]` of the block (see `_read_block`).  `first`
+    holds the index of each distinct token's first occurrence, in order of
+    appearance; `inverse[i]` is the position in `first` of token i's group.
+    Every token's width and words are compared with its group's first
+    token's, so tokens share a group only if their bytes are equal.
+    """
+    starts = ends[fields] + 1
+    widths = ends[fields + 1] - starts
+    pairs = _words(words, starts, widths)
+    h = _hash(widths, pairs)
+    by_hash = np.argsort(h)
+    h = h[by_hash]
+    head = np.empty(len(h), bool)
+    head[:1] = True
+    np.not_equal(h[1:], h[:-1], out=head[1:])
+    first = np.minimum.reduceat(by_hash, np.flatnonzero(head)) if len(h) else by_hash
+    inverse = np.empty_like(by_hash)
+    inverse[by_hash] = np.cumsum(head) - 1
+    rep = first[inverse]
+    if (widths[rep] != widths).any():
+        return None
+    for live, word in pairs:
+        # Equal widths put each token's first in the same live set.
+        at = rep[live] if isinstance(live, slice) else np.searchsorted(live, rep[live])
+        if (word[at] != word).any():
+            return None
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+def _decode(body: np.ndarray, ends: np.ndarray, address: np.ndarray, proto: np.ndarray):
+    """The address and the proto tokens in fields `address` and `proto`, decoded in one batch.
+
+    Each array of field indices is in byte order, and so is the text left
+    after masking the block's bytes to those fields.  Each token keeps the
+    tab or line break after it, which becomes the tab it is split at.
+    """
+    kind = np.zeros(len(ends) - 1, np.uint8)
+    kind[address] = 1
+    kind[proto] = 2
+    kept = kind > 0
+    text = body[1:][np.repeat(kept, np.diff(ends))]
+    text[text == 10] = 9
+    tokens = text.tobytes().decode().split("\t")[:-1]
+    is_address = (kind[kept] == 1).tolist()
+    return list(compress(tokens, is_address)), list(compress(tokens, map(not_, is_address)))
+
+
+def _read_block(block: list[str], prev_ts: int, columns: _Columns) -> Optional[int]:
+    """Append the frames of `block` to `columns`, read as bytes by numpy; return the last timestamp.
+
+    Returns None, with `columns` untouched, for a block this reader does
+    not take: an element that is not one line ending in a line break, a
+    carriage return, a line not starting with a digit, '#' or its line
+    break, 3 to 5 fields not met, a number that is not 1 to 18 ASCII
+    digits, a decreasing timestamp, an empty address token or a hash
+    collision.  Such a block goes to `_read_lines`.
+    """
+    text = "".join([_LEAD, *block, _TAIL])
+    if "\r" in text:
+        return None
+    try:
+        data = text.encode()
+        encoded = block if text.isascii() else map(str.encode, block)
+        sizes = np.fromiter(map(len, encoded), np.intp, len(block))
+    except UnicodeEncodeError:  # a lone surrogate
+        return None
+    del text
+    # body[0] is the lead's last line break.  ends[j] is the tab or line
+    # break before field j, which is body[ends[j] + 1 : ends[j + 1]].
+    body = np.frombuffer(data, np.uint8, len(data) - _DIGITS - 8, _DIGITS)
+    scratch = body - 9
+    ends = np.flatnonzero(np.less(scratch, 2, out=scratch.view(bool)))
+    del scratch
+    breaks = np.flatnonzero(body[ends] == 10)
+    if len(breaks) != len(block) + 1 or (ends[breaks[1:]] != np.cumsum(sizes)).any():
+        return None  # some element is not one line ending in a line break
+    lead = body[ends[breaks[:-1]] + 1]
+    frame = lead - 48 < 10
+    if not (frame | (lead == 35) | (lead == 10)).all():
+        return None
+    if not frame.any():
+        return prev_ts
+    base = breaks[:-1][frame]  # field k of frame line i is field base[i] + k
+    tabs = breaks[1:][frame] - base - 1
+    if tabs.min() < 2 or tabs.max() > 4:
+        return None
+    sized, tagged = tabs == 4, tabs > 2
+    # Timestamps and lengths: the block's widest number of digits before each field end.
+    number = np.concatenate((base, base[sized] + 4))
+    number_end = ends[number + 1]
+    digits_n = number_end - ends[number] - 1
+    if digits_n.min() < 1 or digits_n.max() > _DIGITS:
+        return None
+    widest = digits_n.max()
+    digits = np.ndarray((len(body), widest), np.uint8, data, _DIGITS - widest, (1, 1))[number_end]
+    digits -= 48
+    digits[np.arange(widest) < widest - digits_n[:, None]] = 0
+    if digits.max() > 9:
+        return None
+    numbers = np.zeros(len(number_end), np.int64)
+    for column in digits.T:
+        numbers *= 10
+        numbers += column
+    timestamps = numbers[: len(base)]
+    if timestamps[0] < prev_ts or (timestamps[1:] < timestamps[:-1]).any():
+        return None
+    # Tokens: src and dst interleaved, then the proto fields.
+    address = np.stack((base + 1, base + 2), axis=1).ravel()
+    if (ends[address + 1] - ends[address] < 2).any():
+        return None  # an empty address token
+    proto = base[tagged] + 3
+    words = np.ndarray((len(body) + 1,), "<u8", data, _DIGITS, (1,))
+    address_groups = _distinct(words, ends, address)
+    proto_groups = _distinct(words, ends, proto)
+    if address_groups is None or proto_groups is None:
+        return None
+    (address_first, address_inverse), (proto_first, proto_inverse) = address_groups, proto_groups
+    address_tokens, proto_tokens = _decode(body, ends, address[address_first], proto[proto_first])
+    codes = np.zeros(len(base), np.int32)
+    codes[tagged] = columns.protos.intern_all(proto_tokens)[proto_inverse]
+    lengths = np.full(len(base), -1, np.int64)
+    lengths[sized] = numbers[len(base) :]
+    ids = columns.interns.intern_all(address_tokens)[address_inverse]
+    columns.append(timestamps, ids, codes, lengths)
     return int(timestamps[-1])
 
 
@@ -357,27 +498,21 @@ def parse_trace(lines: Iterable[str]) -> Trace:
     non-integer, negative or out-of-int64-range timestamp or length, empty
     address token) and TraceOrderError when a timestamp decreases.
     '#'-comment lines and blank lines are skipped.  Lines are read in
-    blocks of a few thousand and checked a block at a time; the error
-    names the first bad line.
+    blocks of `_CHUNK_LINES`.  `_read_block` reads a block of plain lines
+    as bytes with numpy; a block it does not take, such as one with a
+    malformed line or a timestamp spelled " 5", "+5" or "1_0", goes to
+    `_read_lines`, which reads it one line at a time, accepts any `int()`
+    spelling and names the first bad line.  Both give the same trace.
     """
     columns = _Columns()
     source = iter(lines)
     lineno = 1
-    prev_ts: Optional[int] = None
-    while True:
-        block = list(islice(source, _CHUNK_LINES))
-        if not block:
-            return columns.trace()
-        rows = list(map(str.rstrip, block, repeat("\n")))
-        if "\r" in "".join(rows):
-            rows = list(map(str.rstrip, rows, repeat("\r")))
-        rows = [row for row in rows if row.strip() and row[0] != "#"]
-        if rows:
-            try:
-                prev_ts = _parse_block(rows, 0 if prev_ts is None else prev_ts, columns)
-            except _BadBlock:
-                _check_lines(block, lineno, prev_ts)
+    prev_ts = 0
+    while block := list(islice(source, _CHUNK_LINES)):
+        last = _read_block(block, prev_ts, columns)
+        prev_ts = _read_lines(block, lineno, prev_ts, columns) if last is None else last
         lineno += len(block)
+    return columns.trace()
 
 
 def _breaks_line(token: str) -> bool:
@@ -464,22 +599,56 @@ def summarize(trace: Trace) -> TraceSummary:
     )
 
 
+def _renumber(table: np.ndarray, used: list[int], codes: np.ndarray) -> np.ndarray:
+    """`codes` mapped through the dense old -> new `table` (-1: not seen yet).
+
+    Unseen codes get the next new numbers in order of first appearance and
+    are appended to `used`, the old codes in new-number order.
+    """
+    fresh = codes[table[codes] < 0]
+    if len(fresh):
+        fresh = fresh[np.sort(np.unique(fresh, return_index=True)[1])]
+        table[fresh] = np.arange(len(used), len(used) + len(fresh), dtype=np.int32)
+        used += fresh.tolist()
+    return table[codes]
+
+
 def _select(trace: Trace, mask: np.ndarray) -> Trace:
-    """The frames where `mask` holds, with their addresses and protos interned afresh."""
-    tokens = np.array(trace.interns.tokens, dtype=object)
-    tags = np.array(("",) + trace.protos[1:], dtype=object)
-    columns = _Columns()
+    """The frames where `mask` holds, with their addresses and protos renumbered densely.
+
+    New ids follow first appearance among the kept frames, source before
+    destination, as if the frames were parsed afresh.  The old -> new
+    tables are filled block by block, so no temporary is as long as the
+    output.
+    """
     frames = np.flatnonzero(mask)
-    for start in range(0, len(frames), _CHUNK_LINES):
+    n = len(frames)
+    src, dst, proto = (np.empty(n, np.int32) for _ in range(3))
+    address_ids = np.full(len(trace.interns), -1, np.int32)
+    proto_codes = np.full(len(trace.protos), -1, np.int32)
+    proto_codes[0] = 0
+    used_addresses: list[int] = []
+    used_protos = [0]
+    for start in range(0, n, _CHUNK_LINES):
         block = frames[start : start + _CHUNK_LINES]
         pairs = np.stack([trace.src[block], trace.dst[block]], axis=1).ravel()
-        columns.append(
-            trace.timestamps[block],
-            tokens[pairs].tolist(),
-            columns.protos.intern_all(tags[trace.proto[block]].tolist()),
-            trace.length[block],
-        )
-    return columns.trace()
+        ids = _renumber(address_ids, used_addresses, pairs)
+        src[start : start + len(block)] = ids[0::2]
+        dst[start : start + len(block)] = ids[1::2]
+        proto[start : start + len(block)] = _renumber(proto_codes, used_protos, trace.proto[block])
+    tags = ("",) + trace.protos[1:]
+    # Tags equal to each other or to "" (no tag) share a code, as when parsed.
+    merged = InternTable([""])
+    codes = merged.intern_all([tags[c] for c in used_protos])
+    return Trace(
+        trace.timestamps[frames],
+        src,
+        dst,
+        InternTable(trace.interns.token_of(a) for a in used_addresses),
+        codes[proto],
+        trace.length[frames],
+        (None,) + merged.tokens[1:],
+    )
 
 
 def split_by_protocol(

@@ -402,6 +402,148 @@ def test_parse_memory_is_bounded():
     assert transient[200_000] < 1.25 * transient[50_000]
 
 
+# --- the block reader --------------------------------------------------------
+
+# Characters of 1 to 4 UTF-8 bytes, NUL and space among them, so tokens
+# cross 8-byte words at every offset.
+_token_chars = st.sampled_from(["a", "b", "-", ":", " ", "#", "7", "\x00", "\x7f", "é", "€", "𝄞"])
+_wide_token = st.text(_token_chars, min_size=1, max_size=40).filter(lambda t: len(t.encode()) <= 40)
+
+
+@st.composite
+def _token_pool(draw) -> list[str]:
+    """Tokens of 1 to 40 bytes, with siblings that differ only in their last byte."""
+    pool = draw(st.lists(_wide_token, min_size=1, max_size=8))
+    for stem in draw(st.lists(st.text(_token_chars, max_size=39), max_size=3)):
+        pool += [stem + last for last in "ab`" if len(stem.encode()) < 40]
+    return pool
+
+
+@st.composite
+def _plain_lines(draw) -> list[str]:
+    """Lines the block reader takes: plain-digit numbers, mixed 3/4/5-field frames,
+    empty proto fields, and comment and blank lines between them."""
+    pool = draw(_token_pool())
+    tokens = st.sampled_from(pool)
+    lines = []
+    ts = draw(st.integers(0, 10**15))  # below 10**16 throughout: 18 digits with two leading zeros
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(["frame"] * 5 + ["comment", "blank"]))
+        if kind == "comment":
+            line = "#" + draw(st.text(_token_chars, max_size=10)) + draw(st.sampled_from(["", "\t", "\tx\ty"]))
+        elif kind == "blank":
+            line = ""
+        else:
+            ts += draw(st.sampled_from([0, 1, 7, 10**9]))
+            fields = [draw(st.sampled_from(["", "0", "00"])) + str(ts), draw(tokens), draw(tokens)]
+            width = draw(st.integers(3, 5))
+            if width >= 4:
+                fields.append(draw(st.one_of(st.just(""), tokens)))
+            if width == 5:
+                fields.append(str(draw(st.integers(0, 10**18 - 1))))
+            line = "\t".join(fields)
+        lines.append(line + "\n")
+    return lines
+
+
+def _per_line_calls(lines: list[str], **patches) -> int:
+    """Parse `lines`, checking them against the oracle; return how many blocks
+    went to the line reader."""
+    calls = []
+    read_lines = trace_module._read_lines
+
+    def counting(*args):
+        calls.append(args[1])
+        return read_lines(*args)
+
+    with mock.patch.multiple(trace_module, _read_lines=counting, **patches):
+        try:
+            parse_trace(lines)
+        except TraceParseError:
+            pass
+        taken = len(calls)
+        _assert_parses_like_oracle(lines)
+    return taken
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plain_lines(), st.sampled_from([1, 2, 3, 5, 4096]))
+def test_block_reader_matches_line_parser(lines, block_lines):
+    assert _per_line_calls(lines, _CHUNK_LINES=block_lines) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_plain_lines(), st.sampled_from([2, 5, 4096]))
+def test_hash_collisions_fall_back_to_the_line_reader(lines, block_lines):
+    # Every token hashes alike, so any block with two distinct tokens of a
+    # kind collides; it must still parse as the oracle does.
+    def constant(widths, pairs):
+        return np.zeros(len(widths), np.uint64)
+
+    _per_line_calls(lines, _CHUNK_LINES=block_lines, _hash=constant)
+
+
+@pytest.mark.parametrize(
+    "src,dst",
+    [("A", "B"), ("a", "a\x00"), ("a\x00", "a\x00\x00"), ("12345678x", "12345678y"), ("€", "€\x00")],
+)
+def test_forced_collision_goes_to_the_line_reader(src, dst):
+    # Equal words with different widths, or different last words, must not merge.
+    constant = lambda widths, pairs: np.zeros(len(widths), np.uint64)  # noqa: E731
+    lines = [f"1\t{src}\t{dst}\tlat\t60\n", f"2\t{dst}\t{src}\tlat\t61\n"]
+    assert _per_line_calls(lines, _hash=constant) == 1
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        _capture_lines(5_000) + ["# segment 1\n"] + _capture_lines(10_000)[5_000:],
+        [f"{i}\tsrc\ts{i % 2}.a{i * 31 % 2000}\n" for i in range(10_000)],
+        _capture_lines(5_000) + [f"{40_000 + i}\ts0.a{i % 9}\ts1.a{i % 7}\n" for i in range(5_000)],
+    ],
+    ids=["capture", "mixed", "both"],
+)
+def test_benchmark_shaped_lines_take_the_block_reader(lines):
+    assert _per_line_calls(lines) == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0\tA\tB\r\n",          # a carriage return
+        " 5\tA\tB\n",            # a line not starting with a digit, '#' or its line break
+        "+5\tA\tB\n",
+        "1_0\tA\tB\n",
+        f"{10**18}\tA\tB\n",     # 19 digits
+        "5\tA\tB\tP\t0x10\n",  # a length that int() rejects
+        "0\tA\tB",               # no line break at the end
+    ],
+)
+def test_blocks_outside_the_plain_shape_take_the_line_reader(text):
+    assert _per_line_calls([text]) == 1
+
+
+def test_int_spellings_are_still_accepted():
+    t = parse_trace([" 5\tA\tB\tP\t+6\n", "1_0\tA\tB\t\t0_7\n", "+10 \tB\tA\n"])
+    assert t.timestamps.tolist() == [5, 10, 10]
+    assert t.length.tolist() == [6, 7, -1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from("abcdef"), max_size=6),
+    st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=10), max_size=5),
+)
+def test_intern_all_matches_one_at_a_time_interning(known, blocks):
+    table, oracle = InternTable(known), InternTable(known)
+    for block in blocks:
+        ids = table.intern_all(block)
+        assert ids.dtype == np.int32
+        assert ids.tolist() == [oracle.intern(token) for token in block]
+        assert table.tokens == oracle.tokens
+    assert table == oracle and all(token in table for token in oracle.tokens)
+
+
 # --- split and write ---------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)
