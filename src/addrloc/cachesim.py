@@ -76,8 +76,12 @@ def _min_keys(refs) -> array:
     n = len(prev)
     keys = np.arange(-2 * n, -n, dtype=np.int64)
     reref = np.flatnonzero(prev >= 0)
-    keys[prev[reref]] = -reref
-    return array("q", keys.tobytes())
+    at = prev[reref]
+    keys[at] = np.negative(reref, out=reref)
+    del reref, at
+    packed = array("q")
+    packed.frombytes(keys.view(np.uint8))
+    return packed
 
 
 def _min_misses(seq: list[int], keys: array, capacity: int) -> int:

@@ -13,8 +13,8 @@ A `Trace` is stored by column, one array per field:
     proto       int32 codes into the `protos` table; code 0 (None) is "no tag"
     length      int64 frame lengths; -1 is "absent"
 
-File format: UTF-8 text, LF line endings, one frame per line, fields
-tab-separated in the order
+File format: UTF-8 text, one frame per line, fields tab-separated in the
+order
 
     timestamp_us <TAB> src <TAB> dst [<TAB> proto [<TAB> length]]
 
@@ -22,37 +22,44 @@ Timestamps are integer microseconds, non-negative and non-decreasing
 (ties allowed).  Timestamps and lengths must fit in a signed 64-bit
 integer, so neither may exceed 2**63 - 1.  Lines starting with '#' and
 blank lines are skipped.  An empty proto field stands for "no proto tag".
+In a file, LF, CRLF and a lone CR each end a line, as in Python's text
+mode.
 
-`parse_trace` reads a few thousand lines at a time, with one of two
-readers per block.  The block reader encodes the block to UTF-8 once and
-works on its bytes with numpy: it finds the tabs and line breaks, reads
-the numbers from their ASCII digits and groups equal tokens by a hash of
-their 8-byte words, checked byte for byte, so only each distinct token
-is decoded and interned.  It takes the plain shape that writers produce:
-numbers of 1 to 18 digits, every line starting with a digit or '#' or
-empty.  Any other block goes to the line reader, which reads one line at
-a time.  The line reader defines the accepted syntax: a timestamp or
-length is anything `int()` accepts, such as " 5", "+5" or "1_0", and it
-raises the error naming the first bad line.  Both readers give the same
-trace, and the syntax and errors are those of the line reader alone.
+`parse_trace` reads a file opened in binary mode, as `read_trace` gives
+it, in chunks cut after their last line break, and an iterable of str
+lines a few thousand at a time.  Each block goes to one of two readers.
+The block reader works on the block's bytes with numpy: it finds the tabs
+and line breaks, reads the numbers from their ASCII digits and groups
+equal tokens by a hash of their 8-byte words, checked byte for byte.  A
+table of the tokens interned so far, kept across blocks, gives the known
+ones their ids after the same check, so only new tokens are decoded and
+interned.  It takes the plain shape that writers produce: numbers of 1
+to 18 digits, every line starting with a digit or '#' or empty.  Any
+other block goes to the line reader, which reads one line at a time.
+The line reader defines the accepted syntax: a timestamp or length is
+anything `int()` accepts, such as " 5", "+5" or "1_0", and it raises the
+error naming the first bad line.  Both readers give the same trace, and
+the syntax and errors are those of the line reader alone.
 """
 
 from __future__ import annotations
 
+import io
 from array import array
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
-from operator import not_
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from itertools import islice, repeat
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
 MICROSECONDS_PER_HOUR = 3_600_000_000
 _INT64_MAX = 2**63 - 1
 
-# Lines parsed (or frames split) per block.  Bounds the transient memory:
-# one block's lines, its UTF-8 bytes and the numpy arrays over them.
+# Lines parsed from a str iterable (or frames split) per block, and bytes
+# read from a file per block.  Each bounds the transient memory: one
+# block's lines or bytes and the numpy arrays over them.
 _CHUNK_LINES = 2048
+_CHUNK_BYTES = 1 << 17
 # Frames written per output block.
 _WRITE_CHUNK = 8192
 
@@ -225,6 +232,8 @@ class _Columns:
         self.length = array("q")
         self.interns = InternTable()
         self.protos = InternTable([""])  # "" -> 0, the "no tag" code
+        self.known_addresses = _Known(self.interns)
+        self.known_protos = _Known(self.protos)
 
     def append(
         self, timestamps: np.ndarray, ids: np.ndarray, proto: np.ndarray, lengths: np.ndarray
@@ -325,8 +334,8 @@ def _read_lines(lines: list[str], first_lineno: int, prev_ts: int, columns: _Col
 # check.  The lead ends in a line break, which starts the block's first
 # line.  At most 18 digits keep a number below 10**18 < 2**63.
 _DIGITS = 18
-_LEAD = "\n" * (_DIGITS + 1)
-_TAIL = "\0" * 8
+_LEAD = b"\n" * (_DIGITS + 1)
+_TAIL = b"\0" * 8
 _MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)  # the low r bytes
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
@@ -358,17 +367,23 @@ def _hash(widths: np.ndarray, pairs: list[tuple]) -> np.ndarray:
     return h
 
 
-def _distinct(words: np.ndarray, ends: np.ndarray, fields: np.ndarray):
-    """Group equal tokens exactly: (first, inverse), or None on a hash collision.
-
-    Token i is field `fields[i]` of the block (see `_read_block`).  `first`
-    holds the index of each distinct token's first occurrence, in order of
-    appearance; `inverse[i]` is the position in `first` of token i's group.
-    Every token's width and words are compared with its group's first
-    token's, so tokens share a group only if their bytes are equal.
-    """
+def _spans(ends: np.ndarray, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first byte and the width of each of `fields` (see `_read_block`)."""
     starts = ends[fields] + 1
-    widths = ends[fields + 1] - starts
+    return starts, ends[fields + 1] - starts
+
+
+def _distinct(words: np.ndarray, ends: np.ndarray, fields: np.ndarray):
+    """Group equal tokens exactly: (first, inverse, hashes), or None on a hash collision.
+
+    Token i is field `fields[i]` of the block (see `_read_block`).  The
+    groups are in order of their hashes: `hashes` holds them, increasing,
+    and `first` the index of each group's first token; `inverse[i]` is the
+    group of token i.  Every token's width and words are compared with its
+    group's first token's, so tokens share a group only if their bytes are
+    equal.
+    """
+    starts, widths = _spans(ends, fields)
     pairs = _words(words, starts, widths)
     h = _hash(widths, pairs)
     by_hash = np.argsort(h)
@@ -387,50 +402,107 @@ def _distinct(words: np.ndarray, ends: np.ndarray, fields: np.ndarray):
         at = rep[live] if isinstance(live, slice) else np.searchsorted(live, rep[live])
         if (word[at] != word).any():
             return None
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
+    return first, inverse, h[head]
 
 
-def _decode(body: np.ndarray, ends: np.ndarray, address: np.ndarray, proto: np.ndarray):
-    """The address and the proto tokens in fields `address` and `proto`, decoded in one batch.
+def _decode(body: np.ndarray, ends: np.ndarray, fields: np.ndarray) -> list[str]:
+    """The tokens in `fields`, which are in byte order, decoded in one batch.
 
-    Each array of field indices is in byte order, and so is the text left
-    after masking the block's bytes to those fields.  Each token keeps the
-    tab or line break after it, which becomes the tab it is split at.
+    Masking the block's bytes to those fields keeps their order.  Each
+    token keeps the tab or line break after it, which becomes the tab it
+    is split at.
     """
-    kind = np.zeros(len(ends) - 1, np.uint8)
-    kind[address] = 1
-    kind[proto] = 2
-    kept = kind > 0
+    kept = np.zeros(len(ends) - 1, bool)
+    kept[fields] = True
     text = body[1:][np.repeat(kept, np.diff(ends))]
     text[text == 10] = 9
-    tokens = text.tobytes().decode().split("\t")[:-1]
-    is_address = (kind[kept] == 1).tolist()
-    return list(compress(tokens, is_address)), list(compress(tokens, map(not_, is_address)))
+    return text.tobytes().decode().split("\t")[:-1]
 
 
-def _read_block(block: list[str], prev_ts: int, columns: _Columns) -> Optional[int]:
-    """Append the frames of `block` to `columns`, read as bytes by numpy; return the last timestamp.
+class _Known:
+    """An `InternTable`'s tokens found again by hash, so a block decodes only its new tokens.
 
-    Returns None, with `columns` untouched, for a block this reader does
-    not take: an element that is not one line ending in a line break, a
-    carriage return, a line not starting with a digit, '#' or its line
-    break, 3 to 5 fields not met, a number that is not 1 to 18 ASCII
-    digits, a decreasing timestamp, an empty address token or a hash
+    It lives as long as one parse.  Entry e is one token: its id, its width
+    and its 8-byte words (`_words`), stored from `words[starts[e]]` on.
+    `levels` holds (hashes, entries) pairs sorted by hash, each more than
+    twice the size of the next, like the digits of a binary counter, so an
+    entry moves O(log n) times as the table grows.  A hash is in at most
+    one level: a token whose hash other bytes hold stays out, is decoded
+    every time and gets its id from `interns`.
+    """
+
+    def __init__(self, interns: InternTable):
+        self.interns = interns
+        self.ids = array("i")
+        self.widths = array("i")
+        self.starts = array("q")
+        self.words = array("Q")
+        self.levels: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def ids_of(
+        self, body: np.ndarray, words: np.ndarray, ends: np.ndarray, fields: np.ndarray, groups
+    ) -> np.ndarray:
+        """Ids of the tokens in `fields`, which `_distinct` grouped into `groups`.
+
+        Distinct tokens with an entry of equal width and words take its id;
+        the others are decoded, interned and entered.
+        """
+        first, inverse, hashes = groups
+        fields = fields[first]
+        starts, widths = _spans(ends, fields)
+        entries = np.full(len(hashes), -1, np.intp)
+        for level, level_entries in self.levels:
+            at = np.minimum(np.searchsorted(level, hashes), len(level) - 1)
+            hit = level[at] == hashes
+            entries[hit] = level_entries[at[hit]]
+        hit = np.flatnonzero(entries >= 0)
+        hit = hit[np.frombuffer(self.widths, np.int32)[entries[hit]] == widths[hit]]
+        at = np.frombuffer(self.starts, np.int64)[entries[hit]]
+        same = np.ones(len(hit), bool)
+        for k, (live, word) in enumerate(_words(words, starts[hit], widths[hit])):
+            same[live] &= np.frombuffer(self.words, np.uint64)[at[live] + k] == word
+        ids = np.full(len(fields), -1, np.int32)
+        ids[hit[same]] = np.frombuffer(self.ids, np.int32)[entries[hit[same]]]
+        new = np.flatnonzero(ids < 0)
+        if len(new):
+            new = new[np.argsort(first[new])]  # in order of first appearance
+            ids[new] = self.interns.intern_all(_decode(body, ends, fields[new]))
+            free = new[entries[new] < 0]  # the others' hashes are taken
+            if len(free):
+                self._enter(words, starts[free], widths[free], hashes[free], ids[free])
+        return ids[inverse]
+
+    def _enter(self, words, starts, widths, hashes, ids) -> None:
+        """Add entries for tokens at `starts` in `words`, whose `hashes` no entry holds."""
+        count = (widths + 7) // 8
+        at = np.cumsum(count) - count
+        packed = np.empty(at[-1] + count[-1], np.uint64)
+        for k, (live, word) in enumerate(_words(words, starts, widths)):
+            packed[at[live] + k] = word
+        entries = np.arange(len(self.ids), len(self.ids) + len(ids), dtype=np.int32)
+        at += len(self.words)
+        columns = self.ids, self.widths, self.starts, self.words
+        for column, values in zip(columns, (ids, widths.astype(np.int32), at, packed)):
+            column.frombytes(values.view(np.uint8))
+        order = np.argsort(hashes)
+        level = hashes[order], entries[order]
+        while self.levels and len(self.levels[-1][0]) <= 2 * len(level[0]):
+            hashes, entries = (np.concatenate(pair) for pair in zip(self.levels.pop(), level))
+            order = np.argsort(hashes, kind="stable")
+            level = hashes[order], entries[order]
+        self.levels.append(level)
+
+
+def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[int]:
+    """Append the frames of a block to `columns`, read as bytes by numpy; return the last timestamp.
+
+    `data` is the block's UTF-8 bytes, whole lines ending in LF, between
+    `_LEAD` and `_TAIL`.  Returns None, with `columns` untouched, for a
+    block this reader does not take: a line not starting with a digit, '#'
+    or its line break, 3 to 5 fields not met, a number that is not 1 to 18
+    ASCII digits, a decreasing timestamp, an empty address token or a hash
     collision.  Such a block goes to `_read_lines`.
     """
-    text = "".join([_LEAD, *block, _TAIL])
-    if "\r" in text:
-        return None
-    try:
-        data = text.encode()
-        encoded = block if text.isascii() else map(str.encode, block)
-        sizes = np.fromiter(map(len, encoded), np.intp, len(block))
-    except UnicodeEncodeError:  # a lone surrogate
-        return None
-    del text
     # body[0] is the lead's last line break.  ends[j] is the tab or line
     # break before field j, which is body[ends[j] + 1 : ends[j + 1]].
     body = np.frombuffer(data, np.uint8, len(data) - _DIGITS - 8, _DIGITS)
@@ -438,8 +510,6 @@ def _read_block(block: list[str], prev_ts: int, columns: _Columns) -> Optional[i
     ends = np.flatnonzero(np.less(scratch, 2, out=scratch.view(bool)))
     del scratch
     breaks = np.flatnonzero(body[ends] == 10)
-    if len(breaks) != len(block) + 1 or (ends[breaks[1:]] != np.cumsum(sizes)).any():
-        return None  # some element is not one line ending in a line break
     lead = body[ends[breaks[:-1]] + 1]
     frame = lead - 48 < 10
     if not (frame | (lead == 35) | (lead == 10)).all():
@@ -480,38 +550,109 @@ def _read_block(block: list[str], prev_ts: int, columns: _Columns) -> Optional[i
     proto_groups = _distinct(words, ends, proto)
     if address_groups is None or proto_groups is None:
         return None
-    (address_first, address_inverse), (proto_first, proto_inverse) = address_groups, proto_groups
-    address_tokens, proto_tokens = _decode(body, ends, address[address_first], proto[proto_first])
+    ids = columns.known_addresses.ids_of(body, words, ends, address, address_groups)
     codes = np.zeros(len(base), np.int32)
-    codes[tagged] = columns.protos.intern_all(proto_tokens)[proto_inverse]
+    codes[tagged] = columns.known_protos.ids_of(body, words, ends, proto, proto_groups)
     lengths = np.full(len(base), -1, np.int64)
     lengths[sized] = numbers[len(base) :]
-    ids = columns.interns.intern_all(address_tokens)[address_inverse]
     columns.append(timestamps, ids, codes, lengths)
     return int(timestamps[-1])
 
 
-def parse_trace(lines: Iterable[str]) -> Trace:
-    """Parse trace file lines into a Trace.
+def _text_blocks(lines: Iterable[str]) -> Iterator[tuple]:
+    """`lines` in blocks of `_CHUNK_LINES`: (first line number, padded bytes or None, lines).
+
+    The bytes are None unless every line is one line ending in LF, with no
+    carriage return, which `_read_lines` strips from a line's end, and no
+    lone surrogate, which has no UTF-8 encoding.
+    """
+    source = iter(lines)
+    lineno = 1
+    while block := list(islice(source, _CHUNK_LINES)):
+        text = "".join(block)
+        data = None
+        if "\r" not in text and text.count("\n") == len(block):
+            if all(map(str.endswith, block, repeat("\n"))):
+                try:
+                    data = b"".join((_LEAD, text.encode(), _TAIL))
+                except UnicodeEncodeError:
+                    pass
+        yield lineno, data, block
+        lineno += len(block)
+
+
+def _file_blocks(f: BinaryIO) -> Iterator[tuple]:
+    """Binary file `f` in blocks of whole lines: (first line number, padded bytes, None).
+
+    Reads `_CHUNK_BYTES` at a time, or as much as the carried bytes while a
+    line is longer, and cuts each chunk after its last line break; the
+    rest starts the next block.  CRLF and lone CR become LF, as in text
+    mode.  A CR that ends a chunk waits for the next one, which may start
+    with the LF of the same CRLF.  The last line gets a line break if it
+    has none.  At the first byte that is not UTF-8 it yields the lines
+    before that byte's line, then raises the TraceParseError naming its
+    line and column, so the first bad line gives the error.
+    """
+    lineno = 1
+    rest = b""
+    while True:
+        chunk = f.read(max(_CHUNK_BYTES, len(rest)))
+        data, eof = rest + chunk, not chunk
+        del chunk
+        if b"\r" in data:
+            held = not eof and data.endswith(b"\r")
+            data = data[: len(data) - held].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            data += b"\r" * held
+        if eof and data and not data.endswith(b"\n"):
+            data += b"\n"
+        cut = data.rfind(b"\n") + 1
+        rest = data[cut:]
+        if cut:
+            block = b"".join((_LEAD, memoryview(data)[:cut], _TAIL))
+            del data
+            try:
+                if not block.isascii():
+                    block.decode()
+            except UnicodeDecodeError as exc:
+                line_start = block.rfind(b"\n", 0, exc.start) + 1
+                column = len(block[line_start : exc.start].decode()) + 1
+                error = TraceParseError(
+                    lineno + block.count(b"\n", len(_LEAD), line_start),
+                    f"not UTF-8: byte 0x{block[exc.start]:02x} at column {column}",
+                )
+                if line_start > len(_LEAD):  # the lines before may hold an earlier error
+                    yield lineno, block[:line_start] + _TAIL, None
+                raise error from None
+            yield lineno, block, None
+            lineno += int(np.count_nonzero(np.frombuffer(block, np.uint8) == 10)) - len(_LEAD)
+        if eof:
+            return
+
+
+def parse_trace(lines: Iterable[str] | BinaryIO) -> Trace:
+    """Parse an iterable of trace file lines, or a trace file opened in binary mode.
 
     Raises TraceParseError on a malformed line (wrong field count,
     non-integer, negative or out-of-int64-range timestamp or length, empty
-    address token) and TraceOrderError when a timestamp decreases.
-    '#'-comment lines and blank lines are skipped.  Lines are read in
-    blocks of `_CHUNK_LINES`.  `_read_block` reads a block of plain lines
-    as bytes with numpy; a block it does not take, such as one with a
-    malformed line or a timestamp spelled " 5", "+5" or "1_0", goes to
-    `_read_lines`, which reads it one line at a time, accepts any `int()`
-    spelling and names the first bad line.  Both give the same trace.
+    address token, or in a file a byte that is not UTF-8) and
+    TraceOrderError when a timestamp decreases.  '#'-comment lines and
+    blank lines are skipped.  A file is read in chunks of `_CHUNK_BYTES`
+    (`_file_blocks`), str lines in blocks of `_CHUNK_LINES`.  Either block
+    goes to `_read_block`, which reads its bytes with numpy and takes the
+    ids of tokens seen in earlier blocks from their table (`_Known`), or
+    else to `_read_lines`, which reads one line at a time, accepts any
+    `int()` spelling and names the first bad line.  Both give the same trace.
     """
     columns = _Columns()
-    source = iter(lines)
-    lineno = 1
     prev_ts = 0
-    while block := list(islice(source, _CHUNK_LINES)):
-        last = _read_block(block, prev_ts, columns)
-        prev_ts = _read_lines(block, lineno, prev_ts, columns) if last is None else last
-        lineno += len(block)
+    binary = isinstance(lines, (io.RawIOBase, io.BufferedIOBase))
+    for lineno, data, block in (_file_blocks if binary else _text_blocks)(lines):
+        last = None if data is None else _read_block(data, prev_ts, columns)
+        if last is None:
+            if block is None:  # whole lines of valid UTF-8 from a file
+                block = data[len(_LEAD) : -len(_TAIL)].decode().split("\n")[:-1]
+            last = _read_lines(block, lineno, prev_ts, columns)
+        prev_ts = last
     return columns.trace()
 
 
@@ -562,23 +703,13 @@ def write_trace(trace: Trace, stream: TextIO) -> None:
 
 
 def read_trace(path) -> Trace:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return parse_trace(f)
-    except UnicodeDecodeError:
-        # The text layer decodes in blocks, so its error has no line number.
-        # Rescan with each bad byte escaped to a lone surrogate, splitting
-        # lines exactly as parse_trace saw them, and report the first one.
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-            for lineno, line in enumerate(f, start=1):
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    byte = ord(line[exc.start]) - 0xDC00
-                    raise TraceParseError(
-                        lineno, f"not UTF-8: byte 0x{byte:02x} at column {exc.start + 1}"
-                    ) from None
-        raise
+    """Read the trace file at `path` with one `parse_trace` call of it opened in binary mode.
+
+    Raises TraceParseError naming the line of a malformed line or of a
+    byte that is not UTF-8, and OSError when the file cannot be read.
+    """
+    with open(path, "rb") as f:
+        return parse_trace(f)
 
 
 def save_trace(trace: Trace, path) -> None:
@@ -591,10 +722,12 @@ def summarize(trace: Trace) -> TraceSummary:
     if len(trace) == 0:
         raise ValueError("cannot summarize an empty trace")
     span = int(trace.timestamps[-1]) - int(trace.timestamps[0])
+    seen = np.zeros(len(trace.interns), bool)
+    seen[trace.dst] = True
     return TraceSummary(
         frame_count=len(trace),
         distinct_addresses=len(trace.interns),
-        distinct_destinations=int(np.count_nonzero(np.bincount(trace.dst))),
+        distinct_destinations=int(np.count_nonzero(seen)),
         duration_hours=span / MICROSECONDS_PER_HOUR,
     )
 

@@ -324,3 +324,24 @@ def test_rand_sweep_memory_is_bounded():
         tracemalloc.stop()
     assert all(e.misses > 150_000 for e in curve.entries)
     assert peak <= list_bytes + 2 * 2**20
+
+
+def test_min_keys_memory_is_bounded():
+    # While the keys are filled: the int64 keys (8 B per reference), the
+    # int64 re-reference index, negated in place, and its int32 previous
+    # uses (12 B per re-reference).  Then the keys and the C array copied
+    # from their buffer (16 B).  Copying through bytes took 32 B.
+    ids = np.random.default_rng(5).integers(0, 5000, size=200_000).astype(np.int32)
+    refs = _refs(ids)
+    refs.collapsed_prev  # prepared before measuring
+    n = len(refs.collapsed)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        keys = cachesim._min_keys(refs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == n
+    assert peak / n <= 21

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from addrloc import trace as trace_module
@@ -402,6 +402,106 @@ def test_parse_memory_is_bounded():
     assert transient[200_000] < 1.25 * transient[50_000]
 
 
+def _fresh_lines(n: int) -> list[str]:
+    """Capture-shaped lines whose every destination is new."""
+    return [
+        f"{1000 + 7 * i}\t{i * 7919 % 500:04x}-s\t{i:06x}-dst\tlat\t{60 + i % 1400}\n"
+        for i in range(n)
+    ]
+
+
+def test_read_trace_memory_is_bounded(tmp_path):
+    # Transient: one chunk of the file and the arrays over it, whatever the
+    # file's length, plus the table of known tokens: an id, width, word
+    # offset, hash and level entry (28 bytes) and the 8-byte words of each
+    # distinct address (two here), with room for the arrays to grow.
+    transient = {}
+    for shape in (_capture_lines, _fresh_lines):
+        for n in (50_000, 200_000):
+            path = tmp_path / f"{shape.__name__}{n}.tsv"
+            path.write_text("".join(shape(n)), encoding="utf-8")
+            gc.collect()
+            tracemalloc.start()
+            try:
+                t = read_trace(path)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(t) == n
+            transient[shape, n] = peak - retained, len(t.interns)
+            del t
+    assert transient[_capture_lines, 200_000][0] < 1.25 * transient[_capture_lines, 50_000][0]
+    table, fresh = transient[_fresh_lines, 200_000]
+    chunk, known = transient[_capture_lines, 200_000]
+    assert (table - chunk) / (fresh - known) <= 64
+
+
+# --- trace files: line ends and UTF-8 ----------------------------------------
+
+_LF_TEXT = "# head\n0\tA\tB\n\n5\tB\tC\tLAT\t64\n7\tC\tA\t\t9\n"
+
+
+def _read_bytes(tmp_path, data: bytes):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(data)
+    return read_trace(path)
+
+
+def _read_error(tmp_path, data: bytes) -> TraceParseError:
+    with pytest.raises(TraceParseError) as info:
+        _read_bytes(tmp_path, data)
+    return info.value
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_read_trace_takes_crlf_and_lone_cr_line_ends(tmp_path, end):
+    expected = parse_trace(io.StringIO(_LF_TEXT))
+    assert _read_bytes(tmp_path, _LF_TEXT.replace("\n", end).encode()) == expected
+    # Every CR, CRLF and LF ends one line; "\n\r" is two line ends.
+    error = _read_error(tmp_path, f"0\tA\tB{end}1\tA\tB\n\r2\tA{end}".encode())
+    assert (error.line, str(error)) == (4, "line 4: expected 3 to 5 tab-separated fields, got 2")
+
+
+@pytest.mark.parametrize("chunk", range(1, 13))
+def test_read_trace_joins_a_crlf_split_by_a_read(tmp_path, chunk):
+    # With reads of 1 to 12 bytes, each CRLF below straddles some read boundary.
+    data = _LF_TEXT.replace("\n", "\r\n").encode()
+    with mock.patch.object(trace_module, "_CHUNK_BYTES", chunk):
+        assert _read_bytes(tmp_path, data) == parse_trace(io.StringIO(_LF_TEXT))
+        error = _read_error(tmp_path, data + b"8\tA\r\n")
+    assert error.line == 6
+
+
+@pytest.mark.parametrize(
+    "data,line,message",
+    [
+        (b"0\tA\tB\n# caf\xe9\n1\tB\tA\n", 2, "not UTF-8: byte 0xe9 at column 6"),
+        (b"0\t\xc3\xa9\tB\r\n1\t\xc3\xa9\t\xe2\x82\n", 2, "not UTF-8: byte 0xe2 at column 5"),
+        (b"0\tA\tB\r1\tA\tB\r\n2\tA\t\xffB\n", 3, "not UTF-8: byte 0xff at column 5"),
+        (b"0\tA\tB\xc3", 1, "not UTF-8: byte 0xc3 at column 6"),
+    ],
+    ids=["comment", "multibyte-before", "cr-lines", "truncated-at-end"],
+)
+def test_read_trace_names_the_first_non_utf8_byte(tmp_path, data, line, message):
+    error = _read_error(tmp_path, data)
+    assert type(error) is TraceParseError
+    assert (error.line, str(error)) == (line, f"line {line}: {message}")
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 17])
+def test_read_trace_names_a_bad_line_before_a_non_utf8_byte(tmp_path, chunk):
+    # The first bad line gives the error, whichever chunk holds the byte.
+    with mock.patch.object(trace_module, "_CHUNK_BYTES", chunk):
+        error = _read_error(tmp_path, b"0\tA\tB\nbad\n2\tA\t\xffB\n")
+    assert (error.line, str(error)) == (2, "line 2: expected 3 to 5 tab-separated fields, got 1")
+
+
+def test_read_trace_names_a_non_utf8_token_in_a_late_block(tmp_path):
+    head = "".join(_capture_lines(20_000)).encode()
+    error = _read_error(tmp_path, head + b"2000000\t\xc3\xa9a\tb\xf0\x9f\x98x\n")
+    assert (error.line, str(error)) == (20_001, "line 20001: not UTF-8: byte 0xf0 at column 13")
+
+
 # --- the block reader --------------------------------------------------------
 
 # Characters of 1 to 4 UTF-8 bytes, NUL and space among them, so tokens
@@ -542,6 +642,70 @@ def test_intern_all_matches_one_at_a_time_interning(known, blocks):
         assert ids.tolist() == [oracle.intern(token) for token in block]
         assert table.tokens == oracle.tokens
     assert table == oracle and all(token in table for token in oracle.tokens)
+
+
+# --- the file reader ---------------------------------------------------------
+
+@st.composite
+def _file_bytes(draw) -> bytes:
+    """A trace file: LF, CRLF or lone CR line ends, multi-byte tokens, a token
+    first seen on the last frame line, and maybe no line break at the end."""
+    lines = draw(st.one_of(_plain_lines(), _trace_lines()))
+    lines.append(f"{10**16}\tlate-€\tA\n")
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line.removesuffix("\n") + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode()
+
+
+def _assert_reads_like_oracle(path) -> None:
+    with open(path, encoding="utf-8") as f:
+        try:
+            expected = parse_trace_by_line(f)
+        except TraceParseError as exc:
+            with pytest.raises(type(exc)) as info:
+                read_trace(path)
+            assert (info.value.line, str(info.value)) == (exc.line, str(exc))
+            return
+    t = read_trace(path)
+    assert (list(rows(t)), t.interns.tokens) == (expected[0], expected[1])
+
+
+_constant_hash = lambda widths, pairs: np.zeros(len(widths), np.uint64)  # noqa: E731
+
+
+@pytest.mark.parametrize("hash_", [trace_module._hash, _constant_hash], ids=["hash", "collide"])
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_file_bytes(), st.integers(1, 64))
+def test_read_trace_matches_line_parser(tmp_path, hash_, data, chunk):
+    # Reads of 1 to 64 bytes cut multi-byte characters and CRLFs, and put
+    # tokens seen in one block into later ones.  With every hash alike,
+    # each token found in the table must be told apart by its width and
+    # words.
+    path = tmp_path / "t.tsv"
+    path.write_bytes(data)
+    with mock.patch.multiple(trace_module, _CHUNK_BYTES=chunk, _hash=hash_):
+        _assert_reads_like_oracle(path)
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [("A", "B"), ("a", "a\x00"), ("ab", "ba"), ("12345678x", "12345678y"), ("é", "a\x00")],
+)
+def test_colliding_tokens_of_later_blocks_keep_their_ids(tmp_path, tokens):
+    # One token per block: each block takes the block reader, and every
+    # later token's hash is the first one's.
+    lines = [f"{i}\t{tokens[i % 2]}\t{tokens[i % 2]}\n" for i in range(6)]
+    path = tmp_path / "t.tsv"
+    path.write_text("".join(lines), encoding="utf-8")
+    patches = dict(_CHUNK_BYTES=len(lines[0].encode()), _hash=_constant_hash)
+    refuse = mock.Mock(side_effect=AssertionError)
+    with mock.patch.multiple(trace_module, _read_lines=refuse, **patches):
+        t = read_trace(path)
+    assert t.interns.tokens == tokens and t.dst.tolist() == [0, 1, 0, 1, 0, 1]
 
 
 # --- split and write ---------------------------------------------------------
