@@ -15,19 +15,27 @@ stack distance exceeds c, so every LRU sweep is read off the prepared
 string's one stack distance histogram (`lru_curve_from_distances`).  The
 other policies run every capacity on the prepared string without its
 immediate repeats, which hit under every policy and change no state;
-`references` still counts them.  MIN's next-use keys are scattered from
-the prepared previous-use array; nothing is sorted again.  Two
-capacities need no simulation: at c >= D (distinct destinations) only
-the D compulsory misses remain, and at c = 1 every remaining reference
-misses.  All counts are exact.
+`references` still counts them.  FIFO and RAND share one list of it per
+command (`_Refs.collapsed_list`).
+
+MIN keeps no resident set.  Its heap holds Belady keys, -(next use), so
+an eviction's key names the reference that the victim's absence turns
+into a miss: a mark there, plus the first-reference marks, decide every
+miss (Belady, IBM Sys. J. 1966).  An LRU hit is a MIN hit at the same
+capacity (Mattson et al., IBM Sys. J. 1970), so a key whose next use is
+an LRU hit is never pushed, and references that are LRU hits and push
+nothing are not visited.  The LRU hits come from the stack distances of
+the same pass that builds the histogram.  Two capacities need no
+simulation: at c >= D (distinct destinations) only the D compulsory
+misses remain, and at c = 1 every remaining reference misses.  All
+counts are exact.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import dataclass
-from heapq import heapify, heappush, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 from math import inf
 from operator import attrgetter
 from typing import Sequence, TextIO
@@ -65,50 +73,79 @@ class MissCurve:
     entries: tuple[CacheStats, ...]
 
 
-def _min_keys(refs) -> array:
-    """Belady eviction keys of the collapsed string: -next use, or i - 2n at a last use.
+class _MinPlan:
+    """What every MIN capacity of one string shares, and each capacity's loop.
 
-    Smaller keys evict first.  "Never used again" keys lie below -n and any
-    next use is above it, so infinite next uses go first, oldest last use
-    first among them.  Kept as a C array: 8 bytes a key, not an int object.
+    A Belady key is -(next use), or i - 2n at a last use i: smaller keys
+    evict first, "never used again" keys lie below -n and any next use
+    above it.  An LRU hit at capacity c is a MIN hit at c (Mattson et al.,
+    "Evaluation techniques for storage hierarchies", IBM Sys. J. 1970).
+    So an entry whose next use is an LRU hit is never the victim before
+    that use and its key is not pushed, and a position that is itself an
+    LRU hit and pushes nothing leaves the loop.  LRU hits are read off the
+    stack distances left by the histogram's pass (`_Refs.collapsed_distances`).
     """
-    prev = refs.collapsed_prev
-    n = len(prev)
-    keys = np.arange(-2 * n, -n, dtype=np.int64)
-    reref = np.flatnonzero(prev >= 0)
-    at = prev[reref]
-    keys[at] = np.negative(reref, out=reref)
-    del reref, at
-    packed = array("q")
-    packed.frombytes(keys.view(np.uint8))
-    return packed
+
+    def __init__(self, refs):
+        prev = refs.collapsed_prev
+        n = len(prev)
+        self.distances = refs.collapsed_distances
+        self.reref = prev >= 0
+        self.next_use = np.full(n, n, dtype=np.int32)  # n: never used again
+        self.next_use[prev[self.reref]] = np.flatnonzero(self.reref)
+
+    def loop(self, capacity: int) -> tuple[bytearray, memoryview, memoryview]:
+        """The first-reference marks, then the positions left to loop over and
+        their keys (0: push nothing), as int32 and int64 C arrays.
+
+        The arrays are views of numpy buffers: copying them into `array`s
+        would hold both at once.
+        """
+        n = len(self.reref)
+        hit = np.zeros(n + 1, dtype=bool)  # hit[n] stands for "no next use"
+        np.less_equal(self.distances, capacity, out=hit[:n])
+        hit[:n] &= self.reref
+        push = hit[self.next_use]
+        np.logical_not(push, out=push)
+        visit = np.logical_not(hit[:n], out=hit[:n])
+        visit |= push
+        positions = np.flatnonzero(visit).astype(np.int32)
+        del hit, visit
+        keys = np.negative(self.next_use[positions], dtype=np.int64)
+        last = np.flatnonzero(keys == -n)
+        keys[last] = positions[last] - 2 * n
+        keys *= push[positions]
+        del push, last
+        dead = bytearray(n)
+        np.logical_not(self.reref, out=np.frombuffer(dead, dtype=bool))
+        return dead, memoryview(positions), memoryview(keys)
 
 
-def _min_misses(seq: list[int], keys: array, capacity: int) -> int:
-    # The heap holds one key per reference still resident, plus the keys of
-    # re-referenced entries (stale).  At step i a stale key is >= -i, while a
-    # resident's key is < -i, so a stale key never reaches the top and the
-    # victim follows from the key alone.  Stale keys are dropped once the
-    # heap holds about two per slot.
-    n = len(seq)
-    cache: set[int] = set()
+def _min_misses(dead: bytearray, positions: memoryview, keys: memoryview, capacity: int) -> int:
+    # dead[i] is set when reference i misses: at a first reference, and when
+    # an eviction pops a key k >= -n, the victim's next use -k.  The heap
+    # holds the pushed key of every resident entry, plus the keys of
+    # re-referenced entries (stale).  At step i a stale key is >= -i, while
+    # a resident's key is < -i, so a stale key never reaches the top.  Stale
+    # keys are dropped once the heap holds about two per slot.
+    n = len(dead)
     heap: list[int] = []
     limit = 2 * capacity
     misses = 0
-    for i, a in enumerate(seq):
-        if a in cache:
-            heappush(heap, keys[i])
+    for i, k in zip(positions, keys):
+        if dead[i]:
+            misses += 1
+            if misses > capacity:
+                v = heapreplace(heap, k) if k else heappop(heap)
+                if v >= -n:
+                    dead[-v] = 1
+            elif k:
+                heappush(heap, k)
+        elif k:
+            heappush(heap, k)
             if len(heap) > limit:
-                heap = [k for k in heap if k < -i]
+                heap = [x for x in heap if x < -i]
                 heapify(heap)
-            continue
-        misses += 1
-        if len(cache) >= capacity:
-            k = heapreplace(heap, keys[i])
-            cache.remove(seq[-k] if k >= -n else seq[k + 2 * n])
-        else:
-            heappush(heap, keys[i])
-        cache.add(a)
     return misses
 
 
@@ -161,8 +198,8 @@ def _simulate_all(
         raise ValueError(f"unknown policy {policy!r}, expected one of {', '.join(POLICIES)}")
     if policy == "LRU":
         return lru_curve_from_distances(refs.hist, capacities).entries
-    seq, distinct = refs.collapsed.tolist(), refs.distinct
-    keys = None
+    distinct = refs.distinct
+    plan = None
     entries = []
     for c, seed in zip(capacities, seeds):
         if c < 1:
@@ -170,15 +207,15 @@ def _simulate_all(
         if c >= distinct:
             misses = distinct         # nothing is ever evicted
         elif c == 1:
-            misses = len(seq)         # no reference repeats the one before it
+            misses = len(refs.collapsed)  # no reference repeats the one before it
         elif policy == "MIN":
-            if keys is None:
-                keys = _min_keys(refs)
-            misses = _min_misses(seq, keys, c)
+            if plan is None:
+                plan = _MinPlan(refs)
+            misses = _min_misses(*plan.loop(c), c)
         elif policy == "FIFO":
-            misses = _fifo_misses(seq, c)
+            misses = _fifo_misses(refs.collapsed_list, c)
         else:
-            misses = _rand_misses(seq, c, seed)
+            misses = _rand_misses(refs.collapsed_list, c, seed)
         entries.append(CacheStats(c, n, misses))
     return tuple(entries)
 

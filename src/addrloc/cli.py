@@ -165,6 +165,7 @@ def _working_sets(args, refs: _Refs) -> list[WorkingSetReport]:
             reports.append(working_set(refs, window, args.mode))
     if not reports:
         raise ValueError(f"no window fits a trace of {len(refs)} references")
+    del refs.previous_use  # shared by the windows; no later step needs it
     return reports
 
 

@@ -12,12 +12,14 @@ All four are numpy kernels with exact integer results.  Each takes ids or
 a `_Refs`, the string prepared once per command, whose one previous-use
 array prev (the last earlier position of the same id, or -1) serves the
 working set and stack distances.  Stack distances drive the single-pass
-miss-count reconstruction in `addrloc.cachesim`.  A re-reference at i has
-distance i - prev[i] - #{j < i : prev[j] > prev[i]}, and the counts are
-taken offline in blocks of `_BLOCK` positions: a stable bit-by-bit
-partition counts within a block, and a sorted array of earlier prev
-values counts across blocks.  Each block of B costs O(B log B) plus one
-merge into that array, and the scratch arrays are bounded by the block.
+miss-count reconstruction in `addrloc.cachesim`, and the collapsed
+string's distances, kept from the same pass, drive MIN's LRU-hit filter.
+A re-reference at i has distance i - prev[i] - #{j < i : prev[j] >
+prev[i]}, and the counts are taken offline in blocks of `_BLOCK`
+positions: a stable bit-by-bit partition counts within a block, and a
+sorted array of earlier prev values counts across blocks.  Each block of
+B costs O(B log B) plus one merge into that array, and the scratch arrays
+are bounded by the block.
 """
 
 from __future__ import annotations
@@ -161,10 +163,41 @@ class _Refs:
     def hist(self) -> StackDistanceHistogram:
         return stack_distances(self)[1]
 
+    @cached_property
+    def collapsed_distances(self) -> np.ndarray:
+        """Stack distance of each collapsed reference, 0 at a first reference.
+
+        `stack_distances` leaves them here, so the one pass that builds
+        `hist` builds them too: 4 B per collapsed reference, kept for MIN.
+        """
+        self.hist
+        return self.__dict__["collapsed_distances"]
+
+    @cached_property
+    def collapsed_list(self) -> list[int]:
+        """The collapsed ids as a list, for the simulators that loop in Python.
+
+        Indexing a table of one int object per id makes every entry a
+        shared object, so the list costs 8 B per reference where `tolist()`
+        adds an int object for each.  The table costs 8 B per id up to the
+        largest; a trace's ids are dense, but past twice the string's
+        length `tolist()` is the smaller.
+        """
+        ids = self.collapsed
+        top = int(ids.max(initial=0))
+        if top > 2 * len(ids):
+            return ids.tolist()
+        first = ids[self.collapsed_prev < 0]
+        table = np.empty(top + 1, dtype=object)
+        table[first] = first.tolist()
+        return table[ids].tolist()
+
+    @cached_property
     def previous_use(self) -> np.ndarray:
         """Per position, the last earlier position of the same id, or -1.
 
-        A reference that is no run head repeats the one before it.  A run
+        4 B per reference: a caller done with it frees it by `del`.  A
+        reference that is no run head repeats the one before it.  A run
         head's previous use ends the earlier run k of its id, so it is
         before[k + 1], the position just before run k + 1 (before[0] = -1).
         """
@@ -201,7 +234,8 @@ def working_set(dst_sequence: Sequence[int], window: int, mode: str = "disjoint"
     a trailing partial one; sliding mode averages over every window start.
     A reference counts toward a window that holds it iff its previous use
     lies before that window's start, so the total over all windows is an
-    exact integer count from one previous-use array.
+    exact integer count from one previous-use array, which a prepared
+    string (`_Refs`) keeps for its next window.
     """
     refs = _refs(dst_sequence)
     n = len(refs)
@@ -211,7 +245,7 @@ def working_set(dst_sequence: Sequence[int], window: int, mode: str = "disjoint"
         raise ValueError(f"window {window} exceeds sequence length {n}")
     if mode not in ("disjoint", "sliding"):
         raise ValueError(f"unknown working-set mode {mode!r}")
-    prev = refs.previous_use()
+    prev = refs.previous_use
     position = np.arange(n, dtype=np.int32)
     if mode == "disjoint":
         window_count = n // window
@@ -277,7 +311,9 @@ def stack_distances(dst_sequence: Sequence[int]) -> tuple[np.ndarray, StackDista
     there (Bennett & Kruskal's offline count).  Immediate repeats are
     dropped first (distance 1, stack unchanged).  The count runs in
     position blocks: `_greater_before` counts within a block, and a sorted
-    array of the earlier blocks' prev values counts across blocks.
+    array of the earlier blocks' prev values counts across blocks.  The
+    collapsed string's distances stay on the prepared string
+    (`_Refs.collapsed_distances`).
     """
     refs = _refs(dst_sequence)
     prev = refs.collapsed_prev
@@ -292,6 +328,8 @@ def stack_distances(dst_sequence: Sequence[int]) -> tuple[np.ndarray, StackDista
         collapsed[s + reref] = (s + reref) - p - within - (len(seen) - below)
         seen = np.insert(seen, below[order], p[order])
     del seen
+    collapsed.flags.writeable = False
+    refs.collapsed_distances = collapsed
     distances = np.ones(len(refs), dtype=np.int32)
     distances[refs.heads] = collapsed
     distances.flags.writeable = False

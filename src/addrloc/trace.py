@@ -362,6 +362,7 @@ def _words(words: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> list[tu
 def _hash(widths: np.ndarray, pairs: list[tuple]) -> np.ndarray:
     """A uint64 hash of each token from its width and words (`_words`)."""
     h = widths.astype(np.uint64)
+    h *= _MIX  # so that the width cannot cancel a short token's low bytes
     for live, word in pairs:
         h[live] = (h[live] ^ word) * _MIX
     return h
@@ -563,16 +564,19 @@ def _text_blocks(lines: Iterable[str]) -> Iterator[tuple]:
     """`lines` in blocks of `_CHUNK_LINES`: (first line number, padded bytes or None, lines).
 
     The bytes are None unless every line is one line ending in LF, with no
-    carriage return, which `_read_lines` strips from a line's end, and no
-    lone surrogate, which has no UTF-8 encoding.
+    lone surrogate, which has no UTF-8 encoding, and no carriage return
+    but the run before the LF, which `_read_lines` strips and the bytes
+    leave out.
     """
     source = iter(lines)
     lineno = 1
     while block := list(islice(source, _CHUNK_LINES)):
         text = "".join(block)
         data = None
-        if "\r" not in text and text.count("\n") == len(block):
-            if all(map(str.endswith, block, repeat("\n"))):
+        if text.count("\n") == len(block) and all(map(str.endswith, block, repeat("\n"))):
+            while "\r\n" in text:
+                text = text.replace("\r\n", "\n")
+            if "\r" not in text:
                 try:
                     data = b"".join((_LEAD, text.encode(), _TAIL))
                 except UnicodeEncodeError:

@@ -163,6 +163,11 @@ def stack_histogram(distances: Sequence) -> StackDistanceHistogram:
 # capacity, with no shared preparation and no shortcuts.
 
 def simulate_min(seq: Sequence[int], capacity: int) -> int:
+    return len(min_miss_positions(seq, capacity))
+
+
+def min_miss_positions(seq: Sequence[int], capacity: int) -> list[int]:
+    """The positions at which MIN misses."""
     n = len(seq)
     next_use: list = [inf] * n
     upcoming: dict[int, int] = {}
@@ -176,14 +181,14 @@ def simulate_min(seq: Sequence[int], capacity: int) -> int:
     # last use first, then the lowest address id.
     cache: dict[int, tuple] = {}
     heap: list = []
-    misses = 0
+    misses = []
     for i, a in enumerate(seq):
         nxt = next_use[i]
         if a in cache:
             cache[a] = (nxt, i)
             heapq.heappush(heap, (-nxt, i, a))
             continue
-        misses += 1
+        misses.append(i)
         if len(cache) >= capacity:
             while True:
                 neg_next, last, victim = heapq.heappop(heap)

@@ -28,7 +28,14 @@ from addrloc.locality import _refs, stack_distances
 from addrloc._rng import derive_seed
 
 from helpers import random_reference_string, rng_blocks
-from oracles import brute_force_optimal, oracle_misses, oracle_sweep
+from oracles import (
+    brute_force_optimal,
+    min_miss_positions,
+    oracle_misses,
+    oracle_sweep,
+    simulate_min,
+    stack_distances_naive,
+)
 
 ABCD3 = [0, 1, 2, 3] * 3
 BELADY = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5]
@@ -285,10 +292,67 @@ def test_min_heap_compaction_keeps_counts_exact(monkeypatch):
     monkeypatch.setattr(cachesim, "heapify", counting_heapify)
     rnd = random.Random(5)
     seq = [rnd.randrange(6) for _ in range(3000)]
+    plan = cachesim._MinPlan(_refs(seq))
     for c in (2, 3, 4, 5):
         compactions.clear()
         assert simulate(seq, "MIN", c).misses == oracle_misses(seq, "MIN", c)
         assert compactions and max(compactions) <= c
+        # ... with the keys of next uses that are LRU hits left out.
+        assert 0 in plan.loop(c)[2]
+
+
+@st.composite
+def _min_strings(draw):
+    """Strings with runs and last uses: short ones, or long ones whose
+    hits fill MIN's heap with stale keys until it is compacted."""
+    if draw(st.booleans()):
+        return draw(_reference_strings())
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    alphabet = draw(st.integers(min_value=2, max_value=16))
+    seq = []
+    for _ in range(draw(st.integers(min_value=100, max_value=600))):
+        seq += [rnd.randrange(alphabet)] * rnd.choice((1, 1, 1, 2, 5))
+    for k in range(draw(st.integers(min_value=0, max_value=6))):
+        seq.insert(rnd.randrange(len(seq) + 1), alphabet + k)
+    return seq
+
+
+@settings(max_examples=80, deadline=None)
+@given(_min_strings())
+def test_min_sweep_equals_the_oracle_at_every_simulated_capacity(seq):
+    capacities = list(range(2, len(set(seq))))
+    if capacities:
+        curve = sweep(seq, "MIN", capacities)
+        assert [e.misses for e in curve.entries] == [simulate_min(seq, c) for c in capacities]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_min_strings())
+def test_lru_hits_are_min_hits(seq):
+    # The premise of MIN's filter (Mattson et al. 1970's inclusion
+    # property), checked reference by reference against the oracles.
+    distances = stack_distances_naive(seq)
+    for c in range(1, len(set(seq)) + 1):
+        missed = set(min_miss_positions(seq, c))
+        assert not [i for i, d in enumerate(distances) if d <= c and i in missed]
+
+
+@pytest.mark.parametrize(
+    "seq, shared",
+    [
+        ([7, 7, 300, 900, 300, 7, 900, 1234, 300] * 200, True),   # ids below 2n
+        ([7, 7, 300, 9000, 300, 7, 9000, 123456, 300], False),
+    ],
+)
+def test_fifo_and_rand_share_one_list(seq, shared):
+    refs = _refs(seq)
+    assert sweep(refs, "FIFO", [2, 3]).entries == sweep(seq, "FIFO", [2, 3]).entries
+    listed = refs.collapsed_list
+    assert sweep(refs, "RAND", [2, 3]).entries == sweep(seq, "RAND", [2, 3]).entries
+    assert refs.collapsed_list is listed
+    assert listed == refs.collapsed.tolist()
+    if shared:
+        assert len({id(a) for a in listed}) == refs.distinct  # one int object per id
 
 
 def test_exact_shortcuts_skip_simulation(monkeypatch):
@@ -327,21 +391,24 @@ def test_rand_sweep_memory_is_bounded():
 
 
 def test_min_keys_memory_is_bounded():
-    # While the keys are filled: the int64 keys (8 B per reference), the
-    # int64 re-reference index, negated in place, and its int32 previous
-    # uses (12 B per re-reference).  Then the keys and the C array copied
-    # from their buffer (16 B).  Copying through bytes took 32 B.
+    # Per collapsed reference, a MIN sweep holds its next uses and
+    # first-reference mask (5 B) and, for the capacity it runs, two masks,
+    # the marks, the int32 positions and int64 keys it visits and the next
+    # uses gathered for them: 22 B where every position is visited.  A list
+    # of the string would add 8 B a reference, and `tolist()` an int object
+    # for each besides.
     ids = np.random.default_rng(5).integers(0, 5000, size=200_000).astype(np.int32)
     refs = _refs(ids)
-    refs.collapsed_prev  # prepared before measuring
+    refs.collapsed_distances  # the histogram's pass, prepared before measuring
+    sweep(refs, "MIN", [2])   # and numpy's lazily imported helpers
     n = len(refs.collapsed)
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        keys = cachesim._min_keys(refs)
+        curve = sweep(refs, "MIN", [2, 16, 256])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert len(keys) == n
-    assert peak / n <= 21
+    assert all(e.misses > 140_000 for e in curve.entries)
+    assert peak / n <= 25

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import csv
+import os
 import subprocess
 import sys
 from math import log2
+from pathlib import Path
 
 import pytest
 
+import addrloc
 from addrloc.cli import main
 from addrloc.trace import read_trace
 
@@ -251,10 +254,13 @@ def test_unknown_subcommand_is_usage_error():
 
 def test_console_entry_point(tmp_path):
     path = _write_fixture(tmp_path)
+    # The child imports the package under test, wherever pytest found it.
+    env = dict(os.environ, PYTHONPATH=str(Path(addrloc.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-m", "addrloc", "summarize", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout.startswith("frames=2")

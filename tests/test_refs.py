@@ -5,19 +5,20 @@ arrays equal to their direct computations."""
 from __future__ import annotations
 
 import functools
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addrloc import cachesim, locality
+from addrloc import cachesim, cli, locality
 from addrloc.cachesim import POLICIES, simulate, sweep
 from addrloc.cli import main
 from addrloc.locality import _Refs, concentration_curve, run_lengths, stack_distances, working_set
 
 from helpers import reference_strings
-from oracles import min_keys_loop
+from oracles import min_keys_loop, stack_distances_naive, zero_for_inf
 
 
 def _results(x, window, capacities, seed) -> list:
@@ -58,15 +59,29 @@ def test_derived_previous_use_equals_a_direct_sort(seq):
     want = np.full(len(seq), -1)
     want[order[1:][repeat]] = order[:-1][repeat]
     refs = _Refs(seq)
-    assert refs.previous_use().tolist() == want.tolist()
+    assert refs.previous_use.tolist() == want.tolist()
     assert refs.distinct == len(set(seq))
 
 
 @settings(max_examples=150, deadline=None)
 @given(reference_strings(min_size=1))
 def test_min_keys_equal_the_loop_oracle(seq):
+    # At capacity c, MIN visits the positions that are no LRU hit or whose
+    # next use is none; its keys are the oracle's, but 0 (no push) where
+    # the next use is an LRU hit.  Only first references start marked.
     refs = _Refs(seq)
-    assert cachesim._min_keys(refs).tolist() == min_keys_loop(refs.collapsed.tolist())
+    collapsed = refs.collapsed.tolist()
+    n = len(collapsed)
+    oracle = min_keys_loop(collapsed)
+    distances = zero_for_inf(stack_distances_naive(collapsed))
+    plan = cachesim._MinPlan(refs)
+    for c in range(2, refs.distinct):
+        lru_hit = [0 < d <= c for d in distances]
+        keys = [0 if k >= -n and lru_hit[-k] else k for k in oracle]
+        want = [(i, k) for i, k in enumerate(keys) if k or not lru_hit[i]]
+        dead, positions, loop_keys = plan.loop(c)
+        assert list(zip(positions, loop_keys)) == want
+        assert list(dead) == [int(d == 0) for d in distances]
 
 
 @pytest.mark.parametrize(
@@ -77,6 +92,8 @@ def test_min_keys_equal_the_loop_oracle(seq):
         (["simulate", "--miss-out", "{out}/m.csv", "--interfault-out", "{out}/i.csv"], 1),
         (["simulate", "--policies", "LRU", "--miss-out", "{out}/m.csv",
           "--interfault-out", "{out}/i.csv"], 1),
+        (["simulate", "--policies", "MIN", "--miss-out", "{out}/m.csv",
+          "--interfault-out", "{out}/i.csv"], 1),               # MIN's LRU-hit filter
     ],
 )
 def test_each_command_sorts_once_and_builds_one_histogram(
@@ -107,3 +124,31 @@ def test_each_command_sorts_once_and_builds_one_histogram(
     assert main(argv) == 0
     assert sorts == [1500]
     assert len(passes) == stack_passes
+
+
+def test_windows_share_one_previous_use_array_freed_before_the_sweeps(tmp_path, monkeypatch):
+    trace = tmp_path / "t.txt"
+    gen = ["gen", "--uniform-irm", "40", "--length", "1500", "--seed", "5", "--out", str(trace)]
+    assert main(gen) == 0
+    derived = []
+    derive = _Refs.previous_use.func
+
+    def counted_derive(refs):
+        prev = derive(refs)
+        derived.append(weakref.ref(prev))
+        return prev
+
+    prop = functools.cached_property(counted_derive)
+    prop.__set_name__(_Refs, "previous_use")
+    monkeypatch.setattr(_Refs, "previous_use", prop)
+    alive_at_sweep = []
+    sweep_ = cli.sweep
+
+    def checked_sweep(*args, **kwargs):
+        alive_at_sweep.append(any(ref() is not None for ref in derived))
+        return sweep_(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sweep", checked_sweep)
+    assert main(["report", str(trace), "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(derived) == 1                  # 7 default windows
+    assert alive_at_sweep and not any(alive_at_sweep)

@@ -290,7 +290,7 @@ BAD_LINES = {
 }
 
 _styles = st.sampled_from(["plain", "pad", "plus", "underscore"])
-_tokens = st.sampled_from(["A", "B", "aa-bb", "x y", "C\r"])
+_tokens = st.sampled_from(["A", "B", "aa-bb", "x y", "C\r", "D\rE"])
 
 
 @st.composite
@@ -312,7 +312,7 @@ def _trace_lines(draw) -> list[str]:
             if width == 5:
                 fields.append(_spell(draw(st.integers(0, 1600)), draw(_styles)))
             line = "\t".join(fields)
-        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r\r\n"])))
     bad = draw(st.one_of(st.none(), st.sampled_from(sorted(BAD_LINES))))
     if bad is not None:
         lines.insert(draw(st.integers(0, len(lines))), BAD_LINES[bad] + "\n")
@@ -610,7 +610,7 @@ def test_benchmark_shaped_lines_take_the_block_reader(lines):
 @pytest.mark.parametrize(
     "text",
     [
-        "0\tA\tB\r\n",          # a carriage return
+        "0\tA\r\tB\n",          # a carriage return not before the line break
         " 5\tA\tB\n",            # a line not starting with a digit, '#' or its line break
         "+5\tA\tB\n",
         "1_0\tA\tB\n",
@@ -621,6 +621,18 @@ def test_benchmark_shaped_lines_take_the_block_reader(lines):
 )
 def test_blocks_outside_the_plain_shape_take_the_line_reader(text):
     assert _per_line_calls([text]) == 1
+
+
+def test_a_tokens_width_does_not_cancel_its_first_byte():
+    # Width 2 and "b\0" against width 1 and "a": 2 ^ 0x62 == 1 ^ 0x61, so
+    # a hash that XORs the width into the first word made these collide.
+    assert _per_line_calls(["0\tb\x00\ta\n", "1\tc\x00\t`\n"]) == 0
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r\r\n"])
+def test_str_lines_ending_in_carriage_returns_take_the_block_reader(end):
+    lines = [f"{i}\ts{i % 3}\td{i % 5}{end}" for i in range(50)] + ["#\r\n", end]
+    assert _per_line_calls(lines, _CHUNK_LINES=7) == 0
 
 
 def test_int_spellings_are_still_accepted():
