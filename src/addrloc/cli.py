@@ -17,7 +17,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import synth
+from . import synth, trace  # trace.read_trace is looked up per call: a wrapper sees each read
 from .cachesim import (
     POLICIES,
     MissCurve,
@@ -47,7 +47,7 @@ from .searchcost import (
     search_time_curve,
     write_search_time_csv,
 )
-from .trace import Trace, TraceSummary, read_trace, split_by_protocol, summarize, write_trace
+from .trace import TraceSummary, split_by_protocol, summarize, write_trace
 
 _POWER_SWEEP = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 _DEFAULT_WINDOWS = (10, 20, 50, 100, 200, 500, 1000)
@@ -67,11 +67,11 @@ def _write(path, writer) -> None:
     print(f"wrote {path}")
 
 
-def _read_nonempty(path) -> Trace:
-    trace = read_trace(path)
-    if len(trace) == 0:
+def _read_nonempty(path, destinations_only: bool = False):
+    frames = trace.read_trace(path, destinations_only=destinations_only)
+    if len(frames) == 0:
         raise ValueError(f"{path}: trace has no records")
-    return trace
+    return frames
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -219,45 +219,45 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_gen(args, parser) -> int:
     model = _model_from_args(args, parser)
-    trace = synth.generate(synth.GeneratorSpec(model, args.length, args.seed))
-    _write(args.out, partial(write_trace, trace))
+    generated = synth.generate(synth.GeneratorSpec(model, args.length, args.seed))
+    _write(args.out, partial(write_trace, generated))
     return 0
 
 
 def _cmd_split(args) -> int:
     wanted = args.proto
-    matching, rest = split_by_protocol(read_trace(args.trace), lambda proto: proto == wanted)
+    matching, rest = split_by_protocol(trace.read_trace(args.trace), lambda proto: proto == wanted)
     _write(args.match_out, partial(write_trace, matching))
     _write(args.rest_out, partial(write_trace, rest))
     return 0
 
 
 def _cmd_concentration(args) -> int:
-    curve = concentration_curve(_Refs(_read_nonempty(args.trace).dst))
+    curve = concentration_curve(_Refs(_read_nonempty(args.trace, destinations_only=True)))
     _write(args.out, partial(write_concentration_csv, curve))
     return 0
 
 
 def _cmd_wss(args) -> int:
-    reports = _working_sets(args, _Refs(_read_nonempty(args.trace).dst))
+    reports = _working_sets(args, _Refs(_read_nonempty(args.trace, destinations_only=True)))
     _write(args.out, partial(write_wss_csv, reports))
     return 0
 
 
 def _cmd_stackdist(args) -> int:
-    hist = _Refs(_read_nonempty(args.trace).dst).hist
+    hist = _Refs(_read_nonempty(args.trace, destinations_only=True)).hist
     _write(args.out, partial(write_stackdist_csv, hist))
     return 0
 
 
 def _cmd_runs(args) -> int:
-    hist = run_lengths(_Refs(_read_nonempty(args.trace).dst))
+    hist = run_lengths(_Refs(_read_nonempty(args.trace, destinations_only=True)))
     _write(args.out, partial(write_runs_csv, hist))
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    refs = _Refs(_read_nonempty(args.trace).dst)
+    refs = _Refs(_read_nonempty(args.trace, destinations_only=True))
     curves = _sweep(args, refs, _capacities(args, sorted(set(_POWER_SWEEP) | {refs.distinct})))
     _write(args.miss_out, partial(write_miss_ratio_csv, curves))
     _write(args.interfault_out, partial(write_interfault_csv, curves))
@@ -265,7 +265,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_searchtime(args) -> int:
-    _, time_curves = _search_times(args, _Refs(_read_nonempty(args.trace).dst))
+    _, time_curves = _search_times(args, _Refs(_read_nonempty(args.trace, destinations_only=True)))
     _write(args.out, partial(write_search_time_csv, time_curves))
     return 0
 
@@ -291,9 +291,9 @@ def _write_summary(
 def _cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace = _read_nonempty(args.trace)
-    summary, refs = summarize(trace), _Refs(trace.dst)
-    del trace
+    frames = _read_nonempty(args.trace)
+    summary, refs = summarize(frames), _Refs(frames.dst)
+    del frames
     curve = concentration_curve(refs)
     _write(out_dir / "concentration.csv", partial(write_concentration_csv, curve))
     _write(out_dir / "wss.csv", partial(write_wss_csv, _working_sets(args, refs)))

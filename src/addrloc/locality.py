@@ -116,6 +116,9 @@ class _Refs:
     def __init__(self, dst_sequence: Sequence[int]):
         ids = np.asarray(dst_sequence)
         if ids.dtype != np.int32:
+            # An empty sequence's dtype is float64; any other must be integer.
+            if len(ids) and not np.issubdtype(ids.dtype, np.integer):
+                raise ValueError(f"destination ids must be integers, got dtype {ids.dtype}")
             ids = ids.astype(np.intp, copy=False)
         if len(ids) and (ids.min() < 0 or ids.max() > _MAX_ID):
             raise ValueError(f"destination ids must lie in 0..{_MAX_ID}")
@@ -333,7 +336,13 @@ def stack_distances(dst_sequence: Sequence[int]) -> tuple[np.ndarray, StackDista
     distances = np.ones(len(refs), dtype=np.int32)
     distances[refs.heads] = collapsed
     distances.flags.writeable = False
-    counts = np.bincount(distances, minlength=1).tolist()
+    # The n - m references that are no run head have distance 1.  The run
+    # heads are counted a block at a time, so bincount's intp copy is small.
+    counts = np.zeros(max(int(collapsed.max(initial=0)), 1) + 1, dtype=np.int64)
+    counts[1] = len(refs) - len(collapsed)
+    for s in range(0, len(collapsed), 32 * _BLOCK):
+        counts += np.bincount(collapsed[s : s + 32 * _BLOCK], minlength=len(counts))
+    counts = counts.tolist()
     finite = {d: c for d, c in enumerate(counts) if d and c}
     return distances, StackDistanceHistogram(finite, counts[0], len(refs))
 

@@ -40,6 +40,12 @@ The line reader defines the accepted syntax: a timestamp or length is
 anything `int()` accepts, such as " 5", "+5" or "1_0", and it raises the
 error naming the first bad line.  Both readers give the same trace, and
 the syntax and errors are those of the line reader alone.
+
+With `destinations_only=True`, `parse_trace` and `read_trace` return the
+read-only int32 `dst` column alone, its ids numbered by first appearance
+among destinations.  Every line is checked as in a full read, with the
+same errors, but only destination tokens are interned; the block reader
+never groups src or proto tokens and no other column is stored.
 """
 
 from __future__ import annotations
@@ -221,10 +227,12 @@ class _Columns:
     """Trace columns growing block by block, with their address and proto tables.
 
     Each column is an `array`, which grows in place with little slack, so
-    building a trace holds one copy of it plus the current block.
+    building a trace holds one copy of it plus the current block.  With
+    `destinations_only`, only `dst` grows and only dst tokens are interned.
     """
 
-    def __init__(self):
+    def __init__(self, destinations_only: bool = False):
+        self.destinations_only = destinations_only
         self.timestamps = array("q")
         self.src = array("i")
         self.dst = array("i")
@@ -252,6 +260,9 @@ class _Columns:
         self, timestamps: list[int], addresses: list[str], protos: list[str], lengths: list[int]
     ) -> None:
         """Add one block of tokens: a proto of "" is no tag, a length of -1 is absent."""
+        if self.destinations_only:  # `addresses` alternates src and dst
+            self.dst.frombytes(self.interns.intern_all(addresses[1::2]).view(np.uint8))
+            return
         self.append(
             np.array(timestamps, np.int64),
             self.interns.intern_all(addresses),
@@ -283,9 +294,9 @@ def _read_lines(lines: list[str], first_lineno: int, prev_ts: int, columns: _Col
     """Append the frames of `lines` to `columns` one line at a time; return the last timestamp.
 
     The checks and their order define the accepted syntax: a timestamp or
-    length is anything `int()` takes, within 0..2**63 - 1.  Raises the
-    error of the first bad line, after which the parse fails and `columns`
-    is not used again.
+    length is anything `int()` takes, within 0..2**63 - 1, whatever columns
+    `columns` keeps.  Raises the error of the first bad line, after which
+    the parse fails and `columns` is not used again.
     """
     timestamps: list[int] = []
     addresses: list[str] = []
@@ -502,7 +513,8 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[int]:
     block this reader does not take: a line not starting with a digit, '#'
     or its line break, 3 to 5 fields not met, a number that is not 1 to 18
     ASCII digits, a decreasing timestamp, an empty address token or a hash
-    collision.  Such a block goes to `_read_lines`.
+    collision.  Such a block goes to `_read_lines`.  When `columns` keeps
+    destinations only, src and proto tokens are checked but never grouped.
     """
     # body[0] is the lead's last line break.  ends[j] is the tab or line
     # break before field j, which is body[ends[j] + 1 : ends[j + 1]].
@@ -545,8 +557,15 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[int]:
     address = np.stack((base + 1, base + 2), axis=1).ravel()
     if (ends[address + 1] - ends[address] < 2).any():
         return None  # an empty address token
-    proto = base[tagged] + 3
     words = np.ndarray((len(body) + 1,), "<u8", data, _DIGITS, (1,))
+    if columns.destinations_only:
+        dst = address[1::2]
+        if (groups := _distinct(words, ends, dst)) is None:
+            return None
+        ids = columns.known_addresses.ids_of(body, words, ends, dst, groups)
+        columns.dst.frombytes(ids.view(np.uint8))
+        return int(timestamps[-1])
+    proto = base[tagged] + 3
     address_groups = _distinct(words, ends, address)
     proto_groups = _distinct(words, ends, proto)
     if address_groups is None or proto_groups is None:
@@ -633,7 +652,9 @@ def _file_blocks(f: BinaryIO) -> Iterator[tuple]:
             return
 
 
-def parse_trace(lines: Iterable[str] | BinaryIO) -> Trace:
+def parse_trace(
+    lines: Iterable[str] | BinaryIO, *, destinations_only: bool = False
+) -> Trace | np.ndarray:
     """Parse an iterable of trace file lines, or a trace file opened in binary mode.
 
     Raises TraceParseError on a malformed line (wrong field count,
@@ -646,8 +667,10 @@ def parse_trace(lines: Iterable[str] | BinaryIO) -> Trace:
     ids of tokens seen in earlier blocks from their table (`_Known`), or
     else to `_read_lines`, which reads one line at a time, accepts any
     `int()` spelling and names the first bad line.  Both give the same trace.
+    With `destinations_only`, returns the read-only int32 dst ids alone,
+    numbered by first appearance among destinations, after the same checks.
     """
-    columns = _Columns()
+    columns = _Columns(destinations_only)
     prev_ts = 0
     binary = isinstance(lines, (io.RawIOBase, io.BufferedIOBase))
     for lineno, data, block in (_file_blocks if binary else _text_blocks)(lines):
@@ -657,6 +680,8 @@ def parse_trace(lines: Iterable[str] | BinaryIO) -> Trace:
                 block = data[len(_LEAD) : -len(_TAIL)].decode().split("\n")[:-1]
             last = _read_lines(block, lineno, prev_ts, columns)
         prev_ts = last
+    if destinations_only:
+        return _column(np.frombuffer(columns.dst, np.int32), np.int32)
     return columns.trace()
 
 
@@ -706,14 +731,15 @@ def write_trace(trace: Trace, stream: TextIO) -> None:
                 raise ValueError(f"token {token!r} contains a tab or line break")
 
 
-def read_trace(path) -> Trace:
+def read_trace(path, *, destinations_only: bool = False) -> Trace | np.ndarray:
     """Read the trace file at `path` with one `parse_trace` call of it opened in binary mode.
 
     Raises TraceParseError naming the line of a malformed line or of a
     byte that is not UTF-8, and OSError when the file cannot be read.
+    `destinations_only` is passed on: the dst ids alone, as `parse_trace`.
     """
     with open(path, "rb") as f:
-        return parse_trace(f)
+        return parse_trace(f, destinations_only=destinations_only)
 
 
 def save_trace(trace: Trace, path) -> None:

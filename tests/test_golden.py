@@ -2,12 +2,15 @@
 
 The hashes were recorded before the capacity sweeps shared a prepared
 reference string; any change to a CSV byte, to `gen`'s output or to
-`summary.txt` fails here.
+`summary.txt` fails here.  The analysis subcommands, which read the
+trace's dst ids alone, must write `report`'s files byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
+
+import pytest
 
 from addrloc.cli import main
 
@@ -36,3 +39,32 @@ def test_report_matches_golden_hashes(tmp_path):
     files = {p.name: p for p in out.iterdir()} | {"trace.txt": trace}
     hashes = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in files.items()}
     assert hashes == GOLDEN
+
+
+# Each analysis subcommand with `report`'s flags, and the files it writes.
+# `simulate`'s default sweep equals `report`'s here: the database size is
+# the distinct count, 1,827, so both are 1 to 256 plus 1,827.
+SUBCOMMANDS = [
+    ["concentration", "--out", "{out}/concentration.csv"],
+    ["wss", "--out", "{out}/wss.csv"],
+    ["stackdist", "--out", "{out}/stackdist.csv"],
+    ["runs", "--out", "{out}/runs.csv"],
+    ["simulate", "--miss-out", "{out}/miss_ratio.csv", "--interfault-out", "{out}/interfault.csv"],
+    ["searchtime", "--policies", "MIN,LRU,FIFO,RAND", "--out", "{out}/searchtime.csv"],
+]
+
+
+@pytest.fixture(scope="module")
+def golden_trace(tmp_path_factory):
+    trace = tmp_path_factory.mktemp("golden") / "trace.txt"
+    assert main([*GEN_ARGS, "--out", str(trace)]) == 0
+    return trace
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS, ids=[c[0] for c in SUBCOMMANDS])
+def test_subcommands_match_golden_hashes(tmp_path, golden_trace, command):
+    argv = [command[0], str(golden_trace)] + [a.format(out=tmp_path) for a in command[1:]]
+    assert main(argv) == 0
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert len(hashes) == sum("{out}" in a for a in command)
+    assert hashes == {name: GOLDEN[name] for name in hashes}

@@ -1,0 +1,98 @@
+"""Metamorphic relations through `main()`: edits to a trace that the
+destination-only analyses must not see.
+
+The six analysis subcommands read the trace's dst ids alone.  Replacing
+every source token, proto and length, or renaming the address tokens by a
+bijection, changes the ids a full read gives, but must leave every file
+those commands write byte-identical.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from addrloc.cli import main
+
+# The six dst-only subcommands, each writing its files into {out}.
+COMMANDS = [
+    ["concentration", "--out", "{out}/concentration.csv"],
+    ["wss", "--windows", "1,2,5", "--mode", "sliding", "--out", "{out}/wss.csv"],
+    ["stackdist", "--out", "{out}/stackdist.csv"],
+    ["runs", "--out", "{out}/runs.csv"],
+    ["simulate", "--seed", "3", "--miss-out", "{out}/miss.csv", "--interfault-out", "{out}/if.csv"],
+    ["searchtime", "--policies", "MIN,LRU,FIFO,RAND", "--seed", "3", "--out", "{out}/time.csv"],
+]
+
+# Tokens of 1 to 13 bytes, multi-byte characters among them, so renamed
+# tokens hash, group and cross 8-byte words differently.
+_NAMES = ["a", "b", "00:1b:21:0a", "é", "host-7", "€x", "z" * 9, "q:q", "12345678x", "n"]
+
+
+@st.composite
+def _frames(draw) -> list[tuple]:
+    """(timestamp, src, dst, proto, length) rows; proto and length may be None."""
+    n = draw(st.integers(5, 40))
+    pool = st.sampled_from(_NAMES[: draw(st.integers(1, len(_NAMES)))])
+    frames, ts = [], 0
+    for _ in range(n):
+        ts += draw(st.integers(0, 3))
+        proto = draw(st.sampled_from([None, "lat", "ip"]))
+        length = draw(st.one_of(st.none(), st.integers(0, 1500)))
+        frames.append((ts, draw(pool), draw(pool), proto, length))
+    return frames
+
+
+def _text(frames: list[tuple]) -> str:
+    lines = []
+    for ts, src, dst, proto, length in frames:
+        fields = [str(ts), src, dst]
+        if proto is not None or length is not None:
+            fields.append(proto or "")
+        if length is not None:
+            fields.append(str(length))
+        lines.append("\t".join(fields) + "\n")
+    return "".join(lines)
+
+
+def _outputs(frames: list[tuple]) -> dict[str, bytes]:
+    """Every file the six commands write for the trace of `frames`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.txt"
+        trace.write_text(_text(frames), encoding="utf-8")
+        out = Path(tmp) / "out"
+        out.mkdir()
+        for command in COMMANDS:
+            argv = [command[0], str(trace)] + [a.format(out=out) for a in command[1:]]
+            assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@settings(max_examples=10, deadline=None)
+@given(_frames(), st.data())
+def test_sources_protos_and_lengths_do_not_change_dst_only_outputs(frames, data):
+    others = st.sampled_from(_NAMES + ["new-src"])
+    replaced = [
+        (
+            ts,
+            data.draw(others),
+            dst,
+            data.draw(st.sampled_from([None, "lat", "arp"])),
+            data.draw(st.one_of(st.none(), st.integers(0, 10**6))),
+        )
+        for ts, _, dst, _, _ in frames
+    ]
+    assert _outputs(replaced) == _outputs(frames)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_frames(), st.permutations(_NAMES), st.sampled_from(["", "-renamed", "€"]))
+def test_renaming_addresses_does_not_change_dst_only_outputs(frames, names, suffix):
+    rename = {old: new + suffix for old, new in zip(_NAMES, names)}
+    renamed = [
+        (ts, rename[src], rename[dst], proto, length) for ts, src, dst, proto, length in frames
+    ]
+    assert _outputs(renamed) == _outputs(frames)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addrloc import cachesim, cli, locality
+from addrloc import trace as trace_module
 from addrloc.cachesim import POLICIES, simulate, sweep
 from addrloc.cli import main
 from addrloc.locality import _Refs, concentration_curve, run_lengths, stack_distances, working_set
@@ -152,3 +153,61 @@ def test_windows_share_one_previous_use_array_freed_before_the_sweeps(tmp_path, 
     assert main(["report", str(trace), "--out-dir", str(tmp_path / "out")]) == 0
     assert len(derived) == 1                  # 7 default windows
     assert alive_at_sweep and not any(alive_at_sweep)
+
+
+# Every command, with its flags, and whether it reads the trace's dst ids alone.
+_COMMANDS = [
+    (["concentration", "--out", "{out}/c.csv"], True),
+    (["wss", "--out", "{out}/w.csv"], True),
+    (["stackdist", "--out", "{out}/s.csv"], True),
+    (["runs", "--out", "{out}/r.csv"], True),
+    (["simulate", "--miss-out", "{out}/m.csv", "--interfault-out", "{out}/i.csv"], True),
+    (["searchtime", "--out", "{out}/t.csv"], True),
+    (["summarize"], False),
+    (["split", "--proto", "lat", "--match-out", "{out}/a.txt", "--rest-out", "{out}/b.txt"], False),
+    (["report", "--out-dir", "{out}/report"], False),
+]
+
+
+@pytest.mark.parametrize("command, destinations_only", _COMMANDS, ids=[c[0] for c, _ in _COMMANDS])
+def test_each_command_reads_its_trace_once(tmp_path, monkeypatch, command, destinations_only):
+    # The readers are wrapped where they are defined, as a tracer does, so a
+    # command that bound its own reader at import, or read twice, is caught.
+    trace = tmp_path / "t.txt"
+    gen = ["gen", "--uniform-irm", "40", "--length", "1500", "--seed", "5", "--out", str(trace)]
+    assert main(gen) == 0
+    calls = []
+    for name in ("read_trace", "parse_trace"):
+
+        def counted(*args, _name=name, _read=getattr(trace_module, name), **kwargs):
+            calls.append((_name, kwargs.get("destinations_only", False)))
+            return _read(*args, **kwargs)
+
+        monkeypatch.setattr(trace_module, name, counted)
+    argv = [command[0], str(trace)] + [a.format(out=tmp_path) for a in command[1:]]
+    assert main(argv) == 0
+    assert calls == [("read_trace", destinations_only), ("parse_trace", destinations_only)]
+
+
+_NOT_INTEGERS = [
+    [0.5, 0.7, 1.2, 2.9], np.array([0.0, 1.0, 0.0]), ["0", "1", "0"], [True, False, True]
+]
+
+
+@pytest.mark.parametrize("ids", _NOT_INTEGERS, ids=["float", "float-array", "str", "bool"])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        concentration_curve,
+        lambda x: working_set(x, 1),
+        stack_distances,
+        run_lengths,
+        *(functools.partial(simulate, policy=policy, capacity=2) for policy in POLICIES),
+        *(functools.partial(sweep, policy=policy, capacities=[1, 2]) for policy in POLICIES),
+    ],
+)
+def test_every_kernel_rejects_ids_that_are_not_integers(kernel, ids):
+    # Truncating 0.5 and 0.7 to 0 once merged distinct addresses silently.
+    dtype = np.asarray(ids).dtype
+    with pytest.raises(ValueError, match=f"must be integers, got dtype {dtype}"):
+        kernel(ids)

@@ -720,6 +720,130 @@ def test_colliding_tokens_of_later_blocks_keep_their_ids(tmp_path, tokens):
     assert t.interns.tokens == tokens and t.dst.tolist() == [0, 1, 0, 1, 0, 1]
 
 
+# --- destinations only -------------------------------------------------------
+
+# Lines of the plain shape that the block reader must still reject, each
+# after its timestamp, which repeats the frame before it: a 19-digit
+# length is valid but for the line reader alone.
+_PLAIN_BAD_TAILS = [
+    "\t\tB", "\tA\t\tP", "\tA", "\tA\tB\tP\t9\tx", "\tA\tB\tP\t", "\tA\tB\tP\t6.5",
+    f"\tA\tB\tP\t{10**18}",
+]
+
+
+@st.composite
+def _plain_lines_and_a_bad_one(draw) -> list[str]:
+    lines = draw(_plain_lines())
+    at = draw(st.integers(0, len(lines)))
+    stamps = [line.split("\t")[0] for line in lines[:at] if line[:1].isdigit()]
+    lines.insert(at, (stamps or ["0"])[-1] + draw(st.sampled_from(_PLAIN_BAD_TAILS)) + "\n")
+    return lines
+
+
+def _renumbered(ids: np.ndarray) -> list[int]:
+    """`ids` renumbered by first appearance."""
+    first: dict[int, int] = {}
+    return [first.setdefault(i, len(first)) for i in ids.tolist()]
+
+
+def _assert_destinations_match_the_full_read(read) -> None:
+    """`read(True)` gives `read(False)`'s dst ids, renumbered by first appearance
+    among destinations, or fails with the same error class, line and message."""
+    try:
+        t = read(False)
+    except TraceParseError as exc:
+        with pytest.raises(TraceParseError) as info:
+            read(True)
+        got = info.value
+        assert (type(got), got.line, str(got)) == (type(exc), exc.line, str(exc))
+        return
+    dst = read(True)
+    assert dst.dtype == np.int32 and not dst.flags.writeable
+    assert dst.tolist() == _renumbered(t.dst)
+
+
+@pytest.mark.parametrize("hash_", [trace_module._hash, _constant_hash], ids=["hash", "collide"])
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.one_of(_file_bytes(), _plain_lines_and_a_bad_one().map(lambda ls: "".join(ls).encode())),
+    st.integers(1, 64),
+)
+def test_destinations_only_read_matches_the_full_read(tmp_path, hash_, data, chunk):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(data)
+    with mock.patch.multiple(trace_module, _CHUNK_BYTES=chunk, _hash=hash_):
+        _assert_destinations_match_the_full_read(lambda d: read_trace(path, destinations_only=d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(_trace_lines(), _plain_lines(), _plain_lines_and_a_bad_one()),
+    st.sampled_from([1, 2, 3, 5, 4096]),
+    st.sampled_from([trace_module._hash, _constant_hash]),
+)
+def test_destinations_only_parse_of_str_lines_matches_the_full_parse(lines, block_lines, hash_):
+    with mock.patch.multiple(trace_module, _CHUNK_LINES=block_lines, _hash=hash_):
+        _assert_destinations_match_the_full_read(lambda d: parse_trace(lines, destinations_only=d))
+
+
+@pytest.mark.parametrize("tail", _PLAIN_BAD_TAILS)
+def test_destinations_only_rejects_each_bad_field_of_the_plain_shape(tmp_path, tail):
+    # The sources repeat where the destinations change, so reading the wrong
+    # column gives other ids.
+    lines = ["5\tA\tB\tP\t60\n", f"5{tail}\n", "6\tA\tC\n"]
+    path = tmp_path / "t.tsv"
+    path.write_text("".join(lines), encoding="utf-8")
+    _assert_destinations_match_the_full_read(lambda d: read_trace(path, destinations_only=d))
+    _assert_destinations_match_the_full_read(lambda d: parse_trace(lines, destinations_only=d))
+
+
+def test_destinations_only_groups_dst_tokens_alone(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("".join(_capture_lines(5_000)), encoding="utf-8")
+    grouped = []
+    distinct = trace_module._distinct
+
+    def counted(words, ends, fields):
+        grouped.append(len(fields))
+        return distinct(words, ends, fields)
+
+    refuse = mock.Mock(side_effect=AssertionError)
+    with mock.patch.multiple(trace_module, _distinct=counted, _read_lines=refuse):
+        dst = read_trace(path, destinations_only=True)
+    assert sum(grouped) == len(dst) == 5_000
+    assert dst.tolist() == _renumbered(read_trace(path).dst)
+
+
+def test_destinations_only_read_memory_is_bounded(tmp_path):
+    # Retained: the int32 dst ids alone, 4 bytes per frame plus the 1/16
+    # by which an `array` grows, and numpy's cache of small freed buffers.
+    # Transient: one chunk of the file and the arrays over it, whatever the
+    # file's length, plus the tables of the distinct destinations, which the
+    # read drops: each one's str, dict entry and list slot, and its entry
+    # in the table of known tokens (about 185 bytes here).
+    transient = {}
+    for shape, n in ((_capture_lines, 50_000), (_capture_lines, 200_000), (_fresh_lines, 50_000)):
+        path = tmp_path / f"{shape.__name__}{n}.tsv"
+        path.write_text("".join(shape(n)), encoding="utf-8")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            dst = read_trace(path, destinations_only=True)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dst) == n
+        assert retained <= 4 * n * 17 / 16 + 32_768
+        transient[shape, n] = peak - retained, int(dst.max()) + 1
+        del dst
+    assert transient[_capture_lines, 200_000][0] < 1.25 * transient[_capture_lines, 50_000][0]
+    table, fresh = transient[_fresh_lines, 50_000]
+    chunk, known = transient[_capture_lines, 50_000]
+    assert (table - chunk) / (fresh - known) <= 256
+
+
 # --- split and write ---------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)
