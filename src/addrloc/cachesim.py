@@ -16,7 +16,13 @@ string's one stack distance histogram (`lru_curve_from_distances`).  The
 other policies run every capacity on the prepared string without its
 immediate repeats, which hit under every policy and change no state;
 `references` still counts them.  FIFO and RAND share one list of it per
-command (`_Refs.collapsed_list`).
+command, with ids renumbered to 0..D-1 (`_Refs.collapsed_list`), and
+each keeps one D-entry list indexed by id.  FIFO evicts the entry
+inserted c misses earlier, so the entry inserted at miss t is resident
+until miss t + c: an expiry per id and a miss counter decide every miss.
+RAND fills its c slots with the first c misses; then each victim slot
+drawn from its stream waits for the next miss, so the draws are taken one
+per eviction.
 
 MIN keeps no resident set.  Its heap holds Belady keys, -(next use), so
 an eviction's key names the reference that the victim's absence turns
@@ -33,7 +39,6 @@ counts are exact.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from math import inf
@@ -149,41 +154,42 @@ def _min_misses(dead: bytearray, positions: memoryview, keys: memoryview, capaci
     return misses
 
 
-def _fifo_misses(seq: list[int], capacity: int) -> int:
-    cache: set[int] = set()
-    order: deque[int] = deque()
-    misses = 0
+def _fifo_misses(seq: list[int], distinct: int, capacity: int) -> int:
+    # The entry inserted at miss t is evicted at miss t + capacity, so it is
+    # resident while fewer misses than its expiry have happened.
+    expiry = [0] * distinct
+    t = 0
     for a in seq:
-        if a in cache:
-            continue
-        misses += 1
-        if len(cache) >= capacity:
-            cache.discard(order.popleft())
-        cache.add(a)
-        order.append(a)
-    return misses
+        if expiry[a] <= t:
+            t += 1
+            expiry[a] = t + capacity
+    return t
 
 
-def _rand_misses(seq: list[int], capacity: int, seed: int) -> int:
-    # Victim slots are the successive values of randbelow(capacity) on
-    # stream `seed`; the stream draws them in blocks, so this loop only indexes.
-    victims = randbelow_stream(seed, capacity)
+def _rand_misses(seq: list[int], distinct: int, capacity: int, seed: int) -> int:
+    # The first `capacity` misses fill the slots in order.  After that each
+    # victim slot, the next value of randbelow(capacity) on stream `seed`,
+    # waits for the miss that evicts it: one draw per eviction.
+    resident = [False] * distinct
     slots: list[int] = []
-    index: dict[int, int] = {}
-    misses = 0
-    for a in seq:
-        if a in index:
-            continue
-        misses += 1
-        if len(slots) >= capacity:
-            pos = next(victims)
-            del index[slots[pos]]
-            slots[pos] = a
-            index[a] = pos
-        else:
-            index[a] = len(slots)
+    refs = iter(seq)
+    for a in refs:
+        if not resident[a]:
+            resident[a] = True
             slots.append(a)
-    return misses
+            if len(slots) == capacity:
+                break
+    misses = len(slots)
+    for pos in randbelow_stream(seed, capacity):  # endless: it ends at the return
+        for a in refs:
+            if not resident[a]:
+                break
+        else:
+            return misses
+        misses += 1
+        resident[slots[pos]] = False
+        resident[a] = True
+        slots[pos] = a
 
 
 def _simulate_all(
@@ -213,9 +219,9 @@ def _simulate_all(
                 plan = _MinPlan(refs)
             misses = _min_misses(*plan.loop(c), c)
         elif policy == "FIFO":
-            misses = _fifo_misses(refs.collapsed_list, c)
+            misses = _fifo_misses(refs.collapsed_list, distinct, c)
         else:
-            misses = _rand_misses(refs.collapsed_list, c, seed)
+            misses = _rand_misses(refs.collapsed_list, distinct, c, seed)
         entries.append(CacheStats(c, n, misses))
     return tuple(entries)
 

@@ -178,21 +178,26 @@ class _Refs:
 
     @cached_property
     def collapsed_list(self) -> list[int]:
-        """The collapsed ids as a list, for the simulators that loop in Python.
+        """The collapsed ids renumbered 0..D-1 by first reference, as a list.
 
-        Indexing a table of one int object per id makes every entry a
-        shared object, so the list costs 8 B per reference where `tolist()`
-        adds an int object for each.  The table costs 8 B per id up to the
-        largest; a trace's ids are dense, but past twice the string's
-        length `tolist()` is the smaller.
+        FIFO and RAND index per-id lists of D entries with it; miss counts
+        do not depend on id values.  Every entry is one of D shared int
+        objects, so the list costs 8 B per reference where `tolist()` would
+        add an int object for each.  The rank table is indexed by id (8 B
+        per id up to the largest) or, past twice the string's length, found
+        by binary search in the sorted ids.  A destinations-only read
+        numbers ids by first appearance already, so they come back unchanged.
         """
         ids = self.collapsed
-        top = int(ids.max(initial=0))
-        if top > 2 * len(ids):
-            return ids.tolist()
         first = ids[self.collapsed_prev < 0]
-        table = np.empty(top + 1, dtype=object)
-        table[first] = first.tolist()
+        ranks = np.arange(len(first)).astype(object)
+        top = int(ids.max(initial=0))
+        if top < 2 * len(ids):
+            table = np.empty(top + 1, dtype=object)
+            table[first] = ranks
+        else:
+            order = np.argsort(first)
+            table, ids = ranks[order], np.searchsorted(first[order], ids)
         return table[ids].tolist()
 
     @cached_property

@@ -565,14 +565,16 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[int]:
         ids = columns.known_addresses.ids_of(body, words, ends, dst, groups)
         columns.dst.frombytes(ids.view(np.uint8))
         return int(timestamps[-1])
-    proto = base[tagged] + 3
     address_groups = _distinct(words, ends, address)
-    proto_groups = _distinct(words, ends, proto)
-    if address_groups is None or proto_groups is None:
+    if address_groups is None:
         return None
+    codes = np.zeros(len(base), np.int32)  # 0: untagged
+    if tagged.any():
+        proto = base[tagged] + 3
+        if (proto_groups := _distinct(words, ends, proto)) is None:
+            return None
+        codes[tagged] = columns.known_protos.ids_of(body, words, ends, proto, proto_groups)
     ids = columns.known_addresses.ids_of(body, words, ends, address, address_groups)
-    codes = np.zeros(len(base), np.int32)
-    codes[tagged] = columns.known_protos.ids_of(body, words, ends, proto, proto_groups)
     lengths = np.full(len(base), -1, np.int64)
     lengths[sized] = numbers[len(base) :]
     columns.append(timestamps, ids, codes, lengths)

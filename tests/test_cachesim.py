@@ -33,7 +33,9 @@ from oracles import (
     min_miss_positions,
     oracle_misses,
     oracle_sweep,
+    simulate_fifo,
     simulate_min,
+    simulate_rand,
     stack_distances_naive,
 )
 
@@ -338,21 +340,69 @@ def test_lru_hits_are_min_hits(seq):
 
 
 @pytest.mark.parametrize(
-    "seq, shared",
+    "seq, dense",
     [
-        ([7, 7, 300, 900, 300, 7, 900, 1234, 300] * 200, True),   # ids below 2n
-        ([7, 7, 300, 9000, 300, 7, 9000, 123456, 300], False),
+        ([0, 0, 1, 2, 1, 0, 2, 3, 1] * 200, True),   # a trace's dst ids
+        ([9000, 9000, 300, 7, 300, 9000, 7, 123456, 300] * 200, False),
+        ([7, 7, 300, 900, 300, 7, 900, 1234, 300] * 200, False),  # below 2n
     ],
 )
-def test_fifo_and_rand_share_one_list(seq, shared):
+def test_fifo_and_rand_share_one_list(seq, dense):
     refs = _refs(seq)
     assert sweep(refs, "FIFO", [2, 3]).entries == sweep(seq, "FIFO", [2, 3]).entries
     listed = refs.collapsed_list
     assert sweep(refs, "RAND", [2, 3]).entries == sweep(seq, "RAND", [2, 3]).entries
     assert refs.collapsed_list is listed
-    assert listed == refs.collapsed.tolist()
-    if shared:
-        assert len({id(a) for a in listed}) == refs.distinct  # one int object per id
+    # The collapsed string renumbered 0..D-1 by first reference.
+    collapsed = refs.collapsed.tolist()
+    rank: dict[int, int] = {}
+    assert listed == [rank.setdefault(a, len(rank)) for a in collapsed]
+    assert (listed == collapsed) == dense
+    assert len({id(a) for a in listed}) == refs.distinct  # one int object per id
+
+
+def _long_string(kind: str) -> list[int]:
+    rng = np.random.default_rng(11)
+    if kind == "uniform":
+        return rng.integers(0, 600, size=20_000).tolist()
+    if kind == "zipf":
+        return (rng.zipf(1.2, size=30_000) % 3000).tolist()
+    # A scan of 700 ids with random detours, on sparse ids.
+    scan = np.arange(25_000) % 700
+    detour = rng.random(25_000) < 0.2
+    scan[detour] = rng.integers(0, 900, size=int(detour.sum()))
+    return (scan * 3_000_017 % 2**31).tolist()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "zipf", "sparse scan"])
+def test_long_fifo_and_rand_sweeps_equal_the_oracles(kind):
+    # Tens of thousands of misses at capacities in the hundreds: FIFO's
+    # expiries reach far past D, and RAND draws thousands of victims.
+    seq = _long_string(kind)
+    distinct = len(set(seq))
+    assert len(seq) >= 20_000 and distinct >= 500
+    capacities = [2**k for k in range(1, distinct.bit_length()) if 2**k < distinct]
+    fifo = sweep(seq, "FIFO", capacities)
+    assert [e.misses for e in fifo.entries] == [simulate_fifo(seq, c) for c in capacities]
+    rand = sweep(seq, "RAND", capacities, seed=7)
+    want = [simulate_rand(seq, c, derive_seed(7, c)) for c in capacities]
+    assert [e.misses for e in rand.entries] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reference_strings(), st.data())
+def test_sparse_relabeled_ids_give_the_same_counts(seq, data):
+    # Counts do not depend on id values: an injective map of the ids into
+    # 0..2**31 - 1 changes no policy's sweep.
+    ids = sorted(set(seq))
+    image = data.draw(
+        st.lists(st.integers(0, 2**31 - 1), min_size=len(ids), max_size=len(ids), unique=True)
+    )
+    relabel = dict(zip(ids, image))
+    relabeled = [relabel[a] for a in seq]
+    capacities = _capacities(seq, [2, 3, 5])
+    for policy in POLICIES:
+        assert sweep(relabeled, policy, capacities, seed=9) == sweep(seq, policy, capacities, seed=9)
 
 
 def test_exact_shortcuts_skip_simulation(monkeypatch):
@@ -367,27 +417,47 @@ def test_exact_shortcuts_skip_simulation(monkeypatch):
         assert [e.misses for e in sweep(seq, policy, [1, 4, 9]).entries] == [6, 4, 4]
 
 
-def test_rand_sweep_memory_is_bounded():
-    # Beyond the collapsed string as a list, a RAND sweep holds one block of
-    # victim draws.  Drawing every victim at once would add 8 B per
-    # reference plus an int object per draw.
+def _sweep_peaks(policy: str) -> tuple[int, int, int]:
+    """Traced bytes of the collapsed string's list (200k references over
+    5,000 ids), and peaks of a sweep at capacity 256 that builds it and of
+    one that finds it built."""
     ids = np.random.default_rng(3).integers(0, 5000, size=200_000).astype(np.int32)
     refs = _refs(ids)
     refs.collapsed, refs.distinct  # prepared before measuring
     gc.collect()
     tracemalloc.start()
     try:
-        listed = refs.collapsed.tolist()
-        list_bytes = tracemalloc.get_traced_memory()[1]
-        del listed
+        base = tracemalloc.get_traced_memory()[0]
+        curve = sweep(refs, policy, [256], seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        list_bytes = tracemalloc.get_traced_memory()[0] - base  # the list is kept
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        curve = sweep(refs, "RAND", [256], seed=1)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        again = sweep(refs, policy, [256], seed=1)
+        loop_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    assert curve == again
     assert all(e.misses > 150_000 for e in curve.entries)
+    return list_bytes, peak, loop_peak
+
+
+def test_rand_sweep_memory_is_bounded():
+    # Beyond the collapsed string as a list, a RAND sweep holds its D-entry
+    # residency list, the slots and one block of victim draws.  Drawing
+    # every victim at once would add 8 B per reference plus an int object
+    # per draw.
+    list_bytes, peak, loop_peak = _sweep_peaks("RAND")
     assert peak <= list_bytes + 2 * 2**20
+    assert loop_peak <= 2**20  # nothing per reference: 8 B each would be 1.6 MB
+
+
+def test_fifo_sweep_memory_is_bounded():
+    # Beyond the collapsed string as a list, a FIFO sweep holds one D-entry
+    # list of expiries.
+    list_bytes, peak, loop_peak = _sweep_peaks("FIFO")
+    assert peak <= list_bytes + 2 * 2**20
+    assert loop_peak <= 2**20
 
 
 def test_min_keys_memory_is_bounded():

@@ -1,14 +1,18 @@
-"""Metamorphic relations through `main()`: edits to a trace that the
-destination-only analyses must not see.
+"""Metamorphic relations through `main()`.
 
 The six analysis subcommands read the trace's dst ids alone.  Replacing
 every source token, proto and length, or renaming the address tokens by a
 bijection, changes the ids a full read gives, but must leave every file
 those commands write byte-identical.
+
+`simulate`'s miss-ratio table must order its policies and capacities as
+the theory does: MIN is optimal, MIN and LRU are stack algorithms, and a
+cache that holds every destination misses only on first references.
 """
 
 from __future__ import annotations
 
+import csv
 import tempfile
 from pathlib import Path
 
@@ -96,3 +100,34 @@ def test_renaming_addresses_does_not_change_dst_only_outputs(frames, names, suff
         (ts, rename[src], rename[dst], proto, length) for ts, src, dst, proto, length in frames
     ]
     assert _outputs(renamed) == _outputs(frames)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(0, 23), min_size=1, max_size=300),
+    st.lists(st.integers(1, 30), min_size=1, max_size=8),
+    st.integers(0, 2**32),
+)
+def test_simulated_miss_ratios_keep_the_policy_relations(dsts, capacities, seed):
+    frames = [(i, "s", f"h{a}", None, None) for i, a in enumerate(dsts)]
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.txt"
+        trace.write_text(_text(frames), encoding="utf-8")
+        miss = Path(tmp) / "miss.csv"
+        argv = [
+            "simulate", str(trace), "--policies", "MIN,LRU,FIFO,RAND",
+            "--capacities", ",".join(map(str, capacities)), "--seed", str(seed),
+            "--miss-out", str(miss), "--interfault-out", str(Path(tmp) / "if.csv"),
+        ]
+        assert main(argv) == 0
+        with open(miss, newline="") as f:
+            header, *table = list(csv.reader(f))
+    assert header == ["capacity", "MIN", "LRU", "FIFO", "RAND"]
+    assert [int(row[0]) for row in table] == sorted(set(capacities))
+    ratios = {p: [float(row[k]) for row in table] for k, p in enumerate(header[1:], 1)}
+    for k, row in enumerate(table):
+        assert all(ratios["MIN"][k] <= ratios[p][k] for p in ratios)
+        if int(row[0]) >= len(set(dsts)):
+            assert row[1:] == [repr(len(set(dsts)) / len(dsts))] * 4
+    for p in ("MIN", "LRU"):
+        assert ratios[p] == sorted(ratios[p], reverse=True)

@@ -635,6 +635,30 @@ def test_str_lines_ending_in_carriage_returns_take_the_block_reader(end):
     assert _per_line_calls(lines, _CHUNK_LINES=7) == 0
 
 
+@pytest.mark.parametrize("first_tagged_block", [1, 3])
+def test_untagged_blocks_before_the_first_proto_skip_the_proto_table(first_tagged_block):
+    # Blocks of 4 lines: the untagged ones before and after the one tagged
+    # block send nothing to the proto table, and the first proto, found in
+    # a later block, gets the codes the line parser gives.
+    untagged = [f"{i}\ts{i % 3}\td{i % 5}\n" for i in range(4 * first_tagged_block)]
+    tagged = [f"{100 + i}\ts{i}\td{i}\t{proto}\t60\n" for i, proto in enumerate(["lat", "", "ip", "lat"])]
+    lines = untagged + tagged + [f"{200 + i}\ts{i}\td{i}\n" for i in range(4)]
+    proto_calls = []
+    ids_of = trace_module._Known.ids_of
+
+    def counting(self, *args):
+        proto_calls.append("" in self.interns)  # only the proto table holds ""
+        return ids_of(self, *args)
+
+    with mock.patch.object(trace_module, "_CHUNK_LINES", 4):
+        with mock.patch.object(trace_module._Known, "ids_of", counting):
+            t = parse_trace(lines)
+    assert proto_calls.count(True) == 1
+    assert t.protos == (None, "lat", "ip")
+    assert t.proto.tolist()[4 * first_tagged_block :][:4] == [1, 0, 2, 1]
+    assert _per_line_calls(lines, _CHUNK_LINES=4) == 0
+
+
 def test_int_spellings_are_still_accepted():
     t = parse_trace([" 5\tA\tB\tP\t+6\n", "1_0\tA\tB\t\t0_7\n", "+10 \tB\tA\n"])
     assert t.timestamps.tolist() == [5, 10, 10]
