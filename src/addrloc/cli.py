@@ -17,7 +17,8 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import synth, trace  # trace.read_trace is looked up per call: a wrapper sees each read
+# trace.read_trace and trace.write_trace are looked up per call: a wrapper sees each one.
+from . import synth, trace
 from .cachesim import (
     POLICIES,
     MissCurve,
@@ -47,7 +48,7 @@ from .searchcost import (
     search_time_curve,
     write_search_time_csv,
 )
-from .trace import TraceSummary, split_by_protocol, summarize, write_trace
+from .trace import TraceSummary, summarize
 
 _POWER_SWEEP = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 _DEFAULT_WINDOWS = (10, 20, 50, 100, 200, 500, 1000)
@@ -220,15 +221,18 @@ def _cmd_summarize(args) -> int:
 def _cmd_gen(args, parser) -> int:
     model = _model_from_args(args, parser)
     generated = synth.generate(synth.GeneratorSpec(model, args.length, args.seed))
-    _write(args.out, partial(write_trace, generated))
+    _write(args.out, partial(trace.write_trace, generated))
     return 0
 
 
 def _cmd_split(args) -> int:
+    # Both sides are written from the parsed columns through one mask.
     wanted = args.proto
-    matching, rest = split_by_protocol(trace.read_trace(args.trace), lambda proto: proto == wanted)
-    _write(args.match_out, partial(write_trace, matching))
-    _write(args.rest_out, partial(write_trace, rest))
+    parsed = trace.read_trace(args.trace)
+    matching = trace._protocol_mask(parsed, lambda proto: proto == wanted)
+    _write(args.match_out, partial(trace.write_trace, parsed, frames=matching))
+    matching ^= True  # now the rest
+    _write(args.rest_out, partial(trace.write_trace, parsed, frames=matching))
     return 0
 
 

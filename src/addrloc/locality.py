@@ -198,7 +198,11 @@ class _Refs:
         else:
             order = np.argsort(first)
             table, ids = ranks[order], np.searchsorted(first[order], ids)
-        return table[ids].tolist()
+        # Filled a block at a time, so no object array is as long as the list.
+        out = [None] * len(ids)
+        for s in range(0, len(ids), _BLOCK):
+            out[s : s + _BLOCK] = table[ids[s : s + _BLOCK]].tolist()
+        return out
 
     @cached_property
     def previous_use(self) -> np.ndarray:

@@ -691,44 +691,51 @@ def _breaks_line(token: str) -> bool:
     return "\t" in token or "\n" in token or "\r" in token
 
 
-def write_trace(trace: Trace, stream: TextIO) -> None:
+def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = None) -> None:
     """Write a trace in the file format; parse_trace(write_trace(t)) == t.
 
-    Raises ValueError at the first frame with a token holding a tab or
-    line break, after writing the frames before it.
+    `frames`, a boolean mask over the trace's frames, writes only the
+    frames where it holds, in order: the same text as writing
+    `_select(trace, frames)` for a parsed trace.  The trace is walked one
+    `_WRITE_CHUNK` window at a time, so no temporary is longer than a
+    window.  Raises ValueError at the first written frame with a token
+    holding a tab or line break, after writing the frames before it;
+    frames not written are never checked.
     """
+    if frames is not None and (frames.dtype != bool or frames.shape != (len(trace),)):
+        raise ValueError(f"frames must be a boolean mask of {len(trace)} entries")
     tokens = np.array(trace.interns.tokens, dtype=object)
     protos = trace.protos
     unsafe_token = np.fromiter(map(_breaks_line, tokens), bool, len(tokens))
     unsafe_proto = np.array([p is not None and _breaks_line(p) for p in protos])
-    unsafe = np.flatnonzero(
-        unsafe_token[trace.src] | unsafe_token[trace.dst] | unsafe_proto[trace.proto]
-    )
-    end = int(unsafe[0]) if len(unsafe) else len(trace)
     # The text after the dst field: "\tproto" alone, or "\tproto\tlength"
     # with an empty proto field when untagged.
     tag_only = np.array(["" if p is None else f"\t{p}" for p in protos], dtype=object)
     tag_field = np.array([f"\t{p or ''}" for p in protos], dtype=object)
-    for start in range(0, end, _WRITE_CHUNK):
-        block = slice(start, min(start + _WRITE_CHUNK, end))
-        codes = trace.proto[block]
-        lengths = trace.length[block]
+    columns = trace.timestamps, trace.src, trace.dst, trace.proto, trace.length
+    for start in range(0, len(trace), _WRITE_CHUNK):
+        rows = slice(start, start + _WRITE_CHUNK)
+        if frames is not None:
+            rows = np.flatnonzero(frames[rows]) + start
+        ts, src, dst, codes, lengths = (column[rows] for column in columns)
+        bad = ()
+        unsafe = np.flatnonzero(unsafe_token[src] | unsafe_token[dst] | unsafe_proto[codes])
+        if len(unsafe):
+            end = int(unsafe[0])
+            bad = tokens[src[end]], tokens[dst[end]], protos[codes[end]]
+            ts, src, dst, codes, lengths = (c[:end] for c in (ts, src, dst, codes, lengths))
         tails = tag_only[codes]
         sized = lengths >= 0
         if sized.any():
             tags = tag_field[codes[sized]].tolist()
             tails[sized] = [f"{tag}\t{n}" for tag, n in zip(tags, lengths[sized].tolist())]
         stream.write("".join([
-            f"{ts}\t{src}\t{dst}{tail}\n"
-            for ts, src, dst, tail in zip(
-                trace.timestamps[block].tolist(),
-                tokens[trace.src[block]].tolist(),
-                tokens[trace.dst[block]].tolist(),
-                tails.tolist(),
+            f"{t}\t{s}\t{d}{tail}\n"
+            for t, s, d, tail in zip(
+                ts.tolist(), tokens[src].tolist(), tokens[dst].tolist(), tails.tolist()
             )
         ]))
-    if end < len(trace):
-        for token in (tokens[trace.src[end]], tokens[trace.dst[end]], protos[trace.proto[end]]):
+        for token in bad:
             if token is not None and _breaks_line(token):
                 raise ValueError(f"token {token!r} contains a tab or line break")
 
@@ -816,6 +823,15 @@ def _select(trace: Trace, mask: np.ndarray) -> Trace:
     )
 
 
+def _protocol_mask(trace: Trace, proto_predicate: Callable[[str], bool]) -> np.ndarray:
+    """Per frame, whether its proto tag satisfies `proto_predicate`, as a new bool array.
+
+    Untagged frames never do; the predicate is called once per tag.
+    """
+    wanted = np.array([False] + [bool(proto_predicate(p)) for p in trace.protos[1:]])
+    return wanted[trace.proto]
+
+
 def split_by_protocol(
     trace: Trace, proto_predicate: Callable[[str], bool]
 ) -> tuple[Trace, Trace]:
@@ -825,6 +841,5 @@ def split_by_protocol(
     per tag in the trace's proto table.  Order and timestamps are
     preserved; each output re-interns its own addresses so ids stay dense.
     """
-    wanted = np.array([False] + [bool(proto_predicate(p)) for p in trace.protos[1:]])
-    matching = wanted[trace.proto]
+    matching = _protocol_mask(trace, proto_predicate)
     return _select(trace, matching), _select(trace, ~matching)

@@ -46,3 +46,26 @@ def test_span_counts_read_real_return_values():
         count = spans.COUNTS[name](args, kwargs, function(*args, **kwargs))
         assert count == expected
         assert json.loads(json.dumps(count)) == expected
+
+
+def test_a_wrapper_installed_after_import_sees_every_trace_write(tmp_path, monkeypatch):
+    # The traced run wraps `trace.write_trace` where it is defined, after the
+    # CLI is imported: `gen` and both sides of `split` must call the wrapper.
+    from addrloc import trace
+    from addrloc.cli import main
+
+    written = []
+    write = trace.write_trace
+
+    def counted(t, stream, frames=None):
+        written.append(len(t) if frames is None else int(frames.sum()))
+        return write(t, stream, frames=frames)
+
+    monkeypatch.setattr(trace, "write_trace", counted)
+    path = tmp_path / "t.tsv"
+    assert main(["gen", "--cyclic", "3", "--length", "7", "--out", str(path)]) == 0
+    path.write_text("0\tA\tB\tlat\n1\tB\tA\tip\n2\tA\tC\n", encoding="utf-8")
+    argv = ["split", str(path), "--proto", "lat",
+            "--match-out", str(tmp_path / "a.tsv"), "--rest-out", str(tmp_path / "b.tsv")]
+    assert main(argv) == 0
+    assert written == [7, 1, 2]

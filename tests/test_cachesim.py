@@ -446,17 +446,18 @@ def test_rand_sweep_memory_is_bounded():
     # Beyond the collapsed string as a list, a RAND sweep holds its D-entry
     # residency list, the slots and one block of victim draws.  Drawing
     # every victim at once would add 8 B per reference plus an int object
-    # per draw.
+    # per draw.  The list is filled a block at a time: an n-entry object
+    # array beside it would add 8 B per reference (1.6 MB).
     list_bytes, peak, loop_peak = _sweep_peaks("RAND")
-    assert peak <= list_bytes + 2 * 2**20
+    assert peak <= list_bytes + 2**20
     assert loop_peak <= 2**20  # nothing per reference: 8 B each would be 1.6 MB
 
 
 def test_fifo_sweep_memory_is_bounded():
     # Beyond the collapsed string as a list, a FIFO sweep holds one D-entry
-    # list of expiries.
+    # list of expiries, and the list is built without an n-entry object array.
     list_bytes, peak, loop_peak = _sweep_peaks("FIFO")
-    assert peak <= list_bytes + 2 * 2**20
+    assert peak <= list_bytes + 2**20
     assert loop_peak <= 2**20
 
 

@@ -8,12 +8,17 @@ those commands write byte-identical.
 `simulate`'s miss-ratio table must order its policies and capacities as
 the theory does: MIN is optimal, MIN and LRU are stack algorithms, and a
 cache that holds every destination misses only on first references.
+
+`split`'s two sides must hold every frame between them, and its matching
+side must analyse as the trace filtered by hand.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -131,3 +136,43 @@ def test_simulated_miss_ratios_keep_the_policy_relations(dsts, capacities, seed)
             assert row[1:] == [repr(len(set(dsts)) / len(dsts))] * 4
     for p in ("MIN", "LRU"):
         assert ratios[p] == sorted(ratios[p], reverse=True)
+
+
+def _summarized_frames(path: Path) -> int:
+    """`summarize`'s frame count for the trace at `path`; 0 for an empty file, which it rejects."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        status = main(["summarize", str(path)])
+    if status == 1 and path.stat().st_size == 0:
+        return 0
+    assert status == 0
+    return int(out.getvalue().split()[0].removeprefix("frames="))
+
+
+def _stackdist_and_runs(path: Path, out: Path) -> tuple:
+    """The exit statuses of `stackdist` and `runs` on `path`, and the files they write."""
+    out.mkdir()
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        statuses = [
+            main(["stackdist", str(path), "--out", str(out / "stackdist.csv")]),
+            main(["runs", str(path), "--out", str(out / "runs.csv")]),
+        ]
+    return statuses, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@settings(max_examples=10, deadline=None)
+@given(_frames(), st.sampled_from(["lat", "ip", "arp"]))
+def test_split_sides_add_up_and_the_matching_side_is_the_filtered_trace(frames, wanted):
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.txt"
+        trace.write_text(_text(frames), encoding="utf-8")
+        sides = Path(tmp) / "match.txt", Path(tmp) / "rest.txt"
+        argv = ["split", str(trace), "--proto", wanted,
+                "--match-out", str(sides[0]), "--rest-out", str(sides[1])]
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert sum(map(_summarized_frames, sides)) == len(frames)
+        filtered = Path(tmp) / "filtered.txt"
+        filtered.write_text(_text([f for f in frames if f[3] == wanted]), encoding="utf-8")
+        got = _stackdist_and_runs(sides[0], Path(tmp) / "match")
+        assert got == _stackdist_and_runs(filtered, Path(tmp) / "filtered")

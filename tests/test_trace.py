@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from addrloc import trace as trace_module
+from addrloc.cli import main
 from addrloc.trace import (
     InternTable,
     Trace,
@@ -890,3 +891,80 @@ def test_split_matches_per_frame_split(frames, wanted):
     for side, want in zip(got, expected):
         assert side == want
         assert list(rows(side)) == list(rows(want)) and side.interns == want.interns
+
+
+@settings(max_examples=100, deadline=None)
+@given(_plain_lines(), st.sampled_from([1, 2, 3, 8192]), st.data())
+def test_write_of_chosen_frames_equals_writing_their_selection(lines, chunk, data):
+    # Windows of 1 to 3 frames put selections across window edges.
+    t = parse_trace(lines)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(t), max_size=len(t))), bool)
+    got, want = io.StringIO(), io.StringIO()
+    with mock.patch.object(trace_module, "_WRITE_CHUNK", chunk):
+        write_trace(t, got, frames=mask)
+        write_trace(trace_module._select(t, mask), want)
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 8192])
+def test_write_checks_only_the_chosen_frames(monkeypatch, chunk):
+    monkeypatch.setattr(trace_module, "_WRITE_CHUNK", chunk)
+    t = Trace.from_token_rows(
+        [(0, "A", "B", "lat"), (1, "A", "x\ty", "ip"), (2, "B", "A"), (3, "A", "B", "x\ny", 9),
+         (4, "A", "B", "lat", 60)]
+    )
+    # Frames 1 and 3 hold a tab or line break; left out, they are never checked.
+    safe = np.array([True, False, True, False, True])
+    buf = io.StringIO()
+    write_trace(t, buf, frames=safe)
+    assert buf.getvalue() == "0\tA\tB\tlat\n2\tB\tA\n4\tA\tB\tlat\t60\n"
+    # A chosen bad frame raises after the chosen frames before it, as the selection does.
+    for bad, token, before in (
+        (1, "x\ty", "0\tA\tB\tlat\n"),
+        (3, "x\ny", "0\tA\tB\tlat\n2\tB\tA\n"),
+    ):
+        mask = safe.copy()
+        mask[bad] = True
+        got, want = io.StringIO(), io.StringIO()
+        with pytest.raises(ValueError) as info:
+            write_trace(t, got, frames=mask)
+        with pytest.raises(ValueError) as expected:
+            write_trace(trace_module._select(t, mask), want)
+        assert str(info.value) == str(expected.value)
+        assert str(info.value) == f"token {token!r} contains a tab or line break"
+        assert got.getvalue() == want.getvalue() == before
+    with pytest.raises(ValueError, match="boolean mask of 5 entries"):
+        write_trace(t, buf, frames=np.ones(4, bool))
+
+
+def test_split_command_peaks_at_the_parse(tmp_path):
+    # `split` writes both sides from the parsed columns through one mask (1 B
+    # per frame) and one window of frames at a time.  Two re-interned sides
+    # would add their columns, 28 B per frame (2.8 MB here).
+    n = 100_000
+    protos = ["lat", "ip", "", "lat", "arp"]
+    path = tmp_path / "t.tsv"
+    path.write_text(
+        "".join(
+            f"{1000 + 7 * i}\t{i * 7919 % 500:04x}-s\t{i * 104729 % 3000:04x}-d\t{protos[i % 5]}"
+            f"\t{60 + i % 1400}\n"
+            for i in range(n)
+        ),
+        encoding="utf-8",
+    )
+    argv = ["split", str(path), "--proto", "lat",
+            "--match-out", str(tmp_path / "lat.tsv"), "--rest-out", str(tmp_path / "rest.tsv")]
+    assert main(argv) == 0  # numpy's lazily imported helpers load outside the measurement
+    peaks = []
+    for run in (lambda: read_trace(path), lambda: main(argv)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**20
+    assert len(read_trace(tmp_path / "lat.tsv")) == 2 * n // 5
+    assert len(read_trace(tmp_path / "rest.tsv")) == 3 * n // 5
