@@ -26,8 +26,8 @@ In a file, LF, CRLF and a lone CR each end a line, as in Python's text
 mode.
 
 `parse_trace` reads a file opened in binary mode, as `read_trace` gives
-it, in chunks cut after their last line break, and an iterable of str
-lines a few thousand at a time.  Each block goes to one of two readers.
+it, in chunks cut after their last line break; str lines are read as the
+file holding their text.  Each block goes to one of two readers.
 The block reader works on the block's bytes with numpy: it finds the tabs
 and line breaks, reads the numbers from their ASCII digits and groups
 equal tokens by a hash of their 8-byte words, checked byte for byte.  A
@@ -61,9 +61,9 @@ import numpy as np
 MICROSECONDS_PER_HOUR = 3_600_000_000
 _INT64_MAX = 2**63 - 1
 
-# Lines parsed from a str iterable (or frames split) per block, and bytes
-# read from a file per block.  Each bounds the transient memory: one
-# block's lines or bytes and the numpy arrays over them.
+# str lines (or frames split) per block, and bytes read from a file per
+# block.  Each bounds the transient memory: one block's lines or bytes and
+# the numpy arrays over them.
 _CHUNK_LINES = 2048
 _CHUNK_BYTES = 1 << 17
 # Frames written per output block.
@@ -140,8 +140,9 @@ class Trace:
 
     `Trace(timestamps, src, dst, interns, proto, length, protos)` takes the
     columns described in the module docstring; `proto` defaults to all 0
-    (no tag), `length` to all -1 (absent) and `protos` to `(None,)`.  Ids
-    are assigned in first-appearance order, scanning each frame's source
+    (no tag), `length` to all -1 (absent) and `protos` to `(None,)`.  The
+    tags must be distinct and not "", which a file cannot tell from None.
+    Ids are assigned in first-appearance order, scanning each frame's source
     before its destination.  Construct with `Trace.from_token_rows`,
     `parse_trace`, or a generator; do not mutate afterwards (analyses may
     share one Trace across threads).
@@ -171,6 +172,8 @@ class Trace:
             raise ValueError("trace columns differ in length")
         if self.protos[:1] != (None,):
             raise ValueError("protos[0] must be None, the code of untagged frames")
+        if "" in self.protos or len(set(self.protos)) < len(self.protos):
+            raise ValueError("protos must be distinct tags, none of them empty")
         for ids, size, what in (
             (self.src, len(interns), "src"),
             (self.dst, len(interns), "dst"),
@@ -302,8 +305,7 @@ def _read_lines(lines: list[str], first_lineno: int, prev_ts: int, columns: _Col
     addresses: list[str] = []
     protos: list[str] = []
     lengths: list[int] = []
-    for lineno, raw in enumerate(lines, start=first_lineno):
-        line = raw.rstrip("\n").rstrip("\r")
+    for lineno, line in enumerate(lines, start=first_lineno):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -581,33 +583,24 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[int]:
     return int(timestamps[-1])
 
 
-def _text_blocks(lines: Iterable[str]) -> Iterator[tuple]:
-    """`lines` in blocks of `_CHUNK_LINES`: (first line number, padded bytes or None, lines).
-
-    The bytes are None unless every line is one line ending in LF, with no
-    lone surrogate, which has no UTF-8 encoding, and no carriage return
-    but the run before the LF, which `_read_lines` strips and the bytes
-    leave out.
+class _StrLines:
+    """str lines as a binary file: `read()` returns the next `_CHUNK_LINES`
+    of them joined and encoded as UTF-8, a lone surrogate kept as its bytes
+    so that `_file_blocks` names its line, and b"" only when they run out.
     """
-    source = iter(lines)
-    lineno = 1
-    while block := list(islice(source, _CHUNK_LINES)):
-        text = "".join(block)
-        data = None
-        if text.count("\n") == len(block) and all(map(str.endswith, block, repeat("\n"))):
-            while "\r\n" in text:
-                text = text.replace("\r\n", "\n")
-            if "\r" not in text:
-                try:
-                    data = b"".join((_LEAD, text.encode(), _TAIL))
-                except UnicodeEncodeError:
-                    pass
-        yield lineno, data, block
-        lineno += len(block)
+
+    def __init__(self, lines: Iterable[str]):
+        self.lines = iter(lines)
+
+    def read(self, size: int = -1) -> bytes:
+        while group := list(islice(self.lines, _CHUNK_LINES)):
+            if text := "".join(group):  # lines all "" are not the end
+                return text.encode("utf-8", "surrogatepass")
+        return b""
 
 
-def _file_blocks(f: BinaryIO) -> Iterator[tuple]:
-    """Binary file `f` in blocks of whole lines: (first line number, padded bytes, None).
+def _file_blocks(f: BinaryIO) -> Iterator[tuple[int, bytes]]:
+    """Binary file `f` in blocks of whole lines: (first line number, padded bytes).
 
     Reads `_CHUNK_BYTES` at a time, or as much as the carried bytes while a
     line is longer, and cuts each chunk after its last line break; the
@@ -646,9 +639,9 @@ def _file_blocks(f: BinaryIO) -> Iterator[tuple]:
                     f"not UTF-8: byte 0x{block[exc.start]:02x} at column {column}",
                 )
                 if line_start > len(_LEAD):  # the lines before may hold an earlier error
-                    yield lineno, block[:line_start] + _TAIL, None
+                    yield lineno, block[:line_start] + _TAIL
                 raise error from None
-            yield lineno, block, None
+            yield lineno, block
             lineno += int(np.count_nonzero(np.frombuffer(block, np.uint8) == 10)) - len(_LEAD)
         if eof:
             return
@@ -657,17 +650,18 @@ def _file_blocks(f: BinaryIO) -> Iterator[tuple]:
 def parse_trace(
     lines: Iterable[str] | BinaryIO, *, destinations_only: bool = False
 ) -> Trace | np.ndarray:
-    """Parse an iterable of trace file lines, or a trace file opened in binary mode.
+    """Parse a trace file opened in binary mode, or an iterable of str lines.
 
     Raises TraceParseError on a malformed line (wrong field count,
     non-integer, negative or out-of-int64-range timestamp or length, empty
-    address token, or in a file a byte that is not UTF-8) and
-    TraceOrderError when a timestamp decreases.  '#'-comment lines and
-    blank lines are skipped.  A file is read in chunks of `_CHUNK_BYTES`
-    (`_file_blocks`), str lines in blocks of `_CHUNK_LINES`.  Either block
-    goes to `_read_block`, which reads its bytes with numpy and takes the
+    address token, or a byte that is not UTF-8) and TraceOrderError when a
+    timestamp decreases.  '#'-comment lines and blank lines are skipped.
+    str lines read as the file holding `"".join(lines)` in UTF-8 (see
+    `_StrLines`): line numbers count line ends, and a lone surrogate is an
+    error.  `_file_blocks` cuts the input into blocks of whole lines, each
+    read by `_read_block`, which reads its bytes with numpy and takes the
     ids of tokens seen in earlier blocks from their table (`_Known`), or
-    else to `_read_lines`, which reads one line at a time, accepts any
+    else by `_read_lines`, which reads one line at a time, accepts any
     `int()` spelling and names the first bad line.  Both give the same trace.
     With `destinations_only`, returns the read-only int32 dst ids alone,
     numbered by first appearance among destinations, after the same checks.
@@ -675,11 +669,10 @@ def parse_trace(
     columns = _Columns(destinations_only)
     prev_ts = 0
     binary = isinstance(lines, (io.RawIOBase, io.BufferedIOBase))
-    for lineno, data, block in (_file_blocks if binary else _text_blocks)(lines):
-        last = None if data is None else _read_block(data, prev_ts, columns)
-        if last is None:
-            if block is None:  # whole lines of valid UTF-8 from a file
-                block = data[len(_LEAD) : -len(_TAIL)].decode().split("\n")[:-1]
+    for lineno, data in _file_blocks(lines if binary else _StrLines(lines)):
+        last = _read_block(data, prev_ts, columns)
+        if last is None:  # whole lines of valid UTF-8
+            block = data[len(_LEAD) : -len(_TAIL)].decode().split("\n")[:-1]
             last = _read_lines(block, lineno, prev_ts, columns)
         prev_ts = last
     if destinations_only:
@@ -808,18 +801,14 @@ def _select(trace: Trace, mask: np.ndarray) -> Trace:
         src[start : start + len(block)] = ids[0::2]
         dst[start : start + len(block)] = ids[1::2]
         proto[start : start + len(block)] = _renumber(proto_codes, used_protos, trace.proto[block])
-    tags = ("",) + trace.protos[1:]
-    # Tags equal to each other or to "" (no tag) share a code, as when parsed.
-    merged = InternTable([""])
-    codes = merged.intern_all([tags[c] for c in used_protos])
     return Trace(
         trace.timestamps[frames],
         src,
         dst,
         InternTable(trace.interns.token_of(a) for a in used_addresses),
-        codes[proto],
+        proto,
         trace.length[frames],
-        (None,) + merged.tokens[1:],
+        [trace.protos[c] for c in used_protos],
     )
 
 

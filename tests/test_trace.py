@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import io
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -218,6 +219,66 @@ def test_round_trip_property(rows):
     assert back == t
 
 
+# Address tokens and tags: safe ones, some not ASCII, and unsafe ones holding a
+# tab or line break.
+_POOL = ["A", "b-c", "é", "€ x", "𝄞", "#", "x\ty", "x\ny", "x\r", "\rx"]
+_TAGS = [None, "", "lat", "ip", "é", "l\tt", "p\n", "p\r"]
+
+
+def _unsafe(token) -> bool:
+    return token is not None and any(c in token for c in "\t\n\r")
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.lists(st.sampled_from(_POOL), min_size=1, max_size=4, unique=True),
+    st.lists(st.sampled_from(_TAGS), max_size=4, unique=True),
+    st.data(),
+)
+def test_constructed_traces_round_trip_unless_a_written_token_is_unsafe(
+    tmp_path, pool, tags, data
+):
+    protos = (None, *tags)
+    frames = data.draw(st.lists(st.tuples(
+        st.integers(0, 10**6),
+        st.sampled_from(pool),
+        st.sampled_from(pool),
+        st.integers(0, len(tags)),
+        st.one_of(st.none(), st.integers(0, 2**63 - 1)),
+    ), max_size=12))
+    frames.sort(key=lambda frame: frame[0])
+    # Ids numbered by first appearance, source before destination, as parsed.
+    interns = InternTable()
+    ids = [interns.intern(token) for _, src, dst, _, _ in frames for token in (src, dst)]
+    columns = dict(
+        timestamps=[ts for ts, *_ in frames],
+        src=ids[0::2],
+        dst=ids[1::2],
+        interns=interns,
+        proto=[code for *_, code, _ in frames],
+        length=[-1 if n is None else n for *_, n in frames],
+        protos=protos,
+    )
+    if "" in protos or len(set(protos)) < len(protos):
+        with pytest.raises(ValueError, match="protos must be distinct tags"):
+            Trace(**columns)
+        return
+    t = Trace(**columns)
+    written = [*interns.tokens, *(protos[code] for code in columns["proto"])]
+    buf = io.StringIO()
+    if any(map(_unsafe, written)):
+        with pytest.raises(ValueError, match="contains a tab or line break"):
+            write_trace(t, buf)
+        return
+    write_trace(t, buf)
+    assert parse_trace(io.StringIO(buf.getvalue())) == t
+    path = tmp_path / "t.tsv"
+    path.write_bytes(buf.getvalue().encode())
+    assert read_trace(path) == t
+
+
 # --- columnar layout ---------------------------------------------------------
 
 def test_columns_and_tables():
@@ -244,6 +305,8 @@ def test_destinations_are_python_ints():
         (dict(timestamps=[0], src=[-1], dst=[0]), "src column"),
         (dict(timestamps=[0], src=[0], dst=[0], proto=[1]), "proto column"),
         (dict(timestamps=[0], src=[0], dst=[0], protos=("LAT",)), "protos\\[0\\] must be None"),
+        (dict(timestamps=[0], src=[0], dst=[0], protos=(None, "LAT", "")), "none of them empty"),
+        (dict(timestamps=[0], src=[0], dst=[0], protos=(None, "ip", "ip")), "must be distinct"),
     ],
 )
 def test_constructor_rejects_inconsistent_columns(columns, message):
@@ -323,8 +386,9 @@ def _trace_lines(draw) -> list[str]:
 
 
 def _assert_parses_like_oracle(lines: list[str]) -> None:
+    # The oracle reads the lines that a file holding their text splits into.
     try:
-        expected = parse_trace_by_line(lines)
+        expected = parse_trace_by_line(list(io.StringIO("".join(lines), newline=None)))
     except TraceParseError as exc:
         with pytest.raises(type(exc)) as info:
             parse_trace(io.StringIO("".join(lines)))
@@ -503,6 +567,44 @@ def test_read_trace_names_a_non_utf8_token_in_a_late_block(tmp_path):
     assert (error.line, str(error)) == (20_001, "line 20001: not UTF-8: byte 0xf0 at column 13")
 
 
+def _outcome(read, destinations_only: bool):
+    """What `read` gives: the frames and tokens, the dst ids, or the error's kind, line and text."""
+    try:
+        got = read(destinations_only=destinations_only)
+    except TraceParseError as exc:
+        return type(exc), exc.line, str(exc)
+    return got.tolist() if destinations_only else (list(rows(got)), got.interns.tokens)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_trace_lines(), st.sampled_from([1, 2, 3, 2048]), st.data())
+def test_str_lines_parse_as_the_file_holding_their_text(tmp_path, lines, block_lines, data):
+    if lines and data.draw(st.booleans()):  # a lone surrogate, which no UTF-8 text holds
+        at = data.draw(st.integers(0, len(lines) - 1))
+        cut = data.draw(st.integers(0, len(lines[at])))
+        lines[at] = lines[at][:cut] + "\ud800" + lines[at][cut:]
+    path = tmp_path / "t.tsv"
+    path.write_bytes("".join(lines).encode("utf-8", "surrogatepass"))
+    for destinations_only in (False, True):
+        with mock.patch.object(trace_module, "_CHUNK_LINES", block_lines):
+            got = _outcome(partial(parse_trace, lines), destinations_only)
+        assert got == _outcome(partial(read_trace, path), destinations_only)
+
+
+def test_str_lines_name_the_line_of_a_lone_surrogate():
+    with pytest.raises(TraceParseError) as info:
+        parse_trace(["0\tA\tB\r\n", "1\tA\t\udc80B\n"])
+    assert str(info.value) == "line 2: not UTF-8: byte 0xed at column 5"
+
+
+def test_str_lines_all_empty_in_a_block_do_not_end_the_input():
+    lines = ["0\tA\tB\n", "", "", "", "", "1\tB\tC\n"]
+    with mock.patch.object(trace_module, "_CHUNK_LINES", 2):
+        assert parse_trace(lines).dst.tolist() == [1, 2]
+
+
 # --- the block reader --------------------------------------------------------
 
 # Characters of 1 to 4 UTF-8 bytes, NUL and space among them, so tokens
@@ -611,17 +713,22 @@ def test_benchmark_shaped_lines_take_the_block_reader(lines):
 @pytest.mark.parametrize(
     "text",
     [
-        "0\tA\r\tB\n",          # a carriage return not before the line break
+        "0\tA\r\tB\n",          # a carriage return ends a line of two fields
         " 5\tA\tB\n",            # a line not starting with a digit, '#' or its line break
         "+5\tA\tB\n",
         "1_0\tA\tB\n",
         f"{10**18}\tA\tB\n",     # 19 digits
         "5\tA\tB\tP\t0x10\n",  # a length that int() rejects
-        "0\tA\tB",               # no line break at the end
     ],
 )
 def test_blocks_outside_the_plain_shape_take_the_line_reader(text):
     assert _per_line_calls([text]) == 1
+
+
+def test_a_last_line_without_a_line_break_takes_the_block_reader():
+    # str lines end as a file does: the last line gets its line break.
+    assert _per_line_calls(["0\tA\tB"]) == 0
+    assert _per_line_calls(["0\tA\tB\n", "1\tB\tA"], _CHUNK_LINES=1) == 0
 
 
 def test_a_tokens_width_does_not_cancel_its_first_byte():
