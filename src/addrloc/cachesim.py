@@ -253,26 +253,18 @@ def sweep(
     return MissCurve(policy, _simulate_all(dst_sequence, policy, capacities, seeds))
 
 
-def lru_curve_from_distances(
-    hist: StackDistanceHistogram, capacities: Sequence[int]
-) -> MissCurve:
-    """Reconstruct LRU miss counts from a stack distance histogram.
+def lru_curve_from_distances(hist: StackDistanceHistogram, capacities: Sequence[int]) -> MissCurve:
+    """LRU miss counts read off a stack distance histogram, without simulating.
 
-    An LRU cache of capacity c misses exactly the references whose stack
-    distance exceeds c, plus every first reference, so the whole sweep
-    falls out of one histogram without re-simulating.
+    Capacity c misses the first references and those at distance above c.
     """
     if not capacities:
         raise ValueError("capacity sweep is empty")
-    distances, counts = hist.distance_arrays()
-    cumulative = np.cumsum(counts) if len(counts) else np.empty(0, dtype=np.int64)
     entries = []
     for c in capacities:
         if c < 1:
             raise ValueError(f"capacity must be >= 1, got {c}")
-        idx = int(np.searchsorted(distances, c, side="right"))
-        hits = int(cumulative[idx - 1]) if idx > 0 else 0
-        entries.append(CacheStats(c, hist.total, hist.total - hits))
+        entries.append(CacheStats(c, hist.total, hist.total - hist.hits(c)))
     return MissCurve("LRU", tuple(entries))
 
 

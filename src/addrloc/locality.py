@@ -10,16 +10,11 @@ address ids (integers in 0..2**31 - 1, as in a trace's dst column):
 
 All four are numpy kernels with exact integer results.  Each takes ids or
 a `_Refs`, the string prepared once per command, whose one previous-use
-array prev (the last earlier position of the same id, or -1) serves the
-working set and stack distances.  Stack distances drive the single-pass
-miss-count reconstruction in `addrloc.cachesim`, and the collapsed
-string's distances, kept from the same pass, drive MIN's LRU-hit filter.
-A re-reference at i has distance i - prev[i] - #{j < i : prev[j] >
-prev[i]}, and the counts are taken offline in blocks of `_BLOCK`
-positions: a stable bit-by-bit partition counts within a block, and a
-sorted array of earlier prev values counts across blocks.  Each block of
-B costs O(B log B) plus one merge into that array, and the scratch arrays
-are bounded by the block.
+array serves the working set and stack distances.  The stack-distance
+histogram is an array indexed by distance: `addrloc.cachesim` reads the
+LRU miss curve off its running sum, and MIN's LRU-hit filter reads the
+collapsed string's distances, kept from the same pass.  That pass counts
+a block of `_BLOCK` positions at a time, so its scratch is bounded.
 """
 
 from __future__ import annotations
@@ -68,32 +63,38 @@ class WorkingSetReport:
     window_count: int
 
 
-@dataclass(frozen=True)
 class StackDistanceHistogram:
-    """Counts of finite stack distances plus the first-reference (infinite) mass."""
+    """References at stack distance d >= 1 in `counts[d]`, first references in `counts[0]`.
 
-    finite: dict[int, int]   # distance d >= 1 -> count
-    infinite_count: int
-    total: int
+    `counts` (int64, no trailing zeros) and its running sum `cumulative`
+    are read-only arrays.
+    """
+
+    def __init__(self, counts: Sequence[int]):
+        counts = np.array(counts, dtype=np.int64)
+        self.counts = counts[: np.flatnonzero(counts).max(initial=0) + 1]
+        self.cumulative = np.cumsum(self.counts)
+        self.counts.flags.writeable = self.cumulative.flags.writeable = False
+        self.infinite_count = int(self.counts[0])
+        self.total = int(self.cumulative[-1])
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, StackDistanceHistogram)
+        return same and np.array_equal(self.counts, other.counts)
+
+    def __repr__(self) -> str:
+        return f"StackDistanceHistogram({self.counts.tolist()})"
+
+    def hits(self, distance: int) -> int:
+        """References at stack distance 1..`distance`: LRU's hits at that capacity."""
+        return int(self.cumulative[min(max(distance, 0), len(self.counts) - 1)] - self.counts[0])
 
     def pdf(self, distance: int) -> float:
-        return self.finite.get(distance, 0) / self.total
+        return (self.hits(distance) - self.hits(distance - 1)) / self.total
 
     def cdf(self, distance: int) -> float:
-        """Fraction of all references at stack distance <= `distance`.
-
-        First references never count, so cdf(max distance) < 1 whenever the
-        sequence introduces any address at all.
-        """
-        return sum(c for d, c in self.finite.items() if d <= distance) / self.total
-
-    def distance_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted finite distances and their counts, as parallel arrays."""
-        if not self.finite:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        distances = np.array(sorted(self.finite), dtype=np.int64)
-        counts = np.array([self.finite[int(d)] for d in distances], dtype=np.int64)
-        return distances, counts
+        """Fraction of all references at distance <= `distance`: below 1 if any is a first."""
+        return self.hits(distance) / self.total
 
 
 @dataclass(frozen=True)
@@ -278,36 +279,42 @@ _BLOCK = 1 << 15
 
 
 def _greater_before(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per k, #{j < k : values[j] > values[k]}, and the order that sorts `values`.
+    """Per rank r, #{j < k : values[j] > values[k]} for k = order[r]; and `order`.
 
-    `values` must be distinct.  Their ranks are partitioned stably, one bit
-    per pass from the most significant: within a group of equal higher bits,
-    each element with bit 0 is passed by every earlier one with bit 1.
-    Ranks are 0..m-1, so after the pass for bit b the group of prefix g
-    fills slots [g << b, (g + 1) << b) and group starts need no bookkeeping.
+    `order` sorts `values`, at most 2**15 distinct ones.  A slot packs
+    rank << 16 | count in one int32; ranks m, m + 1, ... pad the slots to a
+    power of two after the values, so they pass none of them.  Ranks are
+    partitioned stably, one bit per pass from the most significant: every
+    earlier 1 in a group of equal higher bits passes a 0.  Before the pass
+    for bit b, the groups are the aligned rows of 2 << b slots.
     """
     m = len(values)
+    if m > 1 << 15:  # rank << 16 would overflow an int32
+        raise ValueError(f"a block of {m} values exceeds the 2**15 that one int32 packs")
     order = np.argsort(values)
-    rank = np.empty(m, dtype=np.int32)
-    rank[order] = np.arange(m, dtype=np.int32)
-    slot = np.arange(m, dtype=np.int32)
-    arr, count = rank.copy(), np.zeros(m, dtype=np.int32)
-    new_arr, new_count = np.empty_like(arr), np.empty_like(count)
-    for b in range(max(m - 1, 0).bit_length() - 1, -1, -1):
-        bit = (arr >> b) & 1
-        start = (arr >> (b + 1)) << (b + 1)
-        ones = np.cumsum(bit, dtype=np.int32)
-        ones -= bit
-        ones -= ones[start]                    # earlier 1s in the same group
-        zero = bit == 0
-        count += np.where(zero, ones, 0)
-        # A group holding a 1 at bit b holds all 2**b ranks with a 0 there.
-        target = np.where(zero, slot - ones, start + (1 << b) + ones)
-        new_arr[target] = arr
-        new_count[target] = count
-        arr, new_arr = new_arr, arr
-        count, new_count = new_count, count
-    return count[rank], order
+    size = 1 << max(m - 1, 0).bit_length()
+    slot = np.arange(size, dtype=np.int32)
+    packed = slot << 16
+    packed[order] = slot[:m] << 16
+    # Every pass reuses these scratch arrays, one block long.
+    out, bit, ones, scratch = (np.empty_like(packed) for _ in range(4))
+    for b in range(size.bit_length() - 2, -1, -1):
+        np.right_shift(packed, 16 + b, out=bit)
+        bit &= 1
+        groups = ones.reshape(-1, 2 << b)
+        np.cumsum(bit.reshape(groups.shape), axis=1, out=groups)  # 1s in the group so far
+        np.bitwise_xor(bit, 1, out=scratch)
+        scratch *= ones
+        packed += scratch                       # every earlier 1 passes a 0
+        # A 0 moves down past the 1s before it, a 1 to the group's start + 2**b + them.
+        np.subtract(slot, ones, out=scratch)
+        ones += ones
+        groups += (1 << b) - 1 - slot[: 2 << b]
+        ones *= bit
+        scratch += ones
+        out[scratch] = packed
+        packed, out = out, packed
+    return packed[:m] & 0xFFFF, order
 
 
 def stack_distances(dst_sequence: Sequence[int]) -> tuple[np.ndarray, StackDistanceHistogram]:
@@ -321,25 +328,30 @@ def stack_distances(dst_sequence: Sequence[int]) -> tuple[np.ndarray, StackDista
     distance i - p - #{j < i : prev[j] > p}: of the positions strictly
     between p and i, those with prev[j] > p repeat an address already seen
     there (Bennett & Kruskal's offline count).  Immediate repeats are
-    dropped first (distance 1, stack unchanged).  The count runs in
-    position blocks: `_greater_before` counts within a block, and a sorted
-    array of the earlier blocks' prev values counts across blocks.  The
-    collapsed string's distances stay on the prepared string
-    (`_Refs.collapsed_distances`).
+    dropped first (distance 1, stack unchanged).  In each block of
+    positions `_greater_before` counts within the block, and one
+    `searchsorted` per level counts the earlier blocks' prev values, kept
+    in sorted levels merged like the digits of a binary counter.  The
+    collapsed string's distances stay on `_Refs.collapsed_distances`.
     """
     refs = _refs(dst_sequence)
     prev = refs.collapsed_prev
     collapsed = np.zeros(len(prev), dtype=np.int32)
-    seen = np.empty(0, dtype=np.int32)     # prev values of earlier blocks, sorted
+    levels: list[np.ndarray] = []          # each more than twice the size of the next
     for s in range(0, len(prev), _BLOCK):
         block = prev[s : s + _BLOCK]
         reref = np.flatnonzero(block >= 0)
-        p = block[reref]
-        within, order = _greater_before(p)
-        below = np.searchsorted(seen, p)
-        collapsed[s + reref] = (s + reref) - p - within - (len(seen) - below)
-        seen = np.insert(seen, below[order], p[order])
-    del seen
+        greater, order = _greater_before(block[reref])
+        at = s + reref[order]
+        p = prev[at]                       # sorted
+        for level in levels:
+            greater += len(level) - np.searchsorted(level, p)
+        collapsed[at] = at - p - greater
+        while levels and len(levels[-1]) <= 2 * len(p):
+            p = np.concatenate((levels.pop(), p))
+            p.sort()
+        levels.append(p)
+    del levels
     collapsed.flags.writeable = False
     refs.collapsed_distances = collapsed
     distances = np.ones(len(refs), dtype=np.int32)
@@ -349,11 +361,9 @@ def stack_distances(dst_sequence: Sequence[int]) -> tuple[np.ndarray, StackDista
     # heads are counted a block at a time, so bincount's intp copy is small.
     counts = np.zeros(max(int(collapsed.max(initial=0)), 1) + 1, dtype=np.int64)
     counts[1] = len(refs) - len(collapsed)
-    for s in range(0, len(collapsed), 32 * _BLOCK):
-        counts += np.bincount(collapsed[s : s + 32 * _BLOCK], minlength=len(counts))
-    counts = counts.tolist()
-    finite = {d: c for d, c in enumerate(counts) if d and c}
-    return distances, StackDistanceHistogram(finite, counts[0], len(refs))
+    for s in range(0, len(collapsed), _BLOCK):
+        counts += np.bincount(collapsed[s : s + _BLOCK], minlength=len(counts))
+    return distances, StackDistanceHistogram(counts)
 
 
 def run_lengths(dst_sequence: Sequence[int]) -> RunLengthHistogram:
@@ -384,14 +394,11 @@ def write_stackdist_csv(hist: StackDistanceHistogram, stream: TextIO) -> None:
     """Finite distances in order, then one 'inf' row for first references."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["distance", "count", "pdf", "cdf"])
-    cumulative = 0
-    for d in sorted(hist.finite):
-        count = hist.finite[d]
-        cumulative += count
-        writer.writerow([d, count, fmt(count / hist.total), fmt(cumulative / hist.total)])
-    writer.writerow(
-        ["inf", hist.infinite_count, fmt(hist.infinite_count / hist.total), fmt(1.0)]
-    )
+    total = hist.total
+    for d in np.flatnonzero(hist.counts[1:]).tolist():
+        count = int(hist.counts[d + 1])
+        writer.writerow([d + 1, count, fmt(count / total), fmt(hist.hits(d + 1) / total)])
+    writer.writerow(["inf", hist.infinite_count, fmt(hist.infinite_count / total), fmt(1.0)])
 
 
 def write_runs_csv(hist: RunLengthHistogram, stream: TextIO) -> None:

@@ -143,9 +143,12 @@ class Trace:
     (no tag), `length` to all -1 (absent) and `protos` to `(None,)`.  The
     tags must be distinct and not "", which a file cannot tell from None.
     Ids are assigned in first-appearance order, scanning each frame's source
-    before its destination.  Construct with `Trace.from_token_rows`,
-    `parse_trace`, or a generator; do not mutate afterwards (analyses may
-    share one Trace across threads).
+    before its destination.  Only a trace numbered that way, with no unused
+    token, round-trips through `write_trace` and `parse_trace`:
+    `Trace([0], [1], [0], InternTable(["A", "B"]))` writes a frame from B to
+    A, which parses back with B as id 0.  Construct with
+    `Trace.from_token_rows`, `parse_trace`, or a generator; do not mutate
+    afterwards (analyses may share one Trace across threads).
     """
 
     __slots__ = ("timestamps", "src", "dst", "proto", "length", "protos", "interns")
@@ -687,11 +690,14 @@ def _breaks_line(token: str) -> bool:
 def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = None) -> None:
     """Write a trace in the file format; parse_trace(write_trace(t)) == t.
 
-    `frames`, a boolean mask over the trace's frames, writes only the
-    frames where it holds, in order: the same text as writing
-    `_select(trace, frames)` for a parsed trace.  The trace is walked one
-    `_WRITE_CHUNK` window at a time, so no temporary is longer than a
-    window.  Raises ValueError at the first written frame with a token
+    The round trip holds for a trace whose ids are in first-appearance
+    order, source before destination, with no unused token, as a parsed or
+    generated trace's are; other ids come back renumbered.  `frames`, a
+    boolean mask over the trace's frames, writes only the frames where it
+    holds, in order: the same text as writing `_select(trace, frames)` for
+    a parsed trace.  The trace is walked one `_WRITE_CHUNK` window at a
+    time, so no temporary is longer than a window.  Raises ValueError at
+    the first written frame with an empty address token or a token
     holding a tab or line break, after writing the frames before it;
     frames not written are never checked.
     """
@@ -699,7 +705,7 @@ def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = Non
         raise ValueError(f"frames must be a boolean mask of {len(trace)} entries")
     tokens = np.array(trace.interns.tokens, dtype=object)
     protos = trace.protos
-    unsafe_token = np.fromiter(map(_breaks_line, tokens), bool, len(tokens))
+    unsafe_token = np.fromiter((not t or _breaks_line(t) for t in tokens), bool, len(tokens))
     unsafe_proto = np.array([p is not None and _breaks_line(p) for p in protos])
     # The text after the dst field: "\tproto" alone, or "\tproto\tlength"
     # with an empty proto field when untagged.
@@ -729,6 +735,8 @@ def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = Non
             )
         ]))
         for token in bad:
+            if token == "":
+                raise ValueError("empty address token")
             if token is not None and _breaks_line(token):
                 raise ValueError(f"token {token!r} contains a tab or line break")
 

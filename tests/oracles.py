@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from collections import Counter, deque
 from functools import lru_cache
@@ -148,15 +149,27 @@ def stack_distances_fenwick(seq: Sequence[int]) -> list:
     return distances
 
 
+def greater_before_insort(values: Sequence[int]) -> list[int]:
+    """Per position k, #{j < k : values[j] > values[k]}, from a sorted list of
+    the values before k (each insert moves O(k) entries: O(m**2) in all)."""
+    before: list[int] = []
+    counts = []
+    for k, v in enumerate(values):
+        counts.append(k - bisect.bisect_right(before, v))
+        bisect.insort(before, v)
+    return counts
+
+
 def zero_for_inf(distances: Sequence) -> list:
     """An oracle's distance list in the product's form: 0 marks a first reference."""
     return [0 if d is inf else d for d in distances]
 
 
 def stack_histogram(distances: Sequence) -> StackDistanceHistogram:
-    """The histogram of an oracle's distance list (math.inf for first references)."""
-    finite = Counter(d for d in distances if d is not inf)
-    return StackDistanceHistogram(dict(finite), len(distances) - sum(finite.values()), len(distances))
+    """The histogram of an oracle's distance list: references counted per
+    distance, first references (math.inf in the list) at index 0."""
+    counts = Counter(zero_for_inf(distances))
+    return StackDistanceHistogram([counts[d] for d in range(max(counts, default=0) + 1)])
 
 
 # Per-capacity simulators: each replays the whole reference string at one

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addrloc import locality
@@ -28,6 +28,7 @@ from addrloc.locality import (
 from helpers import random_reference_string, reference_strings
 from oracles import (
     concentration_curve_counter,
+    greater_before_insort,
     run_lengths_groupby,
     simulate_lru,
     stack_distances_fenwick,
@@ -214,7 +215,7 @@ def test_stack_distances_alternating():
     distances, hist = stack_distances([0, 1, 0, 1])
     assert distances.dtype == np.int32 and not distances.flags.writeable
     assert distances.tolist() == [0, 0, 2, 2]
-    assert hist.finite == {2: 2}
+    assert hist.counts.tolist() == [2, 0, 2] and not hist.counts.flags.writeable
     assert hist.infinite_count == 2
     assert hist.total == 4
 
@@ -255,7 +256,7 @@ def test_stack_distances_cyclic_mass():
     assert all(d == 30 for d in distances[30:])
     assert hist.pdf(30) >= 0.99
     assert hist.cdf(29) == 0.0
-    assert max(hist.finite) <= len(set(seq))
+    assert len(hist.counts) - 1 <= len(set(seq))
 
 
 def test_stack_distances_empty():
@@ -263,8 +264,56 @@ def test_stack_distances_empty():
     assert distances.tolist() == [] and hist.total == 0
 
 
+def _check_greater_before(values) -> None:
+    values = np.asarray(values, dtype=np.int32)
+    counts, order = locality._greater_before(values)
+    assert counts.dtype == np.int32 and order.dtype == np.intp
+    assert np.array_equal(values[order], np.sort(values))
+    want = greater_before_insort(values.tolist())
+    assert counts.tolist() == [want[k] for k in order.tolist()]
+
+
+# Sizes at and around the powers of two, where the padding changes.
+_SIZES = st.one_of(
+    st.integers(0, 200), st.sampled_from([(1 << k) + e for k in range(8) for e in (-1, 0, 1)])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SIZES.flatmap(
+    lambda m: st.lists(st.integers(0, 2**31 - 1), min_size=m, max_size=m, unique=True)
+))
+def test_greater_before_matches_brute_force(values):
+    _check_greater_before(values)
+
+
+@pytest.mark.parametrize("m", [(1 << 15) - 1, 1 << 15])
+def test_greater_before_at_the_packing_limit(m):
+    # Descending values give every count its largest value, m - 1 at the end.
+    _check_greater_before(np.random.default_rng(m).permutation(4 * m)[:m])
+    _check_greater_before(np.arange(m)[::-1])
+
+
+def test_greater_before_refuses_more_than_it_packs():
+    # Ranks from 2**15 on would overflow rank << 16 in an int32.
+    with pytest.raises(ValueError, match="exceeds"):
+        locality._greater_before(np.arange((1 << 15) + 1, dtype=np.int32))
+    # So does a block of more re-references than that.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(locality, "_BLOCK", 1 << 16)
+        with pytest.raises(ValueError, match="exceeds"):
+            stack_distances([0, 1] * (1 << 15))
+
+
+# Without its immediate repeats this string keeps 376 positions; in blocks of
+# 3 they push 126 levels, and the binary-counter merges take 120 steps.
+_rnd = random.Random(23)
+_MERGING = [_rnd.randrange(12) for _ in range(400)]
+
+
 @settings(max_examples=300, deadline=None)
-@given(reference_strings(), st.sampled_from([1, 2, 8, None]))
+@given(reference_strings(), st.sampled_from([1, 2, 3, 8, None]))
+@example(_MERGING, 3)
 def test_stack_distances_match_oracles(seq, block):
     # A tiny block size makes most counts cross block boundaries.
     with pytest.MonkeyPatch.context() as mp:

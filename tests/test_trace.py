@@ -183,6 +183,17 @@ def test_write_names_the_first_bad_token_after_safe_records(field):
     assert buf.getvalue() == "0\tA\tB\tLAT\n1\tB\tA\tLAT\n"
 
 
+def test_write_rejects_an_empty_address_token_at_its_frame():
+    # "0\t\t\n" would not parse back: the parser rejects an empty token.
+    with pytest.raises(ValueError, match="^empty address token$"):
+        write_trace(Trace([0], [0], [0], InternTable([""])), io.StringIO())
+    t = Trace([0, 1], [0, 0], [0, 1], InternTable(["A", ""]))
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="^empty address token$"):
+        write_trace(t, buf)
+    assert buf.getvalue() == "0\tA\tA\n"
+
+
 def test_file_round_trip(tmp_path):
     t = Trace.from_token_rows([(0, "aa-bb-cc-dd-ee-ff", "ff-ee-dd-cc-bb-aa", "LAT", 1518)])
     path = tmp_path / "t.tsv"
@@ -219,14 +230,14 @@ def test_round_trip_property(rows):
     assert back == t
 
 
-# Address tokens and tags: safe ones, some not ASCII, and unsafe ones holding a
-# tab or line break.
-_POOL = ["A", "b-c", "é", "€ x", "𝄞", "#", "x\ty", "x\ny", "x\r", "\rx"]
+# Address tokens and tags: safe ones, some not ASCII, and unsafe ones: empty or
+# holding a tab or line break.
+_POOL = ["A", "b-c", "é", "€ x", "𝄞", "#", "", "x\ty", "x\ny", "x\r", "\rx"]
 _TAGS = [None, "", "lat", "ip", "é", "l\tt", "p\n", "p\r"]
 
 
 def _unsafe(token) -> bool:
-    return token is not None and any(c in token for c in "\t\n\r")
+    return token == "" or token is not None and any(c in token for c in "\t\n\r")
 
 
 @settings(
@@ -269,7 +280,7 @@ def test_constructed_traces_round_trip_unless_a_written_token_is_unsafe(
     written = [*interns.tokens, *(protos[code] for code in columns["proto"])]
     buf = io.StringIO()
     if any(map(_unsafe, written)):
-        with pytest.raises(ValueError, match="contains a tab or line break"):
+        with pytest.raises(ValueError, match="contains a tab or line break|empty address token"):
             write_trace(t, buf)
         return
     write_trace(t, buf)
