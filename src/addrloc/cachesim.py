@@ -258,6 +258,8 @@ def lru_curve_from_distances(hist: StackDistanceHistogram, capacities: Sequence[
 
     Capacity c misses the first references and those at distance above c.
     """
+    if not hist.total:
+        raise ValueError("cannot simulate an empty reference sequence")
     if not capacities:
         raise ValueError("capacity sweep is empty")
     entries = []

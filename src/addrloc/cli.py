@@ -96,6 +96,21 @@ def _parse_weights(text: str, what: str) -> tuple[float, ...]:
     return tuple(w / total for w in weights)
 
 
+def _parse_windows(text: str) -> list[int]:
+    windows = _parse_int_list(text, "--windows")
+    if min(windows) < 1:
+        raise ValueError("--windows: entries must be >= 1")
+    return windows
+
+
+def _parse_capacities(text: str) -> list[int]:
+    """The --capacities entries, sorted and without duplicates."""
+    capacities = sorted(set(_parse_int_list(text, "--capacities")))
+    if capacities[0] < 1:
+        raise ValueError("--capacities: entries must be >= 1")
+    return capacities
+
+
 def _parse_policies(text: str) -> list[str]:
     policies = [part.strip().upper() for part in text.split(",") if part.strip()]
     if not policies:
@@ -153,10 +168,8 @@ def _model_from_args(args, parser: argparse.ArgumentParser) -> synth.Model:
 
 def _working_sets(args, refs: _Refs) -> list[WorkingSetReport]:
     """Average working set per --windows size in --mode; oversized windows are skipped."""
-    windows = args.windows
-    requested = _DEFAULT_WINDOWS if windows is None else _parse_int_list(windows, "--windows")
     reports = []
-    for window in requested:
+    for window in args.windows or _DEFAULT_WINDOWS:
         if window > len(refs):
             print(
                 f"note: skipping window {window}: exceeds trace length {len(refs)}",
@@ -170,25 +183,13 @@ def _working_sets(args, refs: _Refs) -> list[WorkingSetReport]:
     return reports
 
 
-def _capacities(args, default: list[int]) -> list[int]:
-    """--capacities, sorted and without duplicates, or `default` when not given."""
-    if args.capacities is None:
-        return default
-    capacities = sorted(set(_parse_int_list(args.capacities, "--capacities")))
-    if capacities[0] < 1:
-        raise ValueError("--capacities: entries must be >= 1")
-    return capacities
-
-
 def _sweep(args, refs: _Refs, capacities: list[int]) -> list[MissCurve]:
     """One miss curve per --policies entry over `capacities`."""
-    return [
-        sweep(refs, policy, capacities, seed=args.seed) for policy in _parse_policies(args.policies)
-    ]
+    return [sweep(refs, policy, capacities, seed=args.seed) for policy in args.policies]
 
 
-def _search_times(args, refs: _Refs) -> tuple[list[MissCurve], list[SearchTimeCurve]]:
-    """Miss curves and their normalized search times for a --database-size table.
+def _search_sweep(args, refs: _Refs) -> tuple[int, list[int]]:
+    """The --database-size table size and the capacities to sweep, checked against the trace.
 
     The default sweep is the powers of two below the database size, plus
     the database size and the trace's distinct-destination count.
@@ -201,9 +202,16 @@ def _search_times(args, refs: _Refs) -> tuple[list[MissCurve], list[SearchTimeCu
             f"{distinct} distinct destinations"
         )
     default = sorted({c for c in _POWER_SWEEP if c < database_size} | {database_size, distinct})
-    capacities = _capacities(args, default)
+    capacities = args.capacities or default
     if capacities[-1] > database_size:
         raise ValueError(f"--capacities: {capacities[-1]} exceeds --database-size {database_size}")
+    return database_size, capacities
+
+
+def _search_times(
+    args, refs: _Refs, database_size: int, capacities: list[int]
+) -> tuple[list[MissCurve], list[SearchTimeCurve]]:
+    """Miss curves over `capacities` and their normalized search times for that table size."""
     miss_curves = _sweep(args, refs, capacities)
     cost = _COST_MODELS[args.cost]
     return miss_curves, [search_time_curve(c, database_size, cost) for c in miss_curves]
@@ -262,14 +270,15 @@ def _cmd_runs(args) -> int:
 
 def _cmd_simulate(args) -> int:
     refs = _Refs(_read_nonempty(args.trace, destinations_only=True))
-    curves = _sweep(args, refs, _capacities(args, sorted(set(_POWER_SWEEP) | {refs.distinct})))
+    curves = _sweep(args, refs, args.capacities or sorted(set(_POWER_SWEEP) | {refs.distinct}))
     _write(args.miss_out, partial(write_miss_ratio_csv, curves))
     _write(args.interfault_out, partial(write_interfault_csv, curves))
     return 0
 
 
 def _cmd_searchtime(args) -> int:
-    _, time_curves = _search_times(args, _Refs(_read_nonempty(args.trace, destinations_only=True)))
+    refs = _Refs(_read_nonempty(args.trace, destinations_only=True))
+    _, time_curves = _search_times(args, refs, *_search_sweep(args, refs))
     _write(args.out, partial(write_search_time_csv, time_curves))
     return 0
 
@@ -298,12 +307,15 @@ def _cmd_report(args) -> int:
     frames = _read_nonempty(args.trace)
     summary, refs = summarize(frames), _Refs(frames.dst)
     del frames
+    # Every check that the trace decides comes before the first file is written.
+    sizes = _search_sweep(args, refs)
+    reports = _working_sets(args, refs)
     curve = concentration_curve(refs)
     _write(out_dir / "concentration.csv", partial(write_concentration_csv, curve))
-    _write(out_dir / "wss.csv", partial(write_wss_csv, _working_sets(args, refs)))
+    _write(out_dir / "wss.csv", partial(write_wss_csv, reports))
     _write(out_dir / "stackdist.csv", partial(write_stackdist_csv, refs.hist))
     _write(out_dir / "runs.csv", partial(write_runs_csv, run_lengths(refs)))
-    miss_curves, time_curves = _search_times(args, refs)
+    miss_curves, time_curves = _search_times(args, refs, *sizes)
     _write(out_dir / "miss_ratio.csv", partial(write_miss_ratio_csv, miss_curves))
     _write(out_dir / "interfault.csv", partial(write_interfault_csv, miss_curves))
     _write(out_dir / "searchtime.csv", partial(write_search_time_csv, time_curves))
@@ -469,9 +481,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# List flags, parsed in place before a command reads its trace, so a bad
+# one fails before any work or output.
+_LIST_FLAGS = {
+    "windows": _parse_windows,
+    "capacities": _parse_capacities,
+    "policies": _parse_policies,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, parse in _LIST_FLAGS.items():
+            if getattr(args, flag, None) is not None:
+                setattr(args, flag, parse(getattr(args, flag)))
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

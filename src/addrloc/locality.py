@@ -67,11 +67,21 @@ class StackDistanceHistogram:
     """References at stack distance d >= 1 in `counts[d]`, first references in `counts[0]`.
 
     `counts` (int64, no trailing zeros) and its running sum `cumulative`
-    are read-only arrays.
+    are read-only arrays.  The counts given must be a non-empty 1-D
+    sequence of non-negative integers; others raise ValueError.  A
+    histogram of no references has no fractions: `pdf` and `cdf` raise
+    ValueError.
     """
 
     def __init__(self, counts: Sequence[int]):
-        counts = np.array(counts, dtype=np.int64)
+        counts = np.asarray(counts)
+        if counts.ndim != 1 or not len(counts):
+            raise ValueError(f"counts must be a non-empty 1-D sequence, got shape {counts.shape}")
+        if not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        counts = counts.astype(np.int64)
+        if counts.min() < 0:
+            raise ValueError("counts must be non-negative")
         self.counts = counts[: np.flatnonzero(counts).max(initial=0) + 1]
         self.cumulative = np.cumsum(self.counts)
         self.counts.flags.writeable = self.cumulative.flags.writeable = False
@@ -87,14 +97,20 @@ class StackDistanceHistogram:
 
     def hits(self, distance: int) -> int:
         """References at stack distance 1..`distance`: LRU's hits at that capacity."""
-        return int(self.cumulative[min(max(distance, 0), len(self.counts) - 1)] - self.counts[0])
+        return int(self.cumulative[min(max(distance, 0), len(self.counts) - 1)]) - self.infinite_count
 
     def pdf(self, distance: int) -> float:
-        return (self.hits(distance) - self.hits(distance - 1)) / self.total
+        return self._share(self.hits(distance) - self.hits(distance - 1))
 
     def cdf(self, distance: int) -> float:
         """Fraction of all references at distance <= `distance`: below 1 if any is a first."""
-        return self.hits(distance) / self.total
+        return self._share(self.hits(distance))
+
+    def _share(self, count: int) -> float:
+        """`count` as a fraction of all references."""
+        if not self.total:
+            raise ValueError("a histogram of no references has no fractions")
+        return count / self.total
 
 
 @dataclass(frozen=True)
@@ -392,13 +408,12 @@ def write_wss_csv(reports: Sequence[WorkingSetReport], stream: TextIO) -> None:
 
 def write_stackdist_csv(hist: StackDistanceHistogram, stream: TextIO) -> None:
     """Finite distances in order, then one 'inf' row for first references."""
+    first = fmt(hist._share(hist.infinite_count))  # an empty histogram raises before any row
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["distance", "count", "pdf", "cdf"])
-    total = hist.total
-    for d in np.flatnonzero(hist.counts[1:]).tolist():
-        count = int(hist.counts[d + 1])
-        writer.writerow([d + 1, count, fmt(count / total), fmt(hist.hits(d + 1) / total)])
-    writer.writerow(["inf", hist.infinite_count, fmt(hist.infinite_count / total), fmt(1.0)])
+    for d in (np.flatnonzero(hist.counts[1:]) + 1).tolist():
+        writer.writerow([d, int(hist.counts[d]), fmt(hist.pdf(d)), fmt(hist.cdf(d))])
+    writer.writerow(["inf", hist.infinite_count, first, fmt(1.0)])
 
 
 def write_runs_csv(hist: RunLengthHistogram, stream: TextIO) -> None:

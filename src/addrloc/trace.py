@@ -263,7 +263,11 @@ class _Columns:
             column.frombytes(np.ascontiguousarray(values).view(np.uint8))
 
     def append_tokens(
-        self, timestamps: list[int], addresses: list[str], protos: list[str], lengths: list[int]
+        self,
+        timestamps: Sequence[int],
+        addresses: list[str],
+        protos: list[str],
+        lengths: Sequence[int],
     ) -> None:
         """Add one block of tokens: a proto of "" is no tag, a length of -1 is absent."""
         if self.destinations_only:  # `addresses` alternates src and dst
@@ -694,9 +698,10 @@ def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = Non
     order, source before destination, with no unused token, as a parsed or
     generated trace's are; other ids come back renumbered.  `frames`, a
     boolean mask over the trace's frames, writes only the frames where it
-    holds, in order: the same text as writing `_select(trace, frames)` for
-    a parsed trace.  The trace is walked one `_WRITE_CHUNK` window at a
-    time, so no temporary is longer than a window.  Raises ValueError at
+    holds, in order, and builds no sub-trace: for a parsed trace, the text
+    of the trace those frames parse to, which for a protocol mask is a side
+    of `split_by_protocol`.  The trace is walked one `_WRITE_CHUNK` window
+    at a time, so no temporary is longer than a window.  Raises ValueError at
     the first written frame with an empty address token or a token
     holding a tab or line break, after writing the frames before it;
     frames not written are never checked.
@@ -772,54 +777,6 @@ def summarize(trace: Trace) -> TraceSummary:
     )
 
 
-def _renumber(table: np.ndarray, used: list[int], codes: np.ndarray) -> np.ndarray:
-    """`codes` mapped through the dense old -> new `table` (-1: not seen yet).
-
-    Unseen codes get the next new numbers in order of first appearance and
-    are appended to `used`, the old codes in new-number order.
-    """
-    fresh = codes[table[codes] < 0]
-    if len(fresh):
-        fresh = fresh[np.sort(np.unique(fresh, return_index=True)[1])]
-        table[fresh] = np.arange(len(used), len(used) + len(fresh), dtype=np.int32)
-        used += fresh.tolist()
-    return table[codes]
-
-
-def _select(trace: Trace, mask: np.ndarray) -> Trace:
-    """The frames where `mask` holds, with their addresses and protos renumbered densely.
-
-    New ids follow first appearance among the kept frames, source before
-    destination, as if the frames were parsed afresh.  The old -> new
-    tables are filled block by block, so no temporary is as long as the
-    output.
-    """
-    frames = np.flatnonzero(mask)
-    n = len(frames)
-    src, dst, proto = (np.empty(n, np.int32) for _ in range(3))
-    address_ids = np.full(len(trace.interns), -1, np.int32)
-    proto_codes = np.full(len(trace.protos), -1, np.int32)
-    proto_codes[0] = 0
-    used_addresses: list[int] = []
-    used_protos = [0]
-    for start in range(0, n, _CHUNK_LINES):
-        block = frames[start : start + _CHUNK_LINES]
-        pairs = np.stack([trace.src[block], trace.dst[block]], axis=1).ravel()
-        ids = _renumber(address_ids, used_addresses, pairs)
-        src[start : start + len(block)] = ids[0::2]
-        dst[start : start + len(block)] = ids[1::2]
-        proto[start : start + len(block)] = _renumber(proto_codes, used_protos, trace.proto[block])
-    return Trace(
-        trace.timestamps[frames],
-        src,
-        dst,
-        InternTable(trace.interns.token_of(a) for a in used_addresses),
-        proto,
-        trace.length[frames],
-        [trace.protos[c] for c in used_protos],
-    )
-
-
 def _protocol_mask(trace: Trace, proto_predicate: Callable[[str], bool]) -> np.ndarray:
     """Per frame, whether its proto tag satisfies `proto_predicate`, as a new bool array.
 
@@ -829,14 +786,27 @@ def _protocol_mask(trace: Trace, proto_predicate: Callable[[str], bool]) -> np.n
     return wanted[trace.proto]
 
 
-def split_by_protocol(
-    trace: Trace, proto_predicate: Callable[[str], bool]
-) -> tuple[Trace, Trace]:
+def split_by_protocol(trace: Trace, proto_predicate: Callable[[str], bool]) -> tuple[Trace, Trace]:
     """Partition a trace into (matching, rest) by the proto field.
 
     Frames without a proto tag never match; the predicate is called once
     per tag in the trace's proto table.  Order and timestamps are
-    preserved; each output re-interns its own addresses so ids stay dense.
+    preserved.  Each side is built as a parse builds a trace: the tokens
+    of its frames go to `_Columns.append_tokens`, `_CHUNK_LINES` frames at
+    a time, so its ids are numbered by first appearance among its frames
+    and its tables hold only the tokens it uses.
     """
     matching = _protocol_mask(trace, proto_predicate)
-    return _select(trace, matching), _select(trace, ~matching)
+    tokens = np.array(trace.interns.tokens, dtype=object)
+    tags = np.array([tag or "" for tag in trace.protos], dtype=object)
+    sides = []
+    for chosen in (matching, ~matching):
+        columns = _Columns()
+        frames = np.flatnonzero(chosen)
+        for start in range(0, len(frames), _CHUNK_LINES):
+            block = frames[start : start + _CHUNK_LINES]
+            addresses = tokens[np.stack((trace.src[block], trace.dst[block]), 1).ravel()].tolist()
+            protos = tags[trace.proto[block]].tolist()
+            columns.append_tokens(trace.timestamps[block], addresses, protos, trace.length[block])
+        sides.append(columns.trace())
+    return sides[0], sides[1]

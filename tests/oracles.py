@@ -415,16 +415,19 @@ def concentration_curve_counter(dst_sequence: Sequence[int]) -> ConcentrationCur
     )
 
 
+def select_rows(trace: Trace, mask: np.ndarray) -> Trace:
+    """The frames where `mask` holds, re-interned from their token rows as a parse would."""
+    return Trace.from_token_rows(
+        (ts, trace.token_of(src), trace.token_of(dst), proto, length)
+        for (ts, src, dst, proto, length), chosen in zip(rows(trace), mask.tolist())
+        if chosen
+    )
+
+
 def split_by_protocol_rows(
     trace: Trace, proto_predicate: Callable[[str], bool]
 ) -> tuple[Trace, Trace]:
     """Split frame by frame, re-interning each side from its token rows."""
-    matched: list[tuple] = []
-    rest: list[tuple] = []
-    for ts, src, dst, proto, length in rows(trace):
-        row = (ts, trace.token_of(src), trace.token_of(dst), proto, length)
-        if proto is not None and proto_predicate(proto):
-            matched.append(row)
-        else:
-            rest.append(row)
-    return Trace.from_token_rows(matched), Trace.from_token_rows(rest)
+    tags = [proto for _, _, _, proto, _ in rows(trace)]
+    matching = np.array([tag is not None and bool(proto_predicate(tag)) for tag in tags], bool)
+    return select_rows(trace, matching), select_rows(trace, ~matching)

@@ -195,6 +195,36 @@ def test_empty_list_flag_is_rejected(tmp_path, capsys, command, flag):
     assert not (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--policies", "LRU,XYZ", "unknown policy 'XYZ'"),
+        ("--windows", "0", "--windows: entries must be >= 1"),
+        ("--windows", "100", "no window fits a trace of 30 references"),
+        ("--capacities", "9", "--capacities: 9 exceeds --database-size 3"),
+        ("--database-size", "2", "--database-size 2 is below the trace's 3 distinct"),
+    ],
+)
+def test_report_bad_flag_writes_no_file(tmp_path, capsys, flag, value, named):
+    path = _write_fixture(tmp_path, "".join(f"{i}\tS\td{i % 3}\n" for i in range(30)))
+    out = tmp_path / "rep"
+    out.mkdir()
+    assert main(["report", str(path), "--out-dir", str(out), flag, value]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {named}")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [("--policies", "LRU,XYZ", "unknown policy 'XYZ'"), ("--windows", "0", "--windows: entries")],
+)
+def test_list_flags_are_parsed_before_the_read(tmp_path, capsys, flag, value, named):
+    # The trace does not exist, so an error raised after the read would name the file.
+    missing = str(tmp_path / "missing.tsv")
+    assert main(["report", missing, "--out-dir", str(tmp_path / "rep"), flag, value]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {named}")
+
+
 def test_report_outputs_are_mutually_consistent(tmp_path):
     text = "".join(f"{i}\tS\td{(i * i) % 17}\n" for i in range(2000))
     path = _write_fixture(tmp_path, text)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from addrloc import locality
 from addrloc.cachesim import lru_curve_from_distances
 from addrloc.locality import (
+    StackDistanceHistogram,
     concentration_curve,
     run_lengths,
     stack_distances,
@@ -262,6 +263,36 @@ def test_stack_distances_cyclic_mass():
 def test_stack_distances_empty():
     distances, hist = stack_distances([])
     assert distances.tolist() == [] and hist.total == 0
+
+
+def test_empty_histogram_has_no_fractions():
+    _, hist = stack_distances([])
+    for fraction in (hist.pdf, hist.cdf):
+        with pytest.raises(ValueError, match="no references"):
+            fraction(1)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="no references"):
+        write_stackdist_csv(hist, buf)
+    assert buf.getvalue() == ""
+    with pytest.raises(ValueError, match="cannot simulate an empty reference sequence"):
+        lru_curve_from_distances(hist, [1])
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ([], "non-empty 1-D"),
+        (5, "non-empty 1-D"),
+        ([[1, 2]], "non-empty 1-D"),
+        ([0, -1, 3], "non-negative"),
+        ([1.5, 2], "integers"),
+        ([1.0, 2.0], "integers"),
+        ([True, False], "integers"),
+    ],
+)
+def test_histogram_rejects_bad_counts(counts, message):
+    with pytest.raises(ValueError, match=message):
+        StackDistanceHistogram(counts)
 
 
 def _check_greater_before(values) -> None:

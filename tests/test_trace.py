@@ -29,7 +29,7 @@ from addrloc.trace import (
 )
 
 from helpers import rows
-from oracles import parse_trace_by_line, split_by_protocol_rows
+from oracles import parse_trace_by_line, select_rows, split_by_protocol_rows
 
 
 def test_parse_two_line_file():
@@ -1014,14 +1014,21 @@ def test_split_matches_per_frame_split(frames, wanted):
 @settings(max_examples=100, deadline=None)
 @given(_plain_lines(), st.sampled_from([1, 2, 3, 8192]), st.data())
 def test_write_of_chosen_frames_equals_writing_their_selection(lines, chunk, data):
-    # Windows of 1 to 3 frames put selections across window edges.
+    # Windows of 1 to 3 frames put selections across window edges.  A protocol
+    # mask and its inverse write the two sides of `split_by_protocol`, so the
+    # `split` command and the library split give the same traces.
     t = parse_trace(lines)
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(t), max_size=len(t))), bool)
-    got, want = io.StringIO(), io.StringIO()
-    with mock.patch.object(trace_module, "_WRITE_CHUNK", chunk):
-        write_trace(t, got, frames=mask)
-        write_trace(trace_module._select(t, mask), want)
-    assert got.getvalue() == want.getvalue()
+    wanted = {tag for tag in t.protos[1:] if data.draw(st.booleans())}
+    matching = trace_module._protocol_mask(t, wanted.__contains__)
+    matched, rest = split_by_protocol(t, wanted.__contains__)
+    for chosen, selection in ((mask, select_rows(t, mask)), (matching, matched), (~matching, rest)):
+        got, want = io.StringIO(), io.StringIO()
+        with mock.patch.object(trace_module, "_WRITE_CHUNK", chunk):
+            write_trace(t, got, frames=chosen)
+            write_trace(selection, want)
+        assert got.getvalue() == want.getvalue()
+        assert parse_trace(io.StringIO(got.getvalue())) == selection
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 8192])
@@ -1047,7 +1054,7 @@ def test_write_checks_only_the_chosen_frames(monkeypatch, chunk):
         with pytest.raises(ValueError) as info:
             write_trace(t, got, frames=mask)
         with pytest.raises(ValueError) as expected:
-            write_trace(trace_module._select(t, mask), want)
+            write_trace(select_rows(t, mask), want)
         assert str(info.value) == str(expected.value)
         assert str(info.value) == f"token {token!r} contains a tab or line break"
         assert got.getvalue() == want.getvalue() == before
