@@ -68,9 +68,12 @@ class StackDistanceHistogram:
 
     `counts` (int64, no trailing zeros) and its running sum `cumulative`
     are read-only arrays.  The counts given must be a non-empty 1-D
-    sequence of non-negative integers; others raise ValueError.  A
-    histogram of no references has no fractions: `pdf` and `cdf` raise
-    ValueError.
+    sequence of non-negative integers that some reference string gives:
+    a reference at distance d needs d distinct addresses on the stack,
+    each first referenced once, so the largest distance with a count,
+    `len(counts) - 1`, may not exceed `counts[0]`.  Others raise
+    ValueError.  A histogram of no references has no fractions: `pdf` and
+    `cdf` raise ValueError.
     """
 
     def __init__(self, counts: Sequence[int]):
@@ -83,6 +86,11 @@ class StackDistanceHistogram:
         if counts.min() < 0:
             raise ValueError("counts must be non-negative")
         self.counts = counts[: np.flatnonzero(counts).max(initial=0) + 1]
+        if len(self.counts) - 1 > self.counts[0]:
+            raise ValueError(
+                f"a reference at distance {len(self.counts) - 1} needs as many distinct"
+                f" addresses, but counts[0] holds {self.counts[0]} first references"
+            )
         self.cumulative = np.cumsum(self.counts)
         self.counts.flags.writeable = self.cumulative.flags.writeable = False
         self.infinite_count = int(self.counts[0])
@@ -419,6 +427,5 @@ def write_stackdist_csv(hist: StackDistanceHistogram, stream: TextIO) -> None:
 def write_runs_csv(hist: RunLengthHistogram, stream: TextIO) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["length", "count", "frequency"])
-    for length in sorted(hist.counts):
-        count = hist.counts[length]
-        writer.writerow([length, count, fmt(count / hist.total_runs)])
+    for length, frequency in hist.frequencies().items():
+        writer.writerow([length, hist.counts[length], fmt(frequency)])

@@ -23,23 +23,20 @@ Timestamps are integer microseconds, non-negative and non-decreasing
 integer, so neither may exceed 2**63 - 1.  Lines starting with '#' and
 blank lines are skipped.  An empty proto field stands for "no proto tag".
 In a file, LF, CRLF and a lone CR each end a line, as in Python's text
-mode.
+mode.  The `Trace` constructor enforces these rules.
 
 `parse_trace` reads a file opened in binary mode, as `read_trace` gives
 it, in chunks cut after their last line break; str lines are read as the
-file holding their text.  Each block goes to one of two readers.
-The block reader works on the block's bytes with numpy: it finds the tabs
-and line breaks, reads the numbers from their ASCII digits and groups
-equal tokens by a hash of their 8-byte words, checked byte for byte.  A
-table of the tokens interned so far, kept across blocks, gives the known
-ones their ids after the same check, so only new tokens are decoded and
-interned.  It takes the plain shape that writers produce: numbers of 1
-to 18 digits, every line starting with a digit or '#' or empty.  Any
-other block goes to the line reader, which reads one line at a time.
-The line reader defines the accepted syntax: a timestamp or length is
-anything `int()` accepts, such as " 5", "+5" or "1_0", and it raises the
-error naming the first bad line.  Both readers give the same trace, and
-the syntax and errors are those of the line reader alone.
+file holding their text.  A block of the plain shape that writers
+produce (numbers of 1 to 18 digits, every line starting with a digit or
+'#' or empty) goes to the block reader, which reads its bytes with numpy
+and groups equal tokens by a hash of their 8-byte words, checked byte
+for byte; a table kept across blocks gives known tokens their ids, so
+only new ones are decoded and interned.  Any other block goes to the
+line reader, which reads one line at a time and defines the accepted
+syntax: a timestamp or length is anything `int()` accepts, such as " 5",
+"+5" or "1_0", and the error names the first bad line.  Both readers
+give the same trace, with the syntax and errors of the line reader.
 
 With `destinations_only=True`, `parse_trace` and `read_trace` return the
 read-only int32 `dst` column alone, its ids numbered by first appearance
@@ -128,27 +125,39 @@ class InternTable:
         return self._tokens == other._tokens
 
 
-def _column(values, dtype) -> np.ndarray:
-    """`values` as a read-only array of `dtype`; the caller's own array stays writable."""
-    column = np.asarray(values, dtype=dtype).view()
+def _column(values, dtype, what: str) -> np.ndarray:
+    """`values` as a read-only `dtype` array; ValueError unless they are integers it holds."""
+    values = np.asarray(values)
+    if len(values) and not np.issubdtype(values.dtype, np.integer):  # [] gives float64; bool fails
+        raise ValueError(f"{what} must be integers, got dtype {values.dtype}")
+    column = values.astype(dtype, copy=False).view()  # the caller's array stays writable
+    if not np.can_cast(values.dtype, dtype) and (column != values).any():
+        raise ValueError(f"{what} must fit in {np.dtype(dtype)}")
     column.flags.writeable = False
     return column
+
+
+def _breaks_line(token: str) -> bool:
+    return "\t" in token or "\n" in token or "\r" in token
 
 
 class Trace:
     """Immutable columnar table of frames plus the intern table of their addresses.
 
     `Trace(timestamps, src, dst, interns, proto, length, protos)` takes the
-    columns described in the module docstring; `proto` defaults to all 0
-    (no tag), `length` to all -1 (absent) and `protos` to `(None,)`.  The
-    tags must be distinct and not "", which a file cannot tell from None.
-    Ids are assigned in first-appearance order, scanning each frame's source
-    before its destination.  Only a trace numbered that way, with no unused
-    token, round-trips through `write_trace` and `parse_trace`:
-    `Trace([0], [1], [0], InternTable(["A", "B"]))` writes a frame from B to
-    A, which parses back with B as id 0.  Construct with
-    `Trace.from_token_rows`, `parse_trace`, or a generator; do not mutate
-    afterwards (analyses may share one Trace across threads).
+    columns described in the module docstring; `proto` defaults to all 0 (no
+    tag), `length` to all -1 (absent) and `protos` to `(None,)`.  It holds only
+    what a file can: a ValueError names the column, frame or token that is not
+    an integer its dtype holds, an id or code outside its table, a negative or
+    decreasing timestamp, a length below -1, a repeated or "" tag (a file cannot
+    tell "" from None), or a token or tag, used or not, that is empty or holds a
+    tab or line break.  Ids should be in first-appearance order, each frame's
+    source before its destination, with no unused token.  That is not checked;
+    only such a trace round-trips through `write_trace` and `parse_trace`:
+    `Trace([0], [1], [0], InternTable(["A", "B"]))` writes a frame from B to A,
+    which parses back with B as id 0.  Construct with `Trace.from_token_rows`,
+    `parse_trace`, or a generator; do not mutate afterwards (analyses may share
+    one Trace across threads).
     """
 
     __slots__ = ("timestamps", "src", "dst", "proto", "length", "protos", "interns")
@@ -164,11 +173,11 @@ class Trace:
         protos: Sequence[Optional[str]] = (None,),
     ):
         n = len(timestamps)
-        self.timestamps = _column(timestamps, np.int64)
-        self.src = _column(src, np.int32)
-        self.dst = _column(dst, np.int32)
-        self.proto = _column(np.zeros(n, np.int32) if proto is None else proto, np.int32)
-        self.length = _column(np.full(n, -1, np.int64) if length is None else length, np.int64)
+        self.timestamps = _column(timestamps, np.int64, "timestamps")
+        self.src = _column(src, np.int32, "src")
+        self.dst = _column(dst, np.int32, "dst")
+        self.proto = _column(np.zeros(n, np.int32) if proto is None else proto, np.int32, "proto")
+        self.length = _column(np.full(n, -1) if length is None else length, np.int64, "length")
         self.protos = tuple(protos)
         self.interns = interns
         if any(len(c) != n for c in (self.src, self.dst, self.proto, self.length)):
@@ -177,19 +186,31 @@ class Trace:
             raise ValueError("protos[0] must be None, the code of untagged frames")
         if "" in self.protos or len(set(self.protos)) < len(self.protos):
             raise ValueError("protos must be distinct tags, none of them empty")
-        for ids, size, what in (
-            (self.src, len(interns), "src"),
-            (self.dst, len(interns), "dst"),
-            (self.proto, len(self.protos), "proto"),
+        if "" in interns:
+            raise ValueError("empty address token")
+        if _breaks_line("".join(tokens := (*interns.tokens, *self.protos[1:]))):
+            unsafe = next(filter(_breaks_line, tokens))  # after one scan of them all
+            raise ValueError(f"token {unsafe!r} contains a tab or line break")
+        for column, low, high, what in (
+            (self.src, 0, len(interns) - 1, "src"),
+            (self.dst, 0, len(interns) - 1, "dst"),
+            (self.proto, 0, len(self.protos) - 1, "proto"),
+            (self.timestamps, 0, _INT64_MAX, "timestamps"),
+            (self.length, -1, _INT64_MAX, "length"),
         ):
-            if n and (ids.min() < 0 or ids.max() >= size):
-                raise ValueError(f"{what} column has a code outside 0..{size - 1}")
+            if n and (column.min() < low or column.max() > high):
+                frame = np.argmax((column < low) | (column > high))
+                raise ValueError(f"{what} column at frame {frame} is outside {low}..{high}")
+        # One byte per frame, where an int64 difference would take eight.
+        if (decreasing := np.less(self.timestamps[1:], self.timestamps[:-1])).any():
+            raise ValueError(f"timestamps column decreases at frame {decreasing.argmax() + 1}")
 
     @classmethod
     def from_token_rows(cls, rows: Iterable[tuple]) -> "Trace":
         """Build a trace from (timestamp, src_token, dst_token[, proto[, length]]) rows.
 
-        A proto of None or "" means no tag; a length of None means absent.
+        A proto of None or "" is no tag, a length of None is absent, and the
+        constructor's rules hold: a timestamp of 0.5 or 2**63 is a ValueError.
         """
         columns = _Columns()
         timestamps: list[int] = []
@@ -200,8 +221,7 @@ class Trace:
             timestamps.append(row[0])
             addresses += row[1:3]
             protos.append(row[3] or "" if len(row) > 3 else "")
-            length = row[4] if len(row) > 4 else None
-            lengths.append(-1 if length is None else length)
+            lengths.append(-1 if len(row) < 5 or row[4] is None else row[4])
         columns.append_tokens(timestamps, addresses, protos, lengths)
         return columns.trace()
 
@@ -274,10 +294,10 @@ class _Columns:
             self.dst.frombytes(self.interns.intern_all(addresses[1::2]).view(np.uint8))
             return
         self.append(
-            np.array(timestamps, np.int64),
+            _column(timestamps, np.int64, "timestamps"),
             self.interns.intern_all(addresses),
             self.protos.intern_all(protos),
-            np.array(lengths, np.int64),
+            _column(lengths, np.int64, "length"),
         )
 
     def trace(self) -> Trace:
@@ -665,11 +685,7 @@ def parse_trace(
     timestamp decreases.  '#'-comment lines and blank lines are skipped.
     str lines read as the file holding `"".join(lines)` in UTF-8 (see
     `_StrLines`): line numbers count line ends, and a lone surrogate is an
-    error.  `_file_blocks` cuts the input into blocks of whole lines, each
-    read by `_read_block`, which reads its bytes with numpy and takes the
-    ids of tokens seen in earlier blocks from their table (`_Known`), or
-    else by `_read_lines`, which reads one line at a time, accepts any
-    `int()` spelling and names the first bad line.  Both give the same trace.
+    error.  The module docstring describes the two readers of its blocks.
     With `destinations_only`, returns the read-only int32 dst ids alone,
     numbered by first appearance among destinations, after the same checks.
     """
@@ -683,12 +699,8 @@ def parse_trace(
             last = _read_lines(block, lineno, prev_ts, columns)
         prev_ts = last
     if destinations_only:
-        return _column(np.frombuffer(columns.dst, np.int32), np.int32)
+        return _column(np.frombuffer(columns.dst, np.int32), np.int32, "dst")
     return columns.trace()
-
-
-def _breaks_line(token: str) -> bool:
-    return "\t" in token or "\n" in token or "\r" in token
 
 
 def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = None) -> None:
@@ -701,33 +713,24 @@ def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = Non
     holds, in order, and builds no sub-trace: for a parsed trace, the text
     of the trace those frames parse to, which for a protocol mask is a side
     of `split_by_protocol`.  The trace is walked one `_WRITE_CHUNK` window
-    at a time, so no temporary is longer than a window.  Raises ValueError at
-    the first written frame with an empty address token or a token
-    holding a tab or line break, after writing the frames before it;
-    frames not written are never checked.
+    at a time, so no temporary is longer than a window.  It only formats,
+    as the constructor has checked every rule: its one ValueError, for a
+    `frames` that is not a boolean mask of N entries, comes before any text.
     """
+    frames = frames if frames is None else np.asarray(frames)
     if frames is not None and (frames.dtype != bool or frames.shape != (len(trace),)):
         raise ValueError(f"frames must be a boolean mask of {len(trace)} entries")
     tokens = np.array(trace.interns.tokens, dtype=object)
-    protos = trace.protos
-    unsafe_token = np.fromiter((not t or _breaks_line(t) for t in tokens), bool, len(tokens))
-    unsafe_proto = np.array([p is not None and _breaks_line(p) for p in protos])
     # The text after the dst field: "\tproto" alone, or "\tproto\tlength"
     # with an empty proto field when untagged.
-    tag_only = np.array(["" if p is None else f"\t{p}" for p in protos], dtype=object)
-    tag_field = np.array([f"\t{p or ''}" for p in protos], dtype=object)
+    tag_only = np.array(["" if p is None else f"\t{p}" for p in trace.protos], dtype=object)
+    tag_field = np.array([f"\t{p or ''}" for p in trace.protos], dtype=object)
     columns = trace.timestamps, trace.src, trace.dst, trace.proto, trace.length
     for start in range(0, len(trace), _WRITE_CHUNK):
         rows = slice(start, start + _WRITE_CHUNK)
         if frames is not None:
             rows = np.flatnonzero(frames[rows]) + start
         ts, src, dst, codes, lengths = (column[rows] for column in columns)
-        bad = ()
-        unsafe = np.flatnonzero(unsafe_token[src] | unsafe_token[dst] | unsafe_proto[codes])
-        if len(unsafe):
-            end = int(unsafe[0])
-            bad = tokens[src[end]], tokens[dst[end]], protos[codes[end]]
-            ts, src, dst, codes, lengths = (c[:end] for c in (ts, src, dst, codes, lengths))
         tails = tag_only[codes]
         sized = lengths >= 0
         if sized.any():
@@ -739,11 +742,6 @@ def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = Non
                 ts.tolist(), tokens[src].tolist(), tokens[dst].tolist(), tails.tolist()
             )
         ]))
-        for token in bad:
-            if token == "":
-                raise ValueError("empty address token")
-            if token is not None and _breaks_line(token):
-                raise ValueError(f"token {token!r} contains a tab or line break")
 
 
 def read_trace(path, *, destinations_only: bool = False) -> Trace | np.ndarray:

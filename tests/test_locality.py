@@ -295,6 +295,31 @@ def test_histogram_rejects_bad_counts(counts, message):
         StackDistanceHistogram(counts)
 
 
+@pytest.mark.parametrize(
+    "counts, allowed",
+    [
+        ([0, 3], False),  # re-references with no first reference
+        ([1, 0, 0, 5], False),  # distance 3 with one distinct address
+        ([2, 1, 1, 1], False),
+        ([0, 1, 0, 0], False),  # trailing zeros do not count
+        ([0], True),  # no references
+        ([0, 0], True),
+        ([1, 5], True),
+        ([3, 0, 0, 2], True),
+        ([2, 4, 1, 0], True),
+    ],
+)
+def test_histogram_needs_a_first_reference_per_distance(counts, allowed):
+    # A reference at distance d has d distinct addresses at and above it in
+    # the stack, each first referenced once: d <= counts[0].
+    if allowed:
+        kept = np.trim_zeros(counts, "b") or [0]
+        assert StackDistanceHistogram(counts).counts.tolist() == kept
+    else:
+        with pytest.raises(ValueError, match="needs as many distinct addresses"):
+            StackDistanceHistogram(counts)
+
+
 def _check_greater_before(values) -> None:
     values = np.asarray(values, dtype=np.int32)
     counts, order = locality._greater_before(values)

@@ -11,6 +11,12 @@ cache that holds every destination misses only on first references.
 
 `split`'s two sides must hold every frame between them, and its matching
 side must analyse as the trace filtered by hand.
+
+`report` reads a full trace.  Shifting every timestamp by a constant must
+leave its eight files byte-identical, and scaling them by an integer must
+change only `summary.txt`'s `duration_hours` line.  Comment lines, blank
+lines and the line ends (LF, CRLF or a lone CR) are not part of the trace,
+so they must change no file.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addrloc.cli import main
+from addrloc.trace import MICROSECONDS_PER_HOUR
 
 # The six dst-only subcommands, each writing its files into {out}.
 COMMANDS = [
@@ -176,3 +183,57 @@ def test_split_sides_add_up_and_the_matching_side_is_the_filtered_trace(frames, 
         filtered.write_text(_text([f for f in frames if f[3] == wanted]), encoding="utf-8")
         got = _stackdist_and_runs(sides[0], Path(tmp) / "match")
         assert got == _stackdist_and_runs(filtered, Path(tmp) / "filtered")
+
+
+def _report(text: str) -> dict[str, bytes]:
+    """Every file `report` writes for a trace file holding `text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.txt"
+        trace.write_bytes(text.encode("utf-8"))
+        out = Path(tmp) / "out"
+        argv = ["report", str(trace), "--windows", "1,2,5", "--seed", "3", "--out-dir", str(out)]
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@settings(max_examples=10, deadline=None)
+@given(_frames(), st.integers(1, 2**62))
+def test_shifting_timestamps_does_not_change_the_report(frames, shift):
+    shifted = [(ts + shift, *rest) for ts, *rest in frames]
+    report = _report(_text(frames))
+    assert len(report) == 8
+    assert _report(_text(shifted)) == report
+
+
+@settings(max_examples=10, deadline=None)
+@given(_frames(), st.integers(1, 10**6))
+def test_scaling_timestamps_changes_only_the_duration(frames, k):
+    scaled = [(ts * k, *rest) for ts, *rest in frames]
+    report, got = _report(_text(frames)), _report(_text(scaled))
+    summary, got_summary = report.pop("summary.txt"), got.pop("summary.txt")
+    assert got == report
+    span = (frames[-1][0] - frames[0][0]) * k
+    duration = f"duration_hours={span / MICROSECONDS_PER_HOUR!r}"
+    want = [duration if line.startswith("duration_hours=") else line
+            for line in summary.decode().splitlines()]
+    assert got_summary.decode().splitlines() == want
+
+
+_NOISE = ["", " ", "\t", "#", "# comment\twith a tab", "#0\tA\tB"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(_frames(), st.data())
+def test_comments_blank_lines_and_line_ends_do_not_change_the_report(frames, data):
+    lines = []
+    for line in _text(frames).splitlines():
+        lines += data.draw(st.lists(st.sampled_from(_NOISE), max_size=2))
+        lines.append(line)
+    lines += data.draw(st.lists(st.sampled_from(_NOISE), max_size=2))
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                              min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if data.draw(st.booleans()):
+        text = text.rstrip("\r\n")  # the last line needs no line end
+    assert _report(text) == _report(_text(frames))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import io
+import re
 import tracemalloc
 from functools import partial
 from unittest import mock
@@ -164,34 +165,50 @@ def test_round_trip_empty_trace():
     assert len(parse_trace(io.StringIO(""))) == 0
 
 
-def test_write_rejects_separator_in_token():
-    t = Trace.from_token_rows([(0, "A", "B\tC")])
-    with pytest.raises(ValueError):
-        write_trace(t, io.StringIO())
+def test_constructor_rejects_separator_in_token():
+    # A tab would split the token's field in a file, so no trace holds one.
+    with pytest.raises(ValueError, match=r"^token 'B\\tC' contains a tab or line break$"):
+        Trace.from_token_rows([(0, "A", "B\tC")])
 
 
 @pytest.mark.parametrize("field", [1, 2, 3])
-def test_write_names_the_first_bad_token_after_safe_records(field):
-    # Every token is checked once, so a bad one must still be caught on the
-    # first record that uses it, after the records before it are written.
+def test_from_token_rows_names_the_bad_token_in_each_field(field):
+    # A bad src, dst or proto token is named whatever records come before it.
     bad_row = [2, "A", "B", "LAT"]
     bad_row[field] = "x\ny"
-    t = Trace.from_token_rows([(0, "A", "B", "LAT"), (1, "B", "A", "LAT"), tuple(bad_row)])
-    buf = io.StringIO()
     with pytest.raises(ValueError, match=r"^token 'x\\ny' contains a tab or line break$"):
-        write_trace(t, buf)
-    assert buf.getvalue() == "0\tA\tB\tLAT\n1\tB\tA\tLAT\n"
+        Trace.from_token_rows([(0, "A", "B", "LAT"), (1, "B", "A", "LAT"), tuple(bad_row)])
 
 
-def test_write_rejects_an_empty_address_token_at_its_frame():
+def test_constructor_rejects_an_empty_address_token():
     # "0\t\t\n" would not parse back: the parser rejects an empty token.
     with pytest.raises(ValueError, match="^empty address token$"):
-        write_trace(Trace([0], [0], [0], InternTable([""])), io.StringIO())
-    t = Trace([0, 1], [0, 0], [0, 1], InternTable(["A", ""]))
-    buf = io.StringIO()
+        Trace([0], [0], [0], InternTable([""]))
+    # Every token is checked, so an unused one is too.
     with pytest.raises(ValueError, match="^empty address token$"):
-        write_trace(t, buf)
-    assert buf.getvalue() == "0\tA\tA\n"
+        Trace([0], [0], [0], InternTable(["A", ""]))
+    with pytest.raises(ValueError, match="^empty address token$"):
+        Trace.from_token_rows([(0, "A", "")])
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(5, "A", "B"), (1, "A", "B")], "^timestamps column decreases at frame 1$"),
+        ([(0, "A", "B"), (-1, "A", "B")], "^timestamps column at frame 1 is outside 0\\.\\."),
+        ([(0, "A", "B", None, -5)], "^length column at frame 0 is outside -1\\.\\."),
+        ([(0.5, "A", "B")], "^timestamps must be integers, got dtype float64$"),
+        ([(0, "A", "B", None, 1.5)], "^length must be integers, got dtype float64$"),
+        ([(True, "A", "B")], "^timestamps must be integers, got dtype bool$"),
+        ([(0, "A", "B", "ip", False)], "^length must be integers, got dtype bool$"),
+        ([(2**63, "A", "B")], "^timestamps must fit in int64$"),
+        ([(0, "A", "B", None, 2**64)], "^length must be integers, got dtype object$"),
+    ],
+)
+def test_from_token_rows_rejects_what_a_file_cannot_hold(rows, message):
+    # Nothing is truncated or wrapped: 0.5 is not stored as 0, nor 2**63 as -2**63.
+    with pytest.raises(ValueError, match=message):
+        Trace.from_token_rows(rows)
 
 
 def test_file_round_trip(tmp_path):
@@ -231,13 +248,13 @@ def test_round_trip_property(rows):
 
 
 # Address tokens and tags: safe ones, some not ASCII, and unsafe ones: empty or
-# holding a tab or line break.
+# holding a tab or line break (`_breaks`).
 _POOL = ["A", "b-c", "é", "€ x", "𝄞", "#", "", "x\ty", "x\ny", "x\r", "\rx"]
 _TAGS = [None, "", "lat", "ip", "é", "l\tt", "p\n", "p\r"]
 
 
-def _unsafe(token) -> bool:
-    return token == "" or token is not None and any(c in token for c in "\t\n\r")
+def _breaks(token) -> bool:
+    return token is not None and any(c in token for c in "\t\n\r")
 
 
 @settings(
@@ -246,43 +263,56 @@ def _unsafe(token) -> bool:
 @given(
     st.lists(st.sampled_from(_POOL), min_size=1, max_size=4, unique=True),
     st.lists(st.sampled_from(_TAGS), max_size=4, unique=True),
+    st.booleans(),
     st.data(),
 )
-def test_constructed_traces_round_trip_unless_a_written_token_is_unsafe(
-    tmp_path, pool, tags, data
+def test_constructor_accepts_exactly_the_traces_a_file_can_hold(
+    tmp_path, pool, tags, ordered, data
 ):
     protos = (None, *tags)
     frames = data.draw(st.lists(st.tuples(
-        st.integers(0, 10**6),
+        st.integers(-2, 10**6),
         st.sampled_from(pool),
         st.sampled_from(pool),
         st.integers(0, len(tags)),
-        st.one_of(st.none(), st.integers(0, 2**63 - 1)),
+        st.one_of(st.none(), st.integers(-3, 2**63 - 1)),
     ), max_size=12))
-    frames.sort(key=lambda frame: frame[0])
+    if ordered:
+        frames.sort(key=lambda frame: frame[0])
     # Ids numbered by first appearance, source before destination, as parsed.
     interns = InternTable()
     ids = [interns.intern(token) for _, src, dst, _, _ in frames for token in (src, dst)]
+    timestamps = [ts for ts, *_ in frames]
+    lengths = [-1 if n is None else n for *_, n in frames]
     columns = dict(
-        timestamps=[ts for ts, *_ in frames],
+        timestamps=timestamps,
         src=ids[0::2],
         dst=ids[1::2],
         interns=interns,
         proto=[code for *_, code, _ in frames],
-        length=[-1 if n is None else n for *_, n in frames],
+        length=lengths,
         protos=protos,
     )
-    if "" in protos or len(set(protos)) < len(protos):
-        with pytest.raises(ValueError, match="protos must be distinct tags"):
+    # Each rule broken, by the start of its message.
+    broken = [
+        message
+        for message, breaks in (
+            ("protos must be distinct tags", "" in protos or len(set(protos)) < len(protos)),
+            ("empty address token", "" in interns),
+            ("token .* contains a tab or line break", any(map(_breaks, (*interns.tokens, *tags)))),
+            ("timestamps column at frame", any(ts < 0 for ts in timestamps)),
+            ("timestamps column decreases", timestamps != sorted(timestamps)),
+            ("length column at frame", any(n < -1 for n in lengths)),
+        )
+        if breaks
+    ]
+    if broken:
+        with pytest.raises(ValueError) as info:
             Trace(**columns)
+        assert any(re.match(message, str(info.value)) for message in broken)
         return
     t = Trace(**columns)
-    written = [*interns.tokens, *(protos[code] for code in columns["proto"])]
     buf = io.StringIO()
-    if any(map(_unsafe, written)):
-        with pytest.raises(ValueError, match="contains a tab or line break|empty address token"):
-            write_trace(t, buf)
-        return
     write_trace(t, buf)
     assert parse_trace(io.StringIO(buf.getvalue())) == t
     path = tmp_path / "t.tsv"
@@ -318,11 +348,28 @@ def test_destinations_are_python_ints():
         (dict(timestamps=[0], src=[0], dst=[0], protos=("LAT",)), "protos\\[0\\] must be None"),
         (dict(timestamps=[0], src=[0], dst=[0], protos=(None, "LAT", "")), "none of them empty"),
         (dict(timestamps=[0], src=[0], dst=[0], protos=(None, "ip", "ip")), "must be distinct"),
+        (dict(timestamps=[0], src=[0], dst=[0], interns=InternTable([""])), "^empty address"),
+        (dict(timestamps=[0], src=[0], dst=[0], interns=InternTable(["A", "B\rC"])), r"'B\\rC'"),
+        (dict(timestamps=[0], src=[0], dst=[0], protos=(None, "ip\n")), r"^token 'ip\\n' contains"),
+        (dict(timestamps=[-1], src=[0], dst=[0]), "^timestamps column at frame 0 is outside 0\\."),
+        (dict(timestamps=[0, 5, 5, 1], src=[0] * 4, dst=[0] * 4), "decreases at frame 3$"),
+        (dict(timestamps=[0, 1], src=[0, 0], dst=[0, 0], length=[0, -2]), "length column at frame 1"),
+        (dict(timestamps=[0.0], src=[0], dst=[0]), "timestamps must be integers, got dtype float"),
+        (dict(timestamps=[0], src=[0], dst=[0], length=[True]), "length must be integers"),
+        (dict(timestamps=[0], src=[0.0], dst=[0]), "src must be integers"),
+        (dict(timestamps=np.array([2**63], np.uint64), src=[0], dst=[0]), "timestamps must fit in int64"),
+        (dict(timestamps=[0], src=[0], dst=[2**32]), "^dst must fit in int32$"),
     ],
 )
 def test_constructor_rejects_inconsistent_columns(columns, message):
     with pytest.raises(ValueError, match=message):
-        Trace(interns=InternTable(["A"]), **columns)
+        Trace(**{"interns": InternTable(["A"]), **columns})
+
+
+def test_constructor_accepts_empty_columns_of_any_dtype():
+    # np.asarray([]) is float64, and an empty trace has nothing to truncate.
+    t = Trace([], [], [], InternTable(), proto=[], length=np.array([], float))
+    assert len(t) == 0 and t.timestamps.dtype == np.int64 and t.length.dtype == np.int64
 
 
 def test_constructor_defaults_and_records_view():
@@ -1032,34 +1079,24 @@ def test_write_of_chosen_frames_equals_writing_their_selection(lines, chunk, dat
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 8192])
-def test_write_checks_only_the_chosen_frames(monkeypatch, chunk):
+def test_write_rejects_a_bad_mask_before_any_text(monkeypatch, chunk):
     monkeypatch.setattr(trace_module, "_WRITE_CHUNK", chunk)
     t = Trace.from_token_rows(
-        [(0, "A", "B", "lat"), (1, "A", "x\ty", "ip"), (2, "B", "A"), (3, "A", "B", "x\ny", 9),
+        [(0, "A", "B", "lat"), (1, "A", "C", "ip"), (2, "B", "A"), (3, "A", "B", None, 9),
          (4, "A", "B", "lat", 60)]
     )
-    # Frames 1 and 3 hold a tab or line break; left out, they are never checked.
-    safe = np.array([True, False, True, False, True])
+    chosen = [True, False, True, False, True]
     buf = io.StringIO()
-    write_trace(t, buf, frames=safe)
-    assert buf.getvalue() == "0\tA\tB\tlat\n2\tB\tA\n4\tA\tB\tlat\t60\n"
-    # A chosen bad frame raises after the chosen frames before it, as the selection does.
-    for bad, token, before in (
-        (1, "x\ty", "0\tA\tB\tlat\n"),
-        (3, "x\ny", "0\tA\tB\tlat\n2\tB\tA\n"),
-    ):
-        mask = safe.copy()
-        mask[bad] = True
-        got, want = io.StringIO(), io.StringIO()
-        with pytest.raises(ValueError) as info:
-            write_trace(t, got, frames=mask)
-        with pytest.raises(ValueError) as expected:
-            write_trace(select_rows(t, mask), want)
-        assert str(info.value) == str(expected.value)
-        assert str(info.value) == f"token {token!r} contains a tab or line break"
-        assert got.getvalue() == want.getvalue() == before
-    with pytest.raises(ValueError, match="boolean mask of 5 entries"):
-        write_trace(t, buf, frames=np.ones(4, bool))
+    # The wrong length as an array or a list, another dtype, another shape, a scalar.
+    for frames in (np.ones(4, bool), chosen[:2], np.array(chosen, int), np.array([chosen]), True):
+        with pytest.raises(ValueError, match="^frames must be a boolean mask of 5 entries$"):
+            write_trace(t, buf, frames=frames)
+    assert buf.getvalue() == ""
+    # A list of booleans, one per frame, is a mask.
+    for frames in (chosen, np.array(chosen)):
+        buf = io.StringIO()
+        write_trace(t, buf, frames=frames)
+        assert buf.getvalue() == "0\tA\tB\tlat\n2\tB\tA\n4\tA\tB\tlat\t60\n"
 
 
 def test_split_command_peaks_at_the_parse(tmp_path):
