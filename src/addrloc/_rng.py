@@ -67,7 +67,8 @@ def randbelow_stream(seed: int, n: int) -> Iterator[int]:
 def derive_seed(seed: int, salt: int) -> int:
     """Deterministic sub-seed for stream `salt` of master seed `seed`.
 
-    Used to give every (seed, capacity) pair of a RAND sweep and every
-    sub-stream of an interleaved generator its own independent stream.
+    Gives every (seed, capacity) pair of a RAND simulation, one capacity
+    or a sweep, and every sub-stream of an interleaved generator its own
+    independent stream.
     """
     return int(_mix(seed ^ (salt * _GOLDEN), 0, 1)[0])

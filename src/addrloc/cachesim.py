@@ -21,8 +21,9 @@ each keeps one D-entry list indexed by id.  FIFO evicts the entry
 inserted c misses earlier, so the entry inserted at miss t is resident
 until miss t + c: an expiry per id and a miss counter decide every miss.
 RAND fills its c slots with the first c misses; then each victim slot
-drawn from its stream waits for the next miss, so the draws are taken one
-per eviction.
+drawn from its stream, `derive_seed(seed, c)` whether one capacity or many
+is asked for, waits for the next miss, so the draws are taken one per
+eviction.
 
 MIN keeps no resident set.  Its heap holds Belady keys, -(next use), so
 an eviction's key names the reference that the victim's absence turns
@@ -49,7 +50,7 @@ import numpy as np
 
 from ._csvfmt import write_curve_table
 from ._rng import derive_seed, randbelow_stream
-from .locality import StackDistanceHistogram, _refs
+from .locality import StackDistanceHistogram, _positive_int, _refs
 
 POLICIES = ("MIN", "LRU", "FIFO", "RAND")
 
@@ -192,10 +193,35 @@ def _rand_misses(seq: list[int], distinct: int, capacity: int, seed: int) -> int
         slots[pos] = a
 
 
-def _simulate_all(
-    dst_sequence: Sequence[int], policy: str, capacities: Sequence[int], seeds: Sequence[int]
-) -> tuple[CacheStats, ...]:
-    """Miss counts at each capacity (RAND on the matching seed), from one prepared string."""
+def _capacities(capacities: Sequence[int]) -> list[int]:
+    """The capacities as ints; `ValueError` for an empty sweep or any entry
+    that is not an integer >= 1 (bool and float included)."""
+    if not len(capacities):
+        raise ValueError("capacity sweep is empty")
+    return [_positive_int(c, "capacity") for c in capacities]
+
+
+def simulate(dst_sequence: Sequence[int], policy: str, capacity: int, seed: int = 0) -> CacheStats:
+    """Count misses for one policy at one capacity: the one-capacity `sweep`.
+
+    `seed` matters only for RAND, which runs on the stream that `sweep`
+    gives this capacity, `derive_seed(seed, capacity)`.
+    """
+    return sweep(dst_sequence, policy, (capacity,), seed).entries[0]
+
+
+def sweep(
+    dst_sequence: Sequence[int], policy: str, capacities: Sequence[int], seed: int = 0
+) -> MissCurve:
+    """Simulate one policy across a capacity sweep.
+
+    The reference string is prepared once for the whole sweep.  Each RAND
+    capacity c runs on its own stream, `derive_seed(seed, c)`, so adding
+    or removing capacities never perturbs the others, and identical seeds
+    give identical victim choices on every platform.  Capacities must be
+    integers >= 1.
+    """
+    capacities = _capacities(capacities)
     refs = _refs(dst_sequence)
     n = len(refs)
     if n == 0:
@@ -203,13 +229,11 @@ def _simulate_all(
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {', '.join(POLICIES)}")
     if policy == "LRU":
-        return lru_curve_from_distances(refs.hist, capacities).entries
+        return lru_curve_from_distances(refs.hist, capacities)
     distinct = refs.distinct
     plan = None
     entries = []
-    for c, seed in zip(capacities, seeds):
-        if c < 1:
-            raise ValueError(f"capacity must be >= 1, got {c}")
+    for c in capacities:
         if c >= distinct:
             misses = distinct         # nothing is ever evicted
         elif c == 1:
@@ -221,53 +245,23 @@ def _simulate_all(
         elif policy == "FIFO":
             misses = _fifo_misses(refs.collapsed_list, distinct, c)
         else:
-            misses = _rand_misses(refs.collapsed_list, distinct, c, seed)
+            misses = _rand_misses(refs.collapsed_list, distinct, c, derive_seed(seed, c))
         entries.append(CacheStats(c, n, misses))
-    return tuple(entries)
-
-
-def simulate(dst_sequence: Sequence[int], policy: str, capacity: int, seed: int = 0) -> CacheStats:
-    """Count misses for one policy at one capacity.
-
-    `seed` matters only for RAND; identical seeds give identical victim
-    choices on every platform.  RAND runs on stream `seed` itself, while
-    `sweep(seed=s)` runs capacity c on stream `derive_seed(s, c)`.
-    """
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
-    return _simulate_all(dst_sequence, policy, (capacity,), (seed,))[0]
-
-
-def sweep(
-    dst_sequence: Sequence[int], policy: str, capacities: Sequence[int], seed: int = 0
-) -> MissCurve:
-    """Simulate one policy across a capacity sweep.
-
-    The reference string is prepared once for the whole sweep.  Each RAND
-    capacity c runs on its own stream, `derive_seed(seed, c)`, so adding
-    or removing capacities never perturbs the others.
-    """
-    if not capacities:
-        raise ValueError("capacity sweep is empty")
-    seeds = [derive_seed(seed, c) for c in capacities]
-    return MissCurve(policy, _simulate_all(dst_sequence, policy, capacities, seeds))
+    return MissCurve(policy, tuple(entries))
 
 
 def lru_curve_from_distances(hist: StackDistanceHistogram, capacities: Sequence[int]) -> MissCurve:
     """LRU miss counts read off a stack distance histogram, without simulating.
 
     Capacity c misses the first references and those at distance above c.
+    Capacities must be integers >= 1.
     """
     if not hist.total:
         raise ValueError("cannot simulate an empty reference sequence")
-    if not capacities:
-        raise ValueError("capacity sweep is empty")
-    entries = []
-    for c in capacities:
-        if c < 1:
-            raise ValueError(f"capacity must be >= 1, got {c}")
-        entries.append(CacheStats(c, hist.total, hist.total - hist.hits(c)))
-    return MissCurve("LRU", tuple(entries))
+    entries = tuple(
+        CacheStats(c, hist.total, hist.total - hist.hits(c)) for c in _capacities(capacities)
+    )
+    return MissCurve("LRU", entries)
 
 
 def write_miss_ratio_csv(curves: Sequence[MissCurve], stream: TextIO) -> None:

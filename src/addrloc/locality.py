@@ -20,8 +20,10 @@ a block of `_BLOCK` positions at a time, so its scratch is bounded.
 from __future__ import annotations
 
 import csv
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -31,6 +33,19 @@ from ._csvfmt import fmt
 
 # Largest destination id the vectorized analyses accept: a trace's int32 id.
 _MAX_ID = 2**31 - 1
+
+
+def _positive_int(value, what: str) -> int:
+    """`value` as an int; `ValueError` unless it is an integer >= 1.
+
+    Python and numpy integers pass (`operator.index`); bool, float and
+    everything else do not.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        with suppress(TypeError):
+            if (whole := index(value)) >= 1:
+                return whole
+    raise ValueError(f"{what} must be an integer >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -272,12 +287,13 @@ def working_set(dst_sequence: Sequence[int], window: int, mode: str = "disjoint"
     A reference counts toward a window that holds it iff its previous use
     lies before that window's start, so the total over all windows is an
     exact integer count from one previous-use array, which a prepared
-    string (`_Refs`) keeps for its next window.
+    string (`_Refs`) keeps for its next window.  The window must be an
+    integer from 1 to the sequence length (bool and float raise
+    `ValueError`).
     """
     refs = _refs(dst_sequence)
     n = len(refs)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    window = _positive_int(window, "window")
     if window > n:
         raise ValueError(f"window {window} exceeds sequence length {n}")
     if mode not in ("disjoint", "sliding"):

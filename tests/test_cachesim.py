@@ -125,8 +125,8 @@ def test_rand_is_seed_deterministic():
     seq = [rnd.randrange(100) for _ in range(2000)]
     a = simulate(seq, "RAND", 10, seed=1).misses
     assert a == simulate(seq, "RAND", 10, seed=1).misses
-    assert a == 1808            # pinned: the seeded victim stream never drifts
-    assert simulate(seq, "RAND", 10, seed=2).misses == 1794
+    assert a == 1796            # pinned: the seeded victim stream never drifts
+    assert simulate(seq, "RAND", 10, seed=2).misses == 1803
 
 
 def test_sweep_reseeds_rand_per_capacity():
@@ -134,8 +134,8 @@ def test_sweep_reseeds_rand_per_capacity():
     seq = [rnd.randrange(40) for _ in range(800)]
     curve = sweep(seq, "RAND", [4, 10, 20], seed=7)
     for entry in curve.entries:
-        expected = simulate(seq, "RAND", entry.capacity, seed=derive_seed(7, entry.capacity))
-        assert entry == expected
+        assert entry == simulate(seq, "RAND", entry.capacity, seed=7)
+        assert entry == sweep(seq, "RAND", [entry.capacity], seed=7).entries[0]
 
 
 def test_cache_stats_metrics():
@@ -170,6 +170,39 @@ def test_simulate_validation():
         simulate([], "LRU", 1)
     with pytest.raises(ValueError):
         sweep([0], "LRU", [])
+    # simulate checks its capacity through sweep.
+    with pytest.raises(ValueError, match="capacity must be an integer >= 1, got 2.5"):
+        simulate([0, 1, 2, 0], "FIFO", 2.5)
+    with pytest.raises(ValueError, match="capacity must be an integer >= 1, got True"):
+        simulate([0, 1, 2, 0], "MIN", True)
+    seq = [0, 1, 2, 0]
+    assert simulate(seq, "RAND", np.int64(2), seed=5) == simulate(seq, "RAND", 2, seed=5)
+
+
+def _lru_from_histogram(seq, capacities):
+    return lru_curve_from_distances(stack_distances(seq)[1], capacities)
+
+
+_CAPACITY_TAKERS = [
+    *(pytest.param(lambda seq, caps, p=p: sweep(seq, p, caps), id=p) for p in POLICIES),
+    pytest.param(_lru_from_histogram, id="lru_curve_from_distances"),
+]
+
+
+@pytest.mark.parametrize("curve_of", _CAPACITY_TAKERS)
+def test_capacities_must_be_integers_at_least_one(curve_of):
+    seq = [0, 1, 2, 0, 3, 1, 0, 2]
+    for bad in (0, -1, 2.5, 2.0, np.float64(3.0), True, np.bool_(True), "2", None):
+        with pytest.raises(ValueError, match=rf"capacity must be an integer >= 1, got {bad}$"):
+            curve_of(seq, [2, bad])
+    with pytest.raises(ValueError, match="capacity sweep is empty"):
+        curve_of(seq, np.array([], dtype=np.int64))
+    # Numpy integers and arrays are integers: the entries come back as ints.
+    want = curve_of(seq, [2, 3])
+    for caps in ([np.int32(2), np.int64(3)], np.array([2, 3]), (2, 3)):
+        curve = curve_of(seq, caps)
+        assert curve == want
+        assert all(type(e.capacity) is int for e in curve.entries)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -261,7 +294,22 @@ def test_simulate_equals_per_capacity_oracles(seq, capacity, seed):
     for c in _capacities(seq, [capacity]):
         for policy in POLICIES:
             stats = simulate(seq, policy, c, seed=seed)
-            assert stats == CacheStats(c, len(seq), oracle_misses(seq, policy, c, seed))
+            assert stats == CacheStats(c, len(seq), oracle_sweep(seq, policy, [c], seed)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _reference_strings(),
+    st.lists(st.integers(min_value=1, max_value=16), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_simulate_is_the_one_capacity_sweep(seq, capacities, seed):
+    # One RAND stream per (seed, capacity), whichever function asks for it.
+    for policy in POLICIES:
+        curve = sweep(seq, policy, capacities, seed=seed)
+        want = oracle_sweep(seq, policy, capacities, seed)
+        for c, entry, misses in zip(capacities, curve.entries, want):
+            assert simulate(seq, policy, c, seed=seed) == entry == CacheStats(c, len(seq), misses)
 
 
 @settings(max_examples=25, deadline=None)

@@ -208,6 +208,11 @@ def test_working_set_errors():
         working_set([0, 1], 3)
     with pytest.raises(ValueError):
         working_set([0, 1], 2, "zigzag")
+    # A window is an integer: no bool, no float.
+    for bad in (True, 1.0, 2.5, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match="window must be an integer >= 1"):
+            working_set([0, 1, 0], bad)
+    assert working_set([0, 1, 0], np.int64(2)) == working_set([0, 1, 0], 2)
 
 
 # --- stack distances -------------------------------------------------------

@@ -16,7 +16,9 @@ side must analyse as the trace filtered by hand.
 leave its eight files byte-identical, and scaling them by an integer must
 change only `summary.txt`'s `duration_hours` line.  Comment lines, blank
 lines and the line ends (LF, CRLF or a lone CR) are not part of the trace,
-so they must change no file.
+so they must change no file; nor may the reader's chunk sizes, nor a
+bijective renaming of the address tokens.  Its CSV files must equal those
+the six subcommands write with the same flags.
 """
 
 from __future__ import annotations
@@ -27,9 +29,12 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addrloc import trace as trace_module
 from addrloc.cli import main
 from addrloc.trace import MICROSECONDS_PER_HOUR
 
@@ -185,14 +190,14 @@ def test_split_sides_add_up_and_the_matching_side_is_the_filtered_trace(frames, 
         assert got == _stackdist_and_runs(filtered, Path(tmp) / "filtered")
 
 
-def _report(text: str) -> dict[str, bytes]:
-    """Every file `report` writes for a trace file holding `text`."""
+def _report(text: str, flags: tuple = ("--windows", "1,2,5", "--seed", "3")) -> dict[str, bytes]:
+    """Every file `report` writes, run with `flags`, for a trace file holding `text`."""
     with tempfile.TemporaryDirectory() as tmp:
         trace = Path(tmp) / "trace.txt"
         trace.write_bytes(text.encode("utf-8"))
         out = Path(tmp) / "out"
-        argv = ["report", str(trace), "--windows", "1,2,5", "--seed", "3", "--out-dir", str(out)]
-        with redirect_stdout(io.StringIO()):
+        argv = ["report", str(trace), *flags, "--out-dir", str(out)]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) == 0
         return {p.name: p.read_bytes() for p in out.iterdir()}
 
@@ -223,9 +228,8 @@ def test_scaling_timestamps_changes_only_the_duration(frames, k):
 _NOISE = ["", " ", "\t", "#", "# comment\twith a tab", "#0\tA\tB"]
 
 
-@settings(max_examples=10, deadline=None)
-@given(_frames(), st.data())
-def test_comments_blank_lines_and_line_ends_do_not_change_the_report(frames, data):
+def _noisy_text(frames: list[tuple], data) -> str:
+    """The text of `frames` with comment and blank lines drawn in, and mixed line ends."""
     lines = []
     for line in _text(frames).splitlines():
         lines += data.draw(st.lists(st.sampled_from(_NOISE), max_size=2))
@@ -236,4 +240,64 @@ def test_comments_blank_lines_and_line_ends_do_not_change_the_report(frames, dat
     text = "".join(line + end for line, end in zip(lines, ends))
     if data.draw(st.booleans()):
         text = text.rstrip("\r\n")  # the last line needs no line end
-    assert _report(text) == _report(_text(frames))
+    return text
+
+
+@settings(max_examples=10, deadline=None)
+@given(_frames(), st.data())
+def test_comments_blank_lines_and_line_ends_do_not_change_the_report(frames, data):
+    assert _report(_noisy_text(frames, data)) == _report(_text(frames))
+
+
+@settings(max_examples=10, deadline=None)
+@given(_frames(), st.data(), st.sampled_from([1, 7, 64]), st.sampled_from([1, 3]))
+def test_chunk_sizes_do_not_change_the_report(frames, data, chunk_bytes, chunk_lines):
+    text = _noisy_text(frames, data)
+    report = _report(text)
+    with mock.patch.object(trace_module, "_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(trace_module, "_CHUNK_LINES", chunk_lines):
+        assert _report(text) == report
+
+
+@settings(max_examples=10, deadline=None)
+@given(_frames(), st.permutations(_NAMES), st.sampled_from(["", "-renamed", "€"]))
+def test_renaming_addresses_does_not_change_the_report(frames, names, suffix):
+    rename = {old: new + suffix for old, new in zip(_NAMES, names)}
+    renamed = [
+        (ts, rename[src], rename[dst], proto, length) for ts, src, dst, proto, length in frames
+    ]
+    report = _report(_text(frames))
+    assert len(report) == 8
+    assert _report(_text(renamed)) == report
+
+
+@settings(max_examples=10, deadline=None)
+@given(_frames(), st.data())
+def test_report_equals_its_parts(frames, data):
+    # Every policy, RAND on a drawn seed, capacities that hold 1 and D (the
+    # distinct destinations), sliding windows that fit the trace.
+    n, distinct = len(frames), len({dst for _, _, dst, _, _ in frames})
+    extra = data.draw(st.lists(st.integers(1, distinct), max_size=3))
+    capacities = ",".join(map(str, sorted({1, distinct, *extra})))
+    windows = ",".join(map(str, data.draw(st.sets(st.integers(1, n), min_size=1, max_size=3))))
+    sweep = ["--policies", "MIN,LRU,FIFO,RAND", "--capacities", capacities,
+             "--seed", str(data.draw(st.integers(0, 2**63)))]
+    wss = ["--windows", windows, "--mode", "sliding"]
+    report = _report(_text(frames), (*wss, *sweep))
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.txt"
+        trace.write_text(_text(frames), encoding="utf-8")
+        path, out = str(trace), Path(tmp)
+        for argv in (
+            ["concentration", path, "--out", str(out / "concentration.csv")],
+            ["wss", path, *wss, "--out", str(out / "wss.csv")],
+            ["stackdist", path, "--out", str(out / "stackdist.csv")],
+            ["runs", path, "--out", str(out / "runs.csv")],
+            ["simulate", path, *sweep, "--miss-out", str(out / "miss_ratio.csv"),
+             "--interfault-out", str(out / "interfault.csv")],
+            ["searchtime", path, *sweep, "--out", str(out / "searchtime.csv")],
+        ):
+            assert main(argv) == 0
+        parts = {p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"}
+    assert sorted(report) == sorted([*parts, "summary.txt"])
+    assert all(report[name] == parts[name] for name in parts)
