@@ -50,7 +50,7 @@ import numpy as np
 
 from ._csvfmt import write_curve_table
 from ._rng import derive_seed, randbelow_stream
-from .locality import StackDistanceHistogram, _positive_int, _refs
+from .locality import _BLOCK, StackDistanceHistogram, _positive_int, _refs
 
 POLICIES = ("MIN", "LRU", "FIFO", "RAND")
 
@@ -102,10 +102,12 @@ class _MinPlan:
 
     def loop(self, capacity: int) -> tuple[bytearray, memoryview, memoryview]:
         """The first-reference marks, then the positions left to loop over and
-        their keys (0: push nothing), as int32 and int64 C arrays.
+        their keys (0: push nothing), as int32 C arrays; the keys are int64
+        only when -2n does not fit in int32.
 
         The arrays are views of numpy buffers: copying them into `array`s
-        would hold both at once.
+        would hold both at once.  The positions are found a block at a time,
+        so no int64 array is as long as the string.
         """
         n = len(self.reref)
         hit = np.zeros(n + 1, dtype=bool)  # hit[n] stands for "no next use"
@@ -115,11 +117,20 @@ class _MinPlan:
         np.logical_not(push, out=push)
         visit = np.logical_not(hit[:n], out=hit[:n])
         visit |= push
-        positions = np.flatnonzero(visit).astype(np.int32)
+        positions = np.empty(np.count_nonzero(visit), dtype=np.int32)
+        filled = 0
+        for start in range(0, n, _BLOCK):
+            block = np.flatnonzero(visit[start : start + _BLOCK])
+            block += start
+            positions[filled : filled + len(block)] = block
+            filled += len(block)
         del hit, visit
-        keys = np.negative(self.next_use[positions], dtype=np.int64)
+        keys = self.next_use[positions]
+        if 2 * n >= 2**31:  # a last use's key, i - 2n, needs int64
+            keys = keys.astype(np.int64)
+        np.negative(keys, out=keys)
         last = np.flatnonzero(keys == -n)
-        keys[last] = positions[last] - 2 * n
+        keys[last] = np.subtract(positions[last], 2 * n, dtype=keys.dtype)
         keys *= push[positions]
         del push, last
         dead = bytearray(n)

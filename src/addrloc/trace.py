@@ -60,9 +60,12 @@ _INT64_MAX = 2**63 - 1
 
 # str lines (or frames split) per block, and bytes read from a file per
 # block.  Each bounds the transient memory: one block's lines or bytes and
-# the numpy arrays over them.
+# the numpy arrays over them, which the block reader keeps to about 3 bytes
+# per block byte for capture-shaped lines and 5 for 17-byte 3-field lines.
+# A 256 KiB block pays the reader's fixed numpy-call cost half as often as
+# a 128 KiB one.
 _CHUNK_LINES = 2048
-_CHUNK_BYTES = 1 << 17
+_CHUNK_BYTES = 1 << 18
 # Frames written per output block.
 _WRITE_CHUNK = 8192
 
@@ -100,10 +103,18 @@ class InternTable:
         return aid
 
     def intern_all(self, tokens: list[str]) -> np.ndarray:
-        """Ids of `tokens` as an int32 array, new tokens numbered in order of first appearance."""
+        """Ids of `tokens` as an int32 array, new tokens numbered in order of first appearance.
+
+        The new tokens join the table in one `dict.update` and one `list.extend`.
+        """
         ids = np.fromiter(map(self._ids.get, tokens, repeat(-1)), np.int32, len(tokens))
-        for i in np.flatnonzero(ids < 0).tolist():
-            ids[i] = self.intern(tokens[i])
+        new = np.flatnonzero(ids < 0)
+        if len(new):
+            missing = list(map(tokens.__getitem__, new.tolist()))
+            fresh = dict.fromkeys(missing)  # each new token once, in order
+            self._ids.update(zip(fresh, range(len(self._tokens), len(self._tokens) + len(fresh))))
+            self._tokens.extend(fresh)
+            ids[new] = list(map(self._ids.__getitem__, missing))
         return ids
 
     def token_of(self, address_id: int) -> str:
@@ -389,13 +400,20 @@ def _words(words: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> list[tu
     a token shorter than 8 bytes is zero-padded, so no word reaches past
     its token.
     """
-    last = np.maximum(widths - 8, 0)
-    mask = _MASKS[np.minimum(widths, 8)]
     shortest = widths.min() if len(widths) else 0
     pairs = []
     for k in range(0, widths.max(initial=0), 8):
         live = slice(None) if k < shortest else np.flatnonzero(widths > k)
-        pairs.append((live, words[starts[live] + np.minimum(last[live], k)] & mask[live]))
+        if k == 0:
+            word = words[starts[live]]
+            if shortest < 8:
+                word &= _MASKS[np.minimum(widths[live], 8)]
+        else:
+            at = widths[live] - 8  # the last word, unless the token goes on past k + 8
+            np.minimum(at, k, out=at)
+            at += starts[live]
+            word = words[at]
+        pairs.append((live, word))
     return pairs
 
 
@@ -404,14 +422,21 @@ def _hash(widths: np.ndarray, pairs: list[tuple]) -> np.ndarray:
     h = widths.astype(np.uint64)
     h *= _MIX  # so that the width cannot cancel a short token's low bytes
     for live, word in pairs:
-        h[live] = (h[live] ^ word) * _MIX
+        if isinstance(live, slice):
+            h ^= word
+            h *= _MIX
+        else:
+            h[live] = (h[live] ^ word) * _MIX
     return h
 
 
 def _spans(ends: np.ndarray, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first byte and the width of each of `fields` (see `_read_block`)."""
-    starts = ends[fields] + 1
-    return starts, ends[fields + 1] - starts
+    starts = ends[fields]
+    widths = ends[fields + 1] - starts
+    starts += 1
+    widths -= 1
+    return starts, widths
 
 
 def _distinct(words: np.ndarray, ends: np.ndarray, fields: np.ndarray):
@@ -422,42 +447,62 @@ def _distinct(words: np.ndarray, ends: np.ndarray, fields: np.ndarray):
     and `first` the index of each group's first token; `inverse[i]` is the
     group of token i.  Every token's width and words are compared with its
     group's first token's, so tokens share a group only if their bytes are
-    equal.
+    equal.  Per token, only the words, the widths and int32 groups outlive
+    the sort.
     """
     starts, widths = _spans(ends, fields)
     pairs = _words(words, starts, widths)
-    h = _hash(widths, pairs)
-    by_hash = np.argsort(h)
-    h = h[by_hash]
-    head = np.empty(len(h), bool)
+    del starts
+    # One sort of the hashes with each token's index in their low bits: a
+    # sort is several times faster than an argsort.  Tokens are grouped by
+    # the bits above the index, and their words tell apart any they join.
+    bits = len(widths).bit_length()
+    keys = _hash(widths, pairs)
+    keys &= ~np.uint64((1 << bits) - 1)
+    keys |= np.arange(len(keys), dtype=np.uint64)
+    keys.sort()
+    by_hash = keys.astype(np.uint32)
+    by_hash &= np.uint32((1 << bits) - 1)
+    by_hash = by_hash.view(np.int32)
+    keys >>= np.uint64(bits)
+    head = np.empty(len(keys), bool)
     head[:1] = True
-    np.not_equal(h[1:], h[:-1], out=head[1:])
-    first = np.minimum.reduceat(by_hash, np.flatnonzero(head)) if len(h) else by_hash
-    inverse = np.empty_like(by_hash)
-    inverse[by_hash] = np.cumsum(head) - 1
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    del keys
+    first = by_hash[head]  # a group's tokens are in index order
+    group = np.cumsum(head, dtype=np.int32)
+    del head
+    group -= 1
+    inverse = np.empty_like(group)
+    inverse[by_hash] = group
+    del by_hash, group
     rep = first[inverse]
     if (widths[rep] != widths).any():
         return None
-    for live, word in pairs:
+    firsts = []  # the first tokens' words, for their hashes
+    while pairs:  # each token's word is dropped once checked
+        live, word = pairs.pop(0)
         # Equal widths put each token's first in the same live set.
         at = rep[live] if isinstance(live, slice) else np.searchsorted(live, rep[live])
         if (word[at] != word).any():
             return None
-    return first, inverse, h[head]
+        if isinstance(live, slice):
+            firsts.append((live, word[first]))
+        else:  # the first tokens that are live, and their places in `live`
+            at = np.searchsorted(live, first)
+            inside = np.flatnonzero(live[np.minimum(at, len(live) - 1)] == first)
+            firsts.append((inside, word[at[inside]]))
+    return first, inverse, _hash(widths[first], firsts)
 
 
-def _decode(body: np.ndarray, ends: np.ndarray, fields: np.ndarray) -> list[str]:
-    """The tokens in `fields`, which are in byte order, decoded in one batch.
+def _decode(body: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> list[str]:
+    """The tokens of `widths` bytes at `starts` in `body`, decoded in one batch.
 
-    Masking the block's bytes to those fields keeps their order.  Each
-    token keeps the tab or line break after it, which becomes the tab it
-    is split at.
+    Only their bytes are copied, joined by the tab they are split at.
     """
-    kept = np.zeros(len(ends) - 1, bool)
-    kept[fields] = True
-    text = body[1:][np.repeat(kept, np.diff(ends))]
-    text[text == 10] = 9
-    return text.tobytes().decode().split("\t")[:-1]
+    view = memoryview(body)
+    spans = map(slice, starts.tolist(), (starts + widths).tolist())
+    return b"\t".join(map(view.__getitem__, spans)).decode().split("\t")
 
 
 class _Known:
@@ -491,7 +536,7 @@ class _Known:
         first, inverse, hashes = groups
         fields = fields[first]
         starts, widths = _spans(ends, fields)
-        entries = np.full(len(hashes), -1, np.intp)
+        entries = np.full(len(hashes), -1, np.int32)
         for level, level_entries in self.levels:
             at = np.minimum(np.searchsorted(level, hashes), len(level) - 1)
             hit = level[at] == hashes
@@ -507,7 +552,7 @@ class _Known:
         new = np.flatnonzero(ids < 0)
         if len(new):
             new = new[np.argsort(first[new])]  # in order of first appearance
-            ids[new] = self.interns.intern_all(_decode(body, ends, fields[new]))
+            ids[new] = self.interns.intern_all(_decode(body, starts[new], widths[new]))
             free = new[entries[new] < 0]  # the others' hashes are taken
             if len(free):
                 self._enter(words, starts[free], widths[free], hashes[free], ids[free])
@@ -523,7 +568,7 @@ class _Known:
         entries = np.arange(len(self.ids), len(self.ids) + len(ids), dtype=np.int32)
         at += len(self.words)
         columns = self.ids, self.widths, self.starts, self.words
-        for column, values in zip(columns, (ids, widths.astype(np.int32), at, packed)):
+        for column, values in zip(columns, (ids, widths, at, packed)):
             column.frombytes(values.view(np.uint8))
         order = np.argsort(hashes)
         level = hashes[order], entries[order]
@@ -534,6 +579,33 @@ class _Known:
         self.levels.append(level)
 
 
+def _numbers(data: bytes, ends: np.ndarray, fields: np.ndarray) -> Optional[np.ndarray]:
+    """The numbers in `fields` as int64, or None unless each is 1 to 18 ASCII digits.
+
+    Row i of the digit matrix is the widest number's count of bytes before
+    field i's end.  Only the columns that some number does not reach are
+    masked, so a matrix of equal widths is not masked at all.
+    """
+    stops = ends[fields + 1]
+    widths = stops - ends[fields]
+    widths -= 1
+    low, widest = widths.min(), widths.max()
+    if low < 1 or widest > _DIGITS:
+        return None
+    rows = np.ndarray((len(data) - _DIGITS,), f"V{widest}", data, _DIGITS - widest, (1,))
+    digits = rows[stops].view(np.uint8).reshape(-1, widest)
+    digits -= 48
+    for k in range(widest - low):  # column k is a digit of numbers of widest - k digits or more
+        digits[:, k] *= widths > widest - k - 1
+    if digits.max() > 9:
+        return None
+    numbers = digits[:, 0].astype(np.int64)
+    for column in digits.T[1:]:
+        numbers *= 10
+        numbers += column
+    return numbers
+
+
 def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[int]:
     """Append the frames of a block to `columns`, read as bytes by numpy; return the last timestamp.
 
@@ -542,16 +614,24 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[int]:
     block this reader does not take: a line not starting with a digit, '#'
     or its line break, 3 to 5 fields not met, a number that is not 1 to 18
     ASCII digits, a decreasing timestamp, an empty address token or a hash
-    collision.  Such a block goes to `_read_lines`.  When `columns` keeps
+    collision.  Such a block goes to `_read_lines`, as does one of 2 GiB or
+    more, whose offsets int32 cannot hold.  When `columns` keeps
     destinations only, src and proto tokens are checked but never grouped.
+
+    Field offsets are int32, and the one temporary as long as the block is
+    the field-end mask, so the arrays peak at about 3 bytes per block byte
+    for capture-shaped lines and 5 for 17-byte 3-field lines.
     """
+    if len(data) >= 2**31:
+        return None
     # body[0] is the lead's last line break.  ends[j] is the tab or line
     # break before field j, which is body[ends[j] + 1 : ends[j + 1]].
     body = np.frombuffer(data, np.uint8, len(data) - _DIGITS - 8, _DIGITS)
-    scratch = body - 9
-    ends = np.flatnonzero(np.less(scratch, 2, out=scratch.view(bool)))
-    del scratch
-    breaks = np.flatnonzero(body[ends] == 10)
+    at_end = body - 9
+    ends = np.flatnonzero(np.less(at_end, 2, out=at_end.view(bool)))
+    del at_end
+    breaks = np.flatnonzero(body[ends] == 10).astype(np.int32)
+    ends = ends.astype(np.int32)
     lead = body[ends[breaks[:-1]] + 1]
     frame = lead - 48 < 10
     if not (frame | (lead == 35) | (lead == 10)).all():
@@ -559,44 +639,34 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[int]:
     if not frame.any():
         return prev_ts
     base = breaks[:-1][frame]  # field k of frame line i is field base[i] + k
-    tabs = breaks[1:][frame] - base - 1
+    tabs = breaks[1:][frame]
+    del breaks, lead, frame
+    tabs -= base + 1
     if tabs.min() < 2 or tabs.max() > 4:
         return None
     sized, tagged = tabs == 4, tabs > 2
-    # Timestamps and lengths: the block's widest number of digits before each field end.
-    number = np.concatenate((base, base[sized] + 4))
-    number_end = ends[number + 1]
-    digits_n = number_end - ends[number] - 1
-    if digits_n.min() < 1 or digits_n.max() > _DIGITS:
-        return None
-    widest = digits_n.max()
-    digits = np.ndarray((len(body), widest), np.uint8, data, _DIGITS - widest, (1, 1))[number_end]
-    digits -= 48
-    digits[np.arange(widest) < widest - digits_n[:, None]] = 0
-    if digits.max() > 9:
-        return None
-    numbers = np.zeros(len(number_end), np.int64)
-    for column in digits.T:
-        numbers *= 10
-        numbers += column
-    timestamps = numbers[: len(base)]
-    if timestamps[0] < prev_ts or (timestamps[1:] < timestamps[:-1]).any():
-        return None
-    # Tokens: src and dst interleaved, then the proto fields.
+    del tabs
+    # Tokens: src and dst interleaved, then the proto fields.  The address
+    # tokens are grouped first, while no other per-frame array is held.
     address = np.stack((base + 1, base + 2), axis=1).ravel()
     if (ends[address + 1] - ends[address] < 2).any():
         return None  # an empty address token
-    words = np.ndarray((len(body) + 1,), "<u8", data, _DIGITS, (1,))
     if columns.destinations_only:
-        dst = address[1::2]
-        if (groups := _distinct(words, ends, dst)) is None:
-            return None
-        ids = columns.known_addresses.ids_of(body, words, ends, dst, groups)
+        address = address[1::2]
+    words = np.ndarray((len(body) + 1,), "<u8", data, _DIGITS, (1,))
+    if (address_groups := _distinct(words, ends, address)) is None:
+        return None
+    if (timestamps := _numbers(data, ends, base)) is None:
+        return None
+    if timestamps[0] < prev_ts or (timestamps[1:] < timestamps[:-1]).any():
+        return None
+    sized_lengths = _numbers(data, ends, base[sized] + 4) if sized.any() else ()
+    if sized_lengths is None:
+        return None
+    if columns.destinations_only:
+        ids = columns.known_addresses.ids_of(body, words, ends, address, address_groups)
         columns.dst.frombytes(ids.view(np.uint8))
         return int(timestamps[-1])
-    address_groups = _distinct(words, ends, address)
-    if address_groups is None:
-        return None
     codes = np.zeros(len(base), np.int32)  # 0: untagged
     if tagged.any():
         proto = base[tagged] + 3
@@ -605,7 +675,7 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[int]:
         codes[tagged] = columns.known_protos.ids_of(body, words, ends, proto, proto_groups)
     ids = columns.known_addresses.ids_of(body, words, ends, address, address_groups)
     lengths = np.full(len(base), -1, np.int64)
-    lengths[sized] = numbers[len(base) :]
+    lengths[sized] = sized_lengths
     columns.append(timestamps, ids, codes, lengths)
     return int(timestamps[-1])
 
@@ -669,7 +739,7 @@ def _file_blocks(f: BinaryIO) -> Iterator[tuple[int, bytes]]:
                     yield lineno, block[:line_start] + _TAIL
                 raise error from None
             yield lineno, block
-            lineno += int(np.count_nonzero(np.frombuffer(block, np.uint8) == 10)) - len(_LEAD)
+            lineno += block.count(b"\n") - len(_LEAD)
         if eof:
             return
 

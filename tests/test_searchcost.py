@@ -6,6 +6,7 @@ import io
 import random
 from math import log2
 
+import numpy as np
 import pytest
 
 from addrloc.cachesim import CacheStats, MissCurve, sweep
@@ -75,6 +76,37 @@ def test_parameter_validation():
         normalized_search_time(0.5, 0, 10)
     with pytest.raises(ValueError):
         normalized_search_time(0.5, 11, 10)
+
+
+# Each function and size argument, then sizes that are not integers >= 1:
+# True once read as 1, and 2.5 as a size.
+_SIZED_CALLS = [
+    ("normalized_search_time", "cache_size", lambda v: normalized_search_time(0.5, v, 10)),
+    ("normalized_search_time", "database_size", lambda v: normalized_search_time(0.5, 1, v)),
+    (
+        "search_time_curve",
+        "database_size",
+        lambda v: search_time_curve(MissCurve("LRU", (CacheStats(1, 4, 2),)), v),
+    ),
+    ("binary_search_cost", "table_size", binary_search_cost),
+    ("constant_cost", "table_size", constant_cost),
+]
+_BAD_SIZES = [True, np.True_, False, 2.5, 2.0, "2", None, 0, -3]
+
+
+@pytest.mark.parametrize("value", _BAD_SIZES, ids=repr)
+@pytest.mark.parametrize(
+    "argument,call", [c[1:] for c in _SIZED_CALLS], ids=[f"{f}-{a}" for f, a, _ in _SIZED_CALLS]
+)
+def test_sizes_must_be_integers_at_least_one(argument, call, value):
+    with pytest.raises(ValueError, match=f"^{argument} must be an integer >= 1, got "):
+        call(value)
+
+
+def test_numpy_integer_sizes_are_accepted():
+    time = normalized_search_time(0.5, np.int64(2), np.int32(8))
+    assert time == normalized_search_time(0.5, 2, 8)
+    assert binary_search_cost(np.uint8(4)) == 3.0 and constant_cost(np.int16(9)) == 1.0
 
 
 def test_curve_applies_formula_pointwise():

@@ -507,8 +507,11 @@ def _capture_lines(n: int) -> list[str]:
 
 def test_parse_memory_is_bounded():
     # Retained: about 28 bytes of columns per frame plus the intern table.
-    # Transient: one block of line strings, whatever the trace length.
-    transient = {}
+    # Transient: one block of line strings and the arrays over it, whatever
+    # the trace length: at most 10 bytes per byte of a block's text.  Two
+    # lengths' transients differ by up to the 1/16 by which an `array`
+    # column grows, as the block at the peak may or may not grow one.
+    block = len("".join(_capture_lines(trace_module._CHUNK_LINES)).encode())
     for n in (50_000, 200_000):
         lines = _capture_lines(n)
         gc.collect()
@@ -521,8 +524,7 @@ def test_parse_memory_is_bounded():
             tracemalloc.stop()
         assert len(t) == n
         assert (retained - base) / n <= 48
-        transient[n] = peak - retained
-    assert transient[200_000] < 1.25 * transient[50_000]
+        assert peak - retained <= 10 * block
 
 
 def _fresh_lines(n: int) -> list[str]:
@@ -557,6 +559,102 @@ def test_read_trace_memory_is_bounded(tmp_path):
     table, fresh = transient[_fresh_lines, 200_000]
     chunk, known = transient[_capture_lines, 200_000]
     assert (table - chunk) / (fresh - known) <= 64
+
+
+def _capture_text(size: int, seed: int = 0) -> bytes:
+    """At least `size` bytes of LAN-capture-shaped lines: five fields, MAC-style
+    tokens of 400 sources and 4,000 destinations, five tags, and a comment
+    every 5,000 frames."""
+    rng = np.random.default_rng(seed)
+    n = size // 50
+    macs = [f"{k * 0x5DEECE66D & (1 << 48) - 1:012x}" for k in range(4000)]
+    macs = ["-".join(m[i : i + 2] for i in range(0, 12, 2)) for m in macs]
+    stamps = (1_000_000 + np.cumsum(rng.integers(0, 4000, n))).tolist()
+    src, dst = rng.integers(0, 400, n).tolist(), rng.integers(0, 4000, n).tolist()
+    tags, lengths = rng.integers(0, 5, n).tolist(), rng.integers(60, 1515, n).tolist()
+    protos = ("lat", "decnet", "ip", "arp", "xns")
+    lines = [
+        f"{t}\t{macs[s]}\t{macs[d]}\t{protos[p]}\t{length}\n" + ("# segment\n" * (i % 5000 == 0))
+        for i, (t, s, d, p, length) in enumerate(zip(stamps, src, dst, tags, lengths))
+    ]
+    text = "".join(lines).encode()
+    assert len(text) >= size
+    return text
+
+
+def _mixed_text(size: int, seed: int = 0) -> bytes:
+    """At least `size` bytes of 3-field lines of about 17 bytes, as `addrloc gen`
+    writes them: one source token and about 2,000 destinations."""
+    rng = np.random.default_rng(seed)
+    n = size // 15
+    dst = rng.integers(0, 2000, n)
+    lines = [f"{i}\tsrc\ts{a % 2}.a{a}\n" for i, a in enumerate(dst.tolist())]
+    text = "".join(lines).encode()
+    assert len(text) >= size
+    return text
+
+
+def _block_peaks(text: bytes, destinations_only: bool) -> list[float]:
+    """Per full block of `text`, the tracemalloc peak of `_read_block` over the
+    memory before it, per block byte.
+
+    The tables are warm, as in a long file's late blocks: the text is read
+    once first.  Each block then appends to columns of its own, so the peak
+    holds that block's temporaries and its columns, but no growth of
+    columns that earlier blocks filled.
+    """
+    blocks = [data for _, data in trace_module._file_blocks(io.BytesIO(text))][:-1]
+    warm = trace_module._Columns(destinations_only)
+    prev_ts = 0
+    for data in blocks:
+        prev_ts = trace_module._read_block(data, prev_ts, warm)
+    peaks = []
+    prev_ts = 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for data in blocks:
+            columns = trace_module._Columns(destinations_only)
+            columns.interns, columns.known_addresses = warm.interns, warm.known_addresses
+            columns.protos, columns.known_protos = warm.protos, warm.known_protos
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            prev_ts = trace_module._read_block(data, prev_ts, columns)
+            peaks.append((tracemalloc.get_traced_memory()[1] - start) / len(data))
+            assert prev_ts is not None and len(columns.dst)
+            del columns
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) >= 2
+    return peaks
+
+
+@pytest.mark.parametrize(
+    "shape,destinations_only,bound",
+    [(_mixed_text, False, 6.8), (_capture_text, False, 3.05), (_capture_text, True, 2.3)],
+    ids=["mixed-full", "capture-full", "capture-dst"],
+)
+def test_block_reader_temporaries_are_bounded_per_block_byte(shape, destinations_only, bound):
+    # At most half of what 128 KiB blocks held per block byte when field
+    # offsets were int64, decoding masked the whole block, and timestamps
+    # and lengths shared one digit matrix: 13.6, 6.1 and 4.6 bytes.  Its
+    # columns are about 28 bytes per frame: 1.6 per block byte for
+    # 17-byte lines, 0.5 for capture lines.
+    text = shape(3 * trace_module._CHUNK_BYTES)
+    assert max(_block_peaks(text, destinations_only)) <= bound
+
+
+def test_capture_blocks_of_any_size_read_alike(tmp_path):
+    # The shipped block, the former 128 KiB one and 7-byte reads, which
+    # cut every line, give one trace and one dst-only read.
+    path = tmp_path / "t.tsv"
+    path.write_bytes(_capture_text(2 * trace_module._CHUNK_BYTES + 1))
+    reads = []
+    for chunk in (trace_module._CHUNK_BYTES, 1 << 17, 7):
+        with mock.patch.object(trace_module, "_CHUNK_BYTES", chunk):
+            reads.append((read_trace(path), read_trace(path, destinations_only=True).tolist()))
+    assert reads[0][0] == reads[1][0] == reads[2][0]
+    assert reads[0][1] == reads[1][1] == reads[2][1]
 
 
 # --- trace files: line ends and UTF-8 ----------------------------------------
@@ -611,7 +709,7 @@ def test_read_trace_names_the_first_non_utf8_byte(tmp_path, data, line, message)
     assert (error.line, str(error)) == (line, f"line {line}: {message}")
 
 
-@pytest.mark.parametrize("chunk", [3, 1 << 17])
+@pytest.mark.parametrize("chunk", [3, trace_module._CHUNK_BYTES])
 def test_read_trace_names_a_bad_line_before_a_non_utf8_byte(tmp_path, chunk):
     # The first bad line gives the error, whichever chunk holds the byte.
     with mock.patch.object(trace_module, "_CHUNK_BYTES", chunk):
@@ -844,6 +942,23 @@ def test_intern_all_matches_one_at_a_time_interning(known, blocks):
         assert ids.tolist() == [oracle.intern(token) for token in block]
         assert table.tokens == oracle.tokens
     assert table == oracle and all(token in table for token in oracle.tokens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from("abcdef"), max_size=6),
+    st.lists(st.lists(st.sampled_from("abcdefghij"), min_size=1, max_size=6), max_size=5),
+    st.randoms(use_true_random=False),
+)
+def test_intern_all_numbers_repeated_new_tokens_as_one_at_a_time(known, blocks, rnd):
+    # Every new token of a block appears in it two or three times, in any order.
+    table, oracle = InternTable(known), InternTable(known)
+    for block in blocks:
+        block = block * 2 + block[: rnd.randint(0, len(block))]
+        rnd.shuffle(block)
+        assert table.intern_all(block).tolist() == [oracle.intern(token) for token in block]
+        assert table.tokens == oracle.tokens and table == oracle
+    assert all(token in table for token in oracle.tokens)
 
 
 # --- the file reader ---------------------------------------------------------
