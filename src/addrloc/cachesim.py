@@ -48,9 +48,10 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
+from . import _checks
 from ._csvfmt import write_curve_table
 from ._rng import derive_seed, randbelow_stream
-from .locality import _BLOCK, StackDistanceHistogram, _positive_int, _refs
+from .locality import _BLOCK, StackDistanceHistogram, _refs
 
 POLICIES = ("MIN", "LRU", "FIFO", "RAND")
 
@@ -206,17 +207,18 @@ def _rand_misses(seq: list[int], distinct: int, capacity: int, seed: int) -> int
 
 def _capacities(capacities: Sequence[int]) -> list[int]:
     """The capacities as ints; `ValueError` for an empty sweep or any entry
-    that is not an integer >= 1 (bool and float included)."""
+    that is not an integer >= 1."""
     if not len(capacities):
         raise ValueError("capacity sweep is empty")
-    return [_positive_int(c, "capacity") for c in capacities]
+    return [_checks.positive_int(c, "capacity") for c in capacities]
 
 
 def simulate(dst_sequence: Sequence[int], policy: str, capacity: int, seed: int = 0) -> CacheStats:
     """Count misses for one policy at one capacity: the one-capacity `sweep`.
 
-    `seed` matters only for RAND, which runs on the stream that `sweep`
-    gives this capacity, `derive_seed(seed, capacity)`.
+    `seed` is checked for every policy but matters only for RAND, which
+    runs on the stream that `sweep` gives this capacity,
+    `derive_seed(seed, capacity)`.
     """
     return sweep(dst_sequence, policy, (capacity,), seed).entries[0]
 
@@ -230,9 +232,10 @@ def sweep(
     capacity c runs on its own stream, `derive_seed(seed, c)`, so adding
     or removing capacities never perturbs the others, and identical seeds
     give identical victim choices on every platform.  Capacities must be
-    integers >= 1.
+    integers >= 1 and the seed an integer in 0..2**64 - 1, for every policy.
     """
     capacities = _capacities(capacities)
+    seed = _checks.seed(seed, "seed")
     refs = _refs(dst_sequence)
     n = len(refs)
     if n == 0:

@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import suppress
 from functools import partial
 from pathlib import Path
 
 # trace.read_trace and trace.write_trace are looked up per call: a wrapper sees each one.
-from . import synth, trace
+from . import _checks, synth, trace
 from .cachesim import (
     POLICIES,
     MissCurve,
@@ -52,6 +53,7 @@ from .trace import TraceSummary, summarize
 
 _POWER_SWEEP = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 _DEFAULT_WINDOWS = (10, 20, 50, 100, 200, 500, 1000)
+_SEEDS = "an integer in 0..2**64 - 1 (default: 0)"
 _COST_MODELS: dict[str, CostModel] = {
     "binary": binary_search_cost,
     "constant": constant_cost,
@@ -109,6 +111,16 @@ def _parse_capacities(text: str) -> list[int]:
     if capacities[0] < 1:
         raise ValueError("--capacities: entries must be >= 1")
     return capacities
+
+
+def _seed(text: str) -> int:
+    """--seed for argparse `type=`: anything but a seed is a usage error naming --seed."""
+    with suppress(ValueError):
+        text = int(text)
+    try:
+        return _checks.seed(text, "seed")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_policies(text: str) -> list[str]:
@@ -351,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         flags.add_argument(
             "--capacities", metavar="C1,C2,...", help=f"cache sizes (default: {capacities})"
         )
-        flags.add_argument("--seed", type=int, default=0, help="RAND eviction seed")
+        flags.add_argument("--seed", type=_seed, default=0, help=f"RAND eviction seed, {_SEEDS}")
         return flags
 
     clipped_sweep = (
@@ -394,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stack-size", type=int, help="stack depth for --lru-stack (default: #weights)")
     p.add_argument("--pattern", metavar="N1,N2,...", help="per-cycle take counts for --interleave")
     p.add_argument("--length", type=int, required=True, help="number of references")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0, help=_SEEDS)
     p.add_argument("--out", help="output trace file (default: stdout)")
     p.set_defaults(func=partial(_cmd_gen, parser=p))  # flag-pairing errors are usage errors
 

@@ -20,32 +20,18 @@ a block of `_BLOCK` positions at a time, so its scratch is bounded.
 from __future__ import annotations
 
 import csv
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from operator import index
 from typing import Sequence, TextIO
 
 import numpy as np
 
+from . import _checks
 from ._csvfmt import fmt
 
 
 # Largest destination id the vectorized analyses accept: a trace's int32 id.
 _MAX_ID = 2**31 - 1
-
-
-def _positive_int(value, what: str) -> int:
-    """`value` as an int; `ValueError` unless it is an integer >= 1.
-
-    Python and numpy integers pass (`operator.index`); bool, float and
-    everything else do not.
-    """
-    if not isinstance(value, (bool, np.bool_)):
-        with suppress(TypeError):
-            if (whole := index(value)) >= 1:
-                return whole
-    raise ValueError(f"{what} must be an integer >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +50,7 @@ class ConcentrationCurve:
 
     def quantile(self, frame_quantile: float) -> float:
         """Smallest destination fraction whose frame coverage reaches `frame_quantile`."""
-        if not 0.0 < frame_quantile <= 1.0:
-            raise ValueError(f"frame quantile must be in (0, 1], got {frame_quantile}")
+        frame_quantile = _checks.fraction(frame_quantile, "frame quantile", zero=False)
         idx = int(np.searchsorted(self.frame_fractions, frame_quantile, side="left"))
         return float(self.destination_fractions[idx])
 
@@ -87,17 +72,16 @@ class StackDistanceHistogram:
     a reference at distance d needs d distinct addresses on the stack,
     each first referenced once, so the largest distance with a count,
     `len(counts) - 1`, may not exceed `counts[0]`.  Others raise
-    ValueError.  A histogram of no references has no fractions: `pdf` and
-    `cdf` raise ValueError.
+    ValueError.  `hits`, `pdf` and `cdf` take a distance that is an integer
+    >= 0.  A histogram of no references has no fractions: `pdf` and `cdf`
+    raise ValueError.
     """
 
     def __init__(self, counts: Sequence[int]):
         counts = np.asarray(counts)
         if counts.ndim != 1 or not len(counts):
             raise ValueError(f"counts must be a non-empty 1-D sequence, got shape {counts.shape}")
-        if not np.issubdtype(counts.dtype, np.integer):
-            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
-        counts = counts.astype(np.int64)
+        counts = _checks.int_array(counts, "counts").astype(np.int64)
         if counts.min() < 0:
             raise ValueError("counts must be non-negative")
         self.counts = counts[: np.flatnonzero(counts).max(initial=0) + 1]
@@ -120,10 +104,13 @@ class StackDistanceHistogram:
 
     def hits(self, distance: int) -> int:
         """References at stack distance 1..`distance`: LRU's hits at that capacity."""
-        return int(self.cumulative[min(max(distance, 0), len(self.counts) - 1)]) - self.infinite_count
+        distance = _checks.nonnegative_int(distance, "distance")
+        return int(self.cumulative[min(distance, len(self.counts) - 1)]) - self.infinite_count
 
     def pdf(self, distance: int) -> float:
-        return self._share(self.hits(distance) - self.hits(distance - 1))
+        """Fraction of all references at distance `distance`: 0 at distance 0."""
+        distance = _checks.nonnegative_int(distance, "distance")
+        return self._share(int(self.counts[distance]) if 0 < distance < len(self.counts) else 0)
 
     def cdf(self, distance: int) -> float:
         """Fraction of all references at distance <= `distance`: below 1 if any is a first."""
@@ -154,11 +141,8 @@ class _Refs:
     """
 
     def __init__(self, dst_sequence: Sequence[int]):
-        ids = np.asarray(dst_sequence)
+        ids = _checks.int_array(dst_sequence, "destination ids")
         if ids.dtype != np.int32:
-            # An empty sequence's dtype is float64; any other must be integer.
-            if len(ids) and not np.issubdtype(ids.dtype, np.integer):
-                raise ValueError(f"destination ids must be integers, got dtype {ids.dtype}")
             ids = ids.astype(np.intp, copy=False)
         if len(ids) and (ids.min() < 0 or ids.max() > _MAX_ID):
             raise ValueError(f"destination ids must lie in 0..{_MAX_ID}")
@@ -288,12 +272,11 @@ def working_set(dst_sequence: Sequence[int], window: int, mode: str = "disjoint"
     lies before that window's start, so the total over all windows is an
     exact integer count from one previous-use array, which a prepared
     string (`_Refs`) keeps for its next window.  The window must be an
-    integer from 1 to the sequence length (bool and float raise
-    `ValueError`).
+    integer from 1 to the sequence length.
     """
     refs = _refs(dst_sequence)
     n = len(refs)
-    window = _positive_int(window, "window")
+    window = _checks.positive_int(window, "window")
     if window > n:
         raise ValueError(f"window {window} exceeds sequence length {n}")
     if mode not in ("disjoint", "sliding"):

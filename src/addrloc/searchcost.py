@@ -18,21 +18,21 @@ from math import log2
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence, TextIO
 
+from . import _checks
 from ._csvfmt import write_curve_table
 from .cachesim import MissCurve
-from .locality import _positive_int
 
 CostModel = Callable[[int], float]
 
 
 def binary_search_cost(table_size: int) -> float:
     """Expected comparisons to find an entry in a sorted table."""
-    return 1.0 + log2(_positive_int(table_size, "table_size"))
+    return 1.0 + log2(_checks.positive_int(table_size, "table_size"))
 
 
 def constant_cost(table_size: int) -> float:
     """Size-independent lookup, e.g. a hardware associative search."""
-    _positive_int(table_size, "table_size")
+    _checks.positive_int(table_size, "table_size")
     return 1.0
 
 
@@ -57,13 +57,12 @@ def normalized_search_time(
 ) -> float:
     """T for one operating point; exactly cost(c)/cost(n) + miss ratio.
 
-    Sizes are integers >= 1 (bool and float are not): a ValueError names
-    the argument that is not.
+    The miss ratio is a real number in [0, 1] and the sizes are integers
+    >= 1: a ValueError names the argument that is not.
     """
-    if not 0.0 <= miss_ratio <= 1.0:
-        raise ValueError(f"miss ratio must be in [0, 1], got {miss_ratio}")
-    cache_size = _positive_int(cache_size, "cache_size")
-    database_size = _positive_int(database_size, "database_size")
+    miss_ratio = _checks.fraction(miss_ratio, "miss ratio")
+    cache_size = _checks.positive_int(cache_size, "cache_size")
+    database_size = _checks.positive_int(database_size, "database_size")
     if cache_size > database_size:
         raise ValueError(
             f"cache size {cache_size} exceeds database size {database_size}"
@@ -77,7 +76,7 @@ def search_time_curve(
     cost: CostModel = binary_search_cost,
 ) -> SearchTimeCurve:
     """Evaluate T at every capacity of a simulated miss curve."""
-    database_size = _positive_int(database_size, "database_size")
+    database_size = _checks.positive_int(database_size, "database_size")
     points = []
     for entry in miss_curve.entries:
         p = entry.miss_ratio

@@ -13,6 +13,10 @@ Four workload models, each deterministic for a fixed (spec, seed):
 Models can be interleaved deterministically (fixed integer round-robin
 ratios) to blend, say, a cyclic stream into an IRM background.
 
+Models and `GeneratorSpec` are frozen dataclasses that check and
+normalize their fields when built (integers become Python ints), so a
+model that exists is valid and `generate` checks nothing again.
+
 A model's `emit(length, seed)` returns `(codes, tokens)`: one int code per
 reference and the token of each code, so a token string is made once per
 distinct address.  Generated traces have timestamps 0, 1, 2, ...
@@ -30,6 +34,7 @@ from typing import Union
 
 import numpy as np
 
+from . import _checks
 from ._rng import RANDBELOW_MAX, derive_seed, random_stream, randbelow_stream
 from .trace import InternTable, Trace
 
@@ -54,9 +59,11 @@ class UniformIrm:
 
     n_addresses: int
 
-    def validate(self) -> None:
-        if not 1 <= self.n_addresses <= RANDBELOW_MAX:
-            raise ValueError(f"UniformIrm needs 1 <= n_addresses <= 2**64, got {self.n_addresses}")
+    def __post_init__(self) -> None:
+        n = _checks.positive_int(self.n_addresses, "n_addresses")
+        if n > RANDBELOW_MAX:
+            raise ValueError(f"n_addresses must be at most 2**64, got {n}")
+        object.__setattr__(self, "n_addresses", n)
 
     def emit(self, length: int, seed: int) -> tuple[np.ndarray, list[str]]:
         draws = np.fromiter(randbelow_stream(seed, self.n_addresses), np.uint64, count=length)
@@ -71,7 +78,7 @@ class Irm:
 
     pmf: tuple[float, ...]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check_pmf(self.pmf, "Irm")
 
     def emit(self, length: int, seed: int) -> tuple[np.ndarray, list[str]]:
@@ -89,9 +96,8 @@ class Cyclic:
 
     k: int
 
-    def validate(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"Cyclic needs k >= 1, got {self.k}")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _checks.positive_int(self.k, "k"))
 
     def emit(self, length: int, seed: int) -> tuple[np.ndarray, list[str]]:
         k = min(self.k, length)  # k may exceed int64; i mod k == i for i < length
@@ -115,7 +121,7 @@ class LruStackModel:
             return self.initial_stack
         return tuple(f"a{i}" for i in range(len(self.pmf)))
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check_pmf(self.pmf, "LruStackModel")
         max_depth = max((d for d, p in enumerate(self.pmf, start=1) if p > 0), default=0)
         stack = self.resolved_stack()
@@ -144,17 +150,15 @@ class Interleave:
     parts: tuple[Model, ...]
     pattern: tuple[int, ...]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.parts:
             raise ValueError("Interleave needs at least one part")
         if len(self.pattern) != len(self.parts):
             raise ValueError(
                 f"Interleave pattern length {len(self.pattern)} != parts length {len(self.parts)}"
             )
-        if any(c < 1 for c in self.pattern):
-            raise ValueError("Interleave pattern entries must be >= 1")
-        for part in self.parts:
-            part.validate()
+        pattern = tuple(_checks.positive_int(c, "pattern entry") for c in self.pattern)
+        object.__setattr__(self, "pattern", pattern)
 
     def emit(self, length: int, seed: int) -> tuple[np.ndarray, list[str]]:
         # owner[i] makes reference i; a take past `length` cannot change it.
@@ -172,19 +176,19 @@ class Interleave:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
+    """`length` references of `model` drawn from `seed`, an integer in 0..2**64 - 1."""
+
     model: Model
     length: int
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.length < 0:
-            raise ValueError(f"length must be >= 0, got {self.length}")
-        self.model.validate()
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "length", _checks.nonnegative_int(self.length, "length"))
+        object.__setattr__(self, "seed", _checks.seed(self.seed, "seed"))
 
 
 def generate(spec: GeneratorSpec) -> Trace:
     """Produce the trace for `spec`; bit-identical for identical spec and seed."""
-    spec.validate()
     n = spec.length
     codes, tokens = spec.model.emit(n, spec.seed)
     # Intern the used codes' tokens by first appearance, after the source "src" (id 0).

@@ -55,6 +55,8 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, T
 
 import numpy as np
 
+from . import _checks
+
 MICROSECONDS_PER_HOUR = 3_600_000_000
 _INT64_MAX = 2**63 - 1
 
@@ -138,9 +140,7 @@ class InternTable:
 
 def _column(values, dtype, what: str) -> np.ndarray:
     """`values` as a read-only `dtype` array; ValueError unless they are integers it holds."""
-    values = np.asarray(values)
-    if len(values) and not np.issubdtype(values.dtype, np.integer):  # [] gives float64; bool fails
-        raise ValueError(f"{what} must be integers, got dtype {values.dtype}")
+    values = _checks.int_array(values, what)
     column = values.astype(dtype, copy=False).view()  # the caller's array stays writable
     if not np.can_cast(values.dtype, dtype) and (column != values).any():
         raise ValueError(f"{what} must fit in {np.dtype(dtype)}")

@@ -191,10 +191,8 @@ _CAPACITY_TAKERS = [
 
 @pytest.mark.parametrize("curve_of", _CAPACITY_TAKERS)
 def test_capacities_must_be_integers_at_least_one(curve_of):
+    # Entries that are not integers >= 1 are rows of tests/test_arguments.py.
     seq = [0, 1, 2, 0, 3, 1, 0, 2]
-    for bad in (0, -1, 2.5, 2.0, np.float64(3.0), True, np.bool_(True), "2", None):
-        with pytest.raises(ValueError, match=rf"capacity must be an integer >= 1, got {bad}$"):
-            curve_of(seq, [2, bad])
     with pytest.raises(ValueError, match="capacity sweep is empty"):
         curve_of(seq, np.array([], dtype=np.int64))
     # Numpy integers and arrays are integers: the entries come back as ints.

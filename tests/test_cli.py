@@ -214,6 +214,31 @@ def test_report_bad_flag_writes_no_file(tmp_path, capsys, flag, value, named):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["gen", "simulate", "searchtime", "report"])
+def test_seed_out_of_range_is_a_usage_error_before_any_work(tmp_path, capsys, command):
+    # -1 and 2**64 were once reduced modulo 2**64 without a word.
+    path = _write_fixture(tmp_path, "".join(f"{i}\tS\td{i % 3}\n" for i in range(30)))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "gen": ["gen", "--cyclic", "3", "--length", "5", "--out", str(out / "t.tsv")],
+        "simulate": ["simulate", str(path), "--miss-out", str(out / "m.csv"),
+                     "--interfault-out", str(out / "i.csv")],
+        "searchtime": ["searchtime", str(path), "--out", str(out / "t.csv")],
+        "report": ["report", str(path), "--out-dir", str(out)],
+    }[command]
+    for seed in ("-1", str(2**64)):
+        with pytest.raises(SystemExit) as stop:
+            main([*argv, "--seed", seed])
+        assert stop.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.endswith(f"argument --seed: seed must be an integer in 0..2**64 - 1, got {seed}")
+        assert list(out.iterdir()) == []
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "an integer in 0..2**64 - 1" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize(
     "flag, value, named",
     [("--policies", "LRU,XYZ", "unknown policy 'XYZ'"), ("--windows", "0", "--windows: entries")],

@@ -90,9 +90,9 @@ def test_pmf_validation():
         generate(GeneratorSpec(Irm(()), 1))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
-            Irm((bad, 1.0)).validate()
+            Irm((bad, 1.0))
         with pytest.raises(ValueError, match="finite"):
-            LruStackModel((1.0, bad)).validate()
+            LruStackModel((1.0, bad))
 
 
 def test_spec_validation():
