@@ -5,11 +5,14 @@ it enters the library, so the same argument means the same thing
 everywhere, and a bad one raises a `ValueError` whose message begins
 with the argument's name.  An integer is a Python or numpy integer
 (`operator.index`): bool, float, str and None are not, whatever their
-value, and the integer rules return a Python `int`.
+value, and the integer rules return a Python `int`.  A real number is a
+Python or numpy int or float (`numbers.Real`) but not a bool, and the
+real rules return a Python `float`.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from math import inf
 from numbers import Real
 from operator import index
@@ -53,6 +56,15 @@ def fraction(value, what: str, *, zero: bool = True) -> float:
         if (0.0 <= value if zero else 0.0 < value) and value <= 1.0:
             return float(value)
     raise ValueError(f"{what} must be in {'[' if zero else '('}0, 1], got {value}")
+
+
+def weight(value, what: str) -> float:
+    """A pmf weight: a finite real number >= 0; not a bool."""
+    if isinstance(value, Real) and not isinstance(value, (bool, np.bool_)):
+        with suppress(OverflowError):  # an int or Fraction beyond the float range
+            if 0.0 <= (real := float(value)) < inf:  # NaN fails both
+                return real
+    raise ValueError(f"{what} must be a finite real number >= 0, got {value}")
 
 
 def int_array(values, what: str) -> np.ndarray:

@@ -5,8 +5,13 @@ seeds, no wall clock, no hidden state, so repeated runs emit byte-identical
 output.  Analysis subcommands write CSV with a header row and full
 double-precision values; rounding is left to downstream plotting.
 
-Exit status: 0 on success, 1 on input or value errors (message on stderr),
-2 on usage errors (from argument parsing).
+Exit status: 0 on success; 2 on a usage error; 1 on an input error or a
+flag value that the trace refutes (message on stderr).  Every value-taking
+flag has an argparse `type` that checks its value by the library's own
+rule, so a bad flag value exits 2 with argparse's "argument --FLAG: ..."
+message before the trace is opened.  Only the checks that need the trace
+exit 1: a --database-size below its distinct destinations, a --capacities
+entry above the database size, or no --windows entry that fits.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from .searchcost import (
 from .trace import TraceSummary, summarize
 
 _POWER_SWEEP = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-_DEFAULT_WINDOWS = (10, 20, 50, 100, 200, 500, 1000)
 _SEEDS = "an integer in 0..2**64 - 1 (default: 0)"
 _COST_MODELS: dict[str, CostModel] = {
     "binary": binary_search_cost,
@@ -77,56 +81,48 @@ def _read_nonempty(path, destinations_only: bool = False):
     return frames
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise ValueError(f"{what}: expected comma-separated integers, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{what}: empty list")
-    return values
+# Flag values.  Each value-taking flag's argparse `type=` is one `_flag`
+# parser: it checks the value with the library's own rule, so a bad value
+# is a usage error naming the flag, raised before any trace is read.
+
+def _flag(parse):
+    """`parse` as an argparse `type=`: its ValueError becomes a usage error."""
+
+    def checked(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return checked
 
 
-def _parse_weights(text: str, what: str) -> tuple[float, ...]:
-    try:
-        weights = [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise ValueError(f"{what}: expected comma-separated numbers, got {text!r}") from None
-    total = sum(weights)  # NaN or infinite if any weight is
-    if not weights or not 0 < total < math.inf or any(w < 0 for w in weights):
-        raise ValueError(f"{what}: weights must be finite and nonnegative with a positive sum")
-    return tuple(w / total for w in weights)
-
-
-def _parse_windows(text: str) -> list[int]:
-    windows = _parse_int_list(text, "--windows")
-    if min(windows) < 1:
-        raise ValueError("--windows: entries must be >= 1")
-    return windows
-
-
-def _parse_capacities(text: str) -> list[int]:
-    """The --capacities entries, sorted and without duplicates."""
-    capacities = sorted(set(_parse_int_list(text, "--capacities")))
-    if capacities[0] < 1:
-        raise ValueError("--capacities: entries must be >= 1")
-    return capacities
-
-
-def _seed(text: str) -> int:
-    """--seed for argparse `type=`: anything but a seed is a usage error naming --seed."""
+def _spelled(text: str, kind=int):
+    """`text` as a `kind` if it spells one, else unchanged, for a rule to refuse by name."""
     with suppress(ValueError):
-        text = int(text)
-    try:
-        return _checks.seed(text, "seed")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        return kind(text)
+    return text
 
 
-def _parse_policies(text: str) -> list[str]:
-    policies = [part.strip().upper() for part in text.split(",") if part.strip()]
-    if not policies:
-        raise ValueError("no policies given")
+def _list(text: str, sep: str = ",") -> list[str]:
+    """The non-blank `sep`-separated entries of `text`, stripped."""
+    entries = [entry.strip() for entry in text.split(sep) if entry.strip()]
+    if not entries:
+        raise ValueError("empty list")
+    return entries
+
+
+def _positive_ints(text: str, what: str) -> list[int]:
+    return [_checks.positive_int(_spelled(entry), what) for entry in _list(text)]
+
+
+def _capacities(text: str) -> list[int]:
+    """The --capacities entries, sorted and without duplicates."""
+    return sorted(set(_positive_ints(text, "capacity")))
+
+
+def _policies(text: str) -> list[str]:
+    policies = [entry.upper() for entry in _list(text)]
     for policy in policies:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}, expected one of {', '.join(POLICIES)}")
@@ -135,44 +131,49 @@ def _parse_policies(text: str) -> list[str]:
     return policies
 
 
-def _part_model(text: str) -> synth.Model:
-    kind, sep, arg = text.partition(":")
-    if not sep or not arg:
-        raise ValueError(f"interleave part {text!r}: expected KIND:ARG")
-    if kind in ("cyclic", "uniform-irm"):
+def _weights(text: str) -> tuple[float, ...]:
+    """Comma-separated weights, each a pmf entry, normalized to a pmf."""
+    weights = [_checks.weight(_spelled(entry, float), "weight") for entry in _list(text)]
+    total = sum(weights)  # infinite if the weights overflow
+    if not 0 < total < math.inf:
+        raise ValueError(f"weights must have a finite positive sum, got {text!r}")
+    return tuple(w / total for w in weights)
+
+
+# The `KIND:ARG` model grammar: `gen --KIND ARG` and each `--interleave`
+# part build their model here.
+_MODELS = {
+    "cyclic": lambda arg: synth.Cyclic(_spelled(arg)),
+    "uniform-irm": lambda arg: synth.UniformIrm(_spelled(arg)),
+    "irm": lambda arg: synth.Irm(_weights(arg)),
+    "lru-stack": lambda arg: synth.LruStackModel(_weights(arg)),
+}
+
+
+def _interleave(text: str) -> tuple[synth.Model, ...]:
+    parts = []
+    for part in _list(text, ";"):
+        kind, _, arg = part.partition(":")
         try:
-            size = int(arg)
-        except ValueError:
-            raise ValueError(f"interleave part {text!r}: expected an integer, got {arg!r}") from None
-        return synth.Cyclic(size) if kind == "cyclic" else synth.UniformIrm(size)
-    if kind in ("irm", "lru-stack"):
-        pmf = _parse_weights(arg, f"interleave part {text!r}")
-        return synth.Irm(pmf) if kind == "irm" else synth.LruStackModel(pmf)
-    raise ValueError(f"interleave part {text!r}: unknown kind {kind!r}")
+            if kind not in _MODELS:
+                raise ValueError(f"unknown kind {kind!r}, expected one of {', '.join(_MODELS)}")
+            parts.append(_MODELS[kind](arg))
+        except ValueError as exc:
+            raise ValueError(f"interleave part {part!r}: {exc}") from None
+    return tuple(parts)
 
 
 def _model_from_args(args, parser: argparse.ArgumentParser) -> synth.Model:
-    if args.stack_size is not None and args.lru_stack is None:
-        parser.error("--stack-size requires --lru-stack")
     if (args.pattern is None) != (args.interleave is None):
         parser.error("--interleave and --pattern must be given together")
-    if args.cyclic is not None:
-        return synth.Cyclic(args.cyclic)
-    if args.uniform_irm is not None:
-        return synth.UniformIrm(args.uniform_irm)
-    if args.irm is not None:
-        return synth.Irm(_parse_weights(args.irm, "--irm"))
-    if args.lru_stack is not None:
-        pmf = _parse_weights(args.lru_stack, "--lru-stack")
-        if args.stack_size is None:
-            return synth.LruStackModel(pmf)
-        if args.stack_size < 1:
-            raise ValueError(f"--stack-size must be >= 1, got {args.stack_size}")
-        stack = tuple(f"a{i}" for i in range(args.stack_size))
-        return synth.LruStackModel(pmf, stack)
-    parts = tuple(_part_model(part) for part in args.interleave.split(";") if part)
-    pattern = tuple(_parse_int_list(args.pattern, "--pattern"))
-    return synth.Interleave(parts, pattern)
+    if args.interleave is None:
+        return args.model
+    if len(args.pattern) != len(args.interleave):
+        parser.error(
+            f"--pattern has {len(args.pattern)} entries for {len(args.interleave)} "
+            "--interleave parts"
+        )
+    return synth.Interleave(args.interleave, args.pattern)
 
 
 # Analysis steps.  Each subcommand runs one of them and `report` runs them
@@ -181,7 +182,7 @@ def _model_from_args(args, parser: argparse.ArgumentParser) -> synth.Model:
 def _working_sets(args, refs: _Refs) -> list[WorkingSetReport]:
     """Average working set per --windows size in --mode; oversized windows are skipped."""
     reports = []
-    for window in args.windows or _DEFAULT_WINDOWS:
+    for window in args.windows:
         if window > len(refs):
             print(
                 f"note: skipping window {window}: exceeds trace length {len(refs)}",
@@ -341,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Locality analysis and cache simulation for address reference traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = _flag(lambda text: _checks.seed(_spelled(text), "seed"))
 
     # Flag groups shared through `parents=`; report takes the union of the
     # wss, simulate and searchtime flags.
@@ -349,9 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     out_flag = argparse.ArgumentParser(add_help=False)
     out_flag.add_argument("--out", help="output CSV (default: stdout)")
     window_flags = argparse.ArgumentParser(add_help=False)
-    default_windows = ",".join(str(w) for w in _DEFAULT_WINDOWS)
     window_flags.add_argument(
-        "--windows", metavar="W1,W2,...", help=f"window sizes (default: {default_windows})"
+        "--windows",
+        type=_flag(lambda text: _positive_ints(text, "window")),
+        default="10,20,50,100,200,500,1000",
+        metavar="W1,W2,...",
+        help="window sizes (default: %(default)s)",
     )
     window_flags.add_argument("--mode", choices=("disjoint", "sliding"), default="disjoint")
 
@@ -359,11 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
         # Built per caller: parents share Action objects, so a shared group
         # cannot carry per-subcommand defaults.
         flags = argparse.ArgumentParser(add_help=False)
-        flags.add_argument("--policies", default=policies)
+        flags.add_argument("--policies", type=_flag(_policies), default=policies)
         flags.add_argument(
-            "--capacities", metavar="C1,C2,...", help=f"cache sizes (default: {capacities})"
+            "--capacities",
+            type=_flag(_capacities),
+            metavar="C1,C2,...",
+            help=f"cache sizes (default: {capacities})",
         )
-        flags.add_argument("--seed", type=_seed, default=0, help=f"RAND eviction seed, {_SEEDS}")
+        flags.add_argument("--seed", type=seed, default=0, help=f"RAND eviction seed, {_SEEDS}")
         return flags
 
     clipped_sweep = (
@@ -372,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     search_flags = argparse.ArgumentParser(add_help=False)
     search_flags.add_argument(
         "--database-size",
-        type=int,
+        type=_flag(lambda text: _checks.positive_int(_spelled(text), "database_size")),
         help="full table size n, at least the distinct destinations in the trace "
         "(default: that count)",
     )
@@ -390,23 +398,34 @@ def build_parser() -> argparse.ArgumentParser:
         "Weights for --irm/--lru-stack are normalized to a pmf.",
     )
     model = p.add_mutually_exclusive_group(required=True)
-    model.add_argument("--cyclic", type=int, metavar="K", help="round-robin over K addresses")
-    model.add_argument(
-        "--uniform-irm", type=int, metavar="N", help="i.i.d. uniform over N addresses"
-    )
-    model.add_argument("--irm", metavar="W1,W2,...", help="i.i.d. with per-address weights")
-    model.add_argument(
-        "--lru-stack", metavar="W1,W2,...", help="stack model with per-depth weights"
-    )
+    for kind, metavar, help in (
+        ("cyclic", "K", "round-robin over K addresses"),
+        ("uniform-irm", "N", "i.i.d. uniform over N addresses"),
+        ("irm", "W1,W2,...", "i.i.d. with per-address weights"),
+        ("lru-stack", "W1,W2,...", "stack model with per-depth weights"),
+    ):
+        model.add_argument(
+            f"--{kind}", dest="model", type=_flag(_MODELS[kind]), metavar=metavar, help=help
+        )
     model.add_argument(
         "--interleave",
+        type=_flag(_interleave),
         metavar="KIND:ARG;...",
         help="weave part streams round-robin, e.g. 'cyclic:30;uniform-irm:100'",
     )
-    p.add_argument("--stack-size", type=int, help="stack depth for --lru-stack (default: #weights)")
-    p.add_argument("--pattern", metavar="N1,N2,...", help="per-cycle take counts for --interleave")
-    p.add_argument("--length", type=int, required=True, help="number of references")
-    p.add_argument("--seed", type=_seed, default=0, help=_SEEDS)
+    p.add_argument(
+        "--pattern",
+        type=_flag(lambda text: _positive_ints(text, "pattern entry")),
+        metavar="N1,N2,...",
+        help="per-cycle take counts for --interleave",
+    )
+    p.add_argument(
+        "--length",
+        type=_flag(lambda text: _checks.nonnegative_int(_spelled(text), "length")),
+        required=True,
+        help="number of references",
+    )
+    p.add_argument("--seed", type=seed, default=0, help=_SEEDS)
     p.add_argument("--out", help="output trace file (default: stdout)")
     p.set_defaults(func=partial(_cmd_gen, parser=p))  # flag-pairing errors are usage errors
 
@@ -493,21 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# List flags, parsed in place before a command reads its trace, so a bad
-# one fails before any work or output.
-_LIST_FLAGS = {
-    "windows": _parse_windows,
-    "capacities": _parse_capacities,
-    "policies": _parse_policies,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag, parse in _LIST_FLAGS.items():
-            if getattr(args, flag, None) is not None:
-                setattr(args, flag, parse(getattr(args, flag)))
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

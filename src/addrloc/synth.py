@@ -14,8 +14,9 @@ Models can be interleaved deterministically (fixed integer round-robin
 ratios) to blend, say, a cyclic stream into an IRM background.
 
 Models and `GeneratorSpec` are frozen dataclasses that check and
-normalize their fields when built (integers become Python ints), so a
-model that exists is valid and `generate` checks nothing again.
+normalize their fields when built (integers become Python ints, a pmf a
+tuple of floats), so a model that exists is valid and `generate` checks
+nothing again.
 
 A model's `emit(length, seed)` returns `(codes, tokens)`: one int code per
 reference and the token of each code, so a token string is made once per
@@ -28,7 +29,7 @@ address spaces stay disjoint), interned in order of first appearance.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Union
 
@@ -43,14 +44,15 @@ PMF_SUM_TOLERANCE = 1e-9
 Model = Union["UniformIrm", "Irm", "Cyclic", "LruStackModel", "Interleave"]
 
 
-def _check_pmf(pmf: tuple[float, ...], what: str) -> None:
+def _pmf(pmf) -> tuple[float, ...]:
+    """`pmf` as a tuple of floats, each entry a weight (`_checks.weight`), summing to 1."""
+    pmf = tuple(_checks.weight(p, "pmf entry") for p in pmf)
     if not pmf:
-        raise ValueError(f"{what}: pmf is empty")
-    if not all(0 <= p < np.inf for p in pmf):
-        raise ValueError(f"{what}: pmf entries must be finite and nonnegative")
+        raise ValueError("pmf is empty")
     total = sum(pmf)
     if abs(total - 1.0) > PMF_SUM_TOLERANCE:
-        raise ValueError(f"{what}: pmf sums to {total!r}, not 1")
+        raise ValueError(f"pmf sums to {total!r}, not 1")
+    return pmf
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class Irm:
     pmf: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_pmf(self.pmf, "Irm")
+        object.__setattr__(self, "pmf", _pmf(self.pmf))
 
     def emit(self, length: int, seed: int) -> tuple[np.ndarray, list[str]]:
         weights = np.asarray(self.pmf, dtype=np.float64)
@@ -109,38 +111,24 @@ class LruStackModel:
     """Move-to-top stack with depth of the next reference drawn from `pmf`.
 
     pmf[d-1] is the probability of re-referencing the address currently at
-    depth d (1 = top of stack).  `initial_stack` fixes the starting order,
-    top first; it defaults to one address per possible depth.
+    depth d (1 = top of stack).  The stack starts as a0, a1, ..., one
+    address per depth, top first; no reference goes deeper.
     """
 
     pmf: tuple[float, ...]
-    initial_stack: tuple[str, ...] = field(default=())
-
-    def resolved_stack(self) -> tuple[str, ...]:
-        if self.initial_stack:
-            return self.initial_stack
-        return tuple(f"a{i}" for i in range(len(self.pmf)))
 
     def __post_init__(self) -> None:
-        _check_pmf(self.pmf, "LruStackModel")
-        max_depth = max((d for d, p in enumerate(self.pmf, start=1) if p > 0), default=0)
-        stack = self.resolved_stack()
-        if len(set(stack)) != len(stack):
-            raise ValueError("LruStackModel initial stack has duplicate addresses")
-        if len(stack) < max_depth:
-            raise ValueError(
-                f"LruStackModel stack of {len(stack)} addresses cannot serve depth {max_depth}"
-            )
+        object.__setattr__(self, "pmf", _pmf(self.pmf))
 
     def emit(self, length: int, seed: int) -> tuple[np.ndarray, list[str]]:
         cum = [*accumulate(self.pmf[:-1]), 1.0]  # u < 1, so depths stay in range
-        stack = list(range(len(self.resolved_stack())))  # codes, top first
+        stack = list(range(len(self.pmf)))  # codes, top first
         out = []
         for u in islice(random_stream(seed), length):
             code = stack.pop(bisect_right(cum, u))
             stack.insert(0, code)
             out.append(code)
-        return np.array(out, dtype=np.intp), list(self.resolved_stack())
+        return np.array(out, dtype=np.intp), [f"a{i}" for i in range(len(self.pmf))]
 
 
 @dataclass(frozen=True)

@@ -837,10 +837,12 @@ def summarize(trace: Trace) -> TraceSummary:
     span = int(trace.timestamps[-1]) - int(trace.timestamps[0])
     seen = np.zeros(len(trace.interns), bool)
     seen[trace.dst] = True
+    destinations = int(np.count_nonzero(seen))
+    seen[trace.src] = True  # a token no frame uses is not counted
     return TraceSummary(
         frame_count=len(trace),
-        distinct_addresses=len(trace.interns),
-        distinct_destinations=int(np.count_nonzero(seen)),
+        distinct_addresses=int(np.count_nonzero(seen)),
+        distinct_destinations=destinations,
         duration_hours=span / MICROSECONDS_PER_HOUR,
     )
 

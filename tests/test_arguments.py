@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import addrloc
 from addrloc.cachesim import POLICIES, lru_curve_from_distances, simulate, sweep
 from addrloc.locality import concentration_curve, stack_distances, working_set
 from addrloc.searchcost import normalized_search_time
-from addrloc.synth import Cyclic, GeneratorSpec, Interleave, UniformIrm, generate
+from addrloc.synth import Cyclic, GeneratorSpec, Interleave, Irm, LruStackModel, UniformIrm, generate
 
 _SEQ = [0, 1, 2, 0, 3, 1, 0, 2]
 _HIST = stack_distances(_SEQ)[1]
@@ -128,6 +129,28 @@ def test_fractions_are_real_numbers_in_their_interval(call, message, bad):
     with pytest.raises(ValueError, match=message):
         call(bad)
     assert call(np.float64(0.5)) == call(0.5)
+
+
+@pytest.mark.parametrize("model", [Irm, LruStackModel])
+@pytest.mark.parametrize(
+    "pmf",
+    [(True,), (np.True_,), ("0.5", "0.5"), (None, 1.0), (0.5j, 0.5), (float("nan"), 1.0),
+     (float("inf"), 1.0), (1.5, -0.5)],
+    ids=repr,
+)
+def test_pmf_entries_are_finite_nonnegative_reals(model, pmf):
+    # (True,) was once the pmf (1.0,), and ("0.5", "0.5") raised Python's TypeError.
+    with pytest.raises(ValueError, match=r"^pmf entry must be a finite real number >= 0, got "):
+        model(pmf)
+
+
+@pytest.mark.parametrize("model", [Irm, LruStackModel])
+def test_a_pmf_is_stored_as_a_tuple_of_floats(model):
+    # A list pmf was once kept as given, so the frozen model could not be hashed.
+    built = model([np.float32(0.5), Fraction(1, 4), np.int64(0), 0.25])
+    assert built == model((0.5, 0.25, 0.0, 0.25))
+    assert all(type(p) is float for p in built.pmf)
+    assert hash(built) == hash(model([0.5, 0.25, 0, 0.25]))
 
 
 def _rule_writers(source: str) -> list[int]:

@@ -63,8 +63,7 @@ def test_determinism_and_seed_sensitivity():
 
 
 def test_lru_stack_model_top_only():
-    model = LruStackModel(pmf=(1.0,), initial_stack=("A", "B"))
-    assert _tokens(model, 4) == ["A", "A", "A", "A"]
+    assert _tokens(LruStackModel(pmf=(1.0,)), 4) == ["a0", "a0", "a0", "a0"]
 
 
 def test_lru_stack_model_stays_inside_stack():
@@ -75,10 +74,9 @@ def test_lru_stack_model_stays_inside_stack():
 
 
 def test_lru_stack_model_validation():
-    with pytest.raises(ValueError):
-        generate(GeneratorSpec(LruStackModel(pmf=(0.5, 0.5), initial_stack=("A",)), 1))
-    with pytest.raises(ValueError):
-        generate(GeneratorSpec(LruStackModel(pmf=(1.0,), initial_stack=("A", "A")), 1))
+    for pmf in ((), (0.5, 0.6), (1.5, -0.5), (True,)):
+        with pytest.raises(ValueError, match="^pmf "):
+            LruStackModel(pmf)
 
 
 def test_pmf_validation():
@@ -169,8 +167,8 @@ def test_interleave_is_deterministic():
          "29552f03930b4d8baf93ff119e7e812ab13ccd68cb915a2c3fc733039dd8833f"),
         (Irm((0.5, 0.25, 0.125, 0.125)),
          "ead2d4ee5703b4e7e872a25ef376e4b0da30a0a78547a6f3d76d23ba39c856e1"),
-        (LruStackModel((0.4, 0.3, 0.2, 0.1), initial_stack=("x", "y", "z", "w", "v")),
-         "0d18c5594fe07ba8ca72e44dd31a9fc368087840a30221ab479c75fe9a206f23"),
+        (LruStackModel((0.4, 0.3, 0.2, 0.1)),
+         "549cc2cd4a0c55aba93189f2c189ef68e3bf1b04cd801d5f66c787b29a28d175"),
         (Interleave(parts=(LruStackModel((8 / 15, 4 / 15, 2 / 15, 1 / 15)), UniformIrm(2000),
                            Irm((0.7, 0.3))), pattern=(3, 1, 2)),
          "06ddaf4a20287bf541b91c9c42368386bc5125b7c3b5689c3f358dc745670861"),
@@ -195,14 +193,6 @@ def test_uniform_irm_over_the_full_draw_range():
     tokens = _tokens(UniformIrm(2**64), 1000, seed=3)
     assert tokens[0] == "a2092789425003139053"
     assert _digest(tokens) == "4cddf72b11caf7f26fbc8a5293d71cda4e6f62c8e9d13a3f74fe2a4c0ee1b46d"
-
-
-def test_stack_token_named_src_shares_the_source_id():
-    model = LruStackModel((0.5, 0.5), initial_stack=("src", "x"))
-    trace = generate(GeneratorSpec(model, 50, seed=0))
-    assert trace.interns.tokens == ("src", "x")
-    assert trace.dst.tolist()[:8] == [1, 1, 1, 0, 0, 0, 0, 1]
-    assert set(trace.src.tolist()) == {0}
 
 
 def test_cyclic_larger_than_the_trace():

@@ -105,6 +105,13 @@ def test_summarize_self_addressed_frame():
     assert s.duration_hours == 0.0
 
 
+def test_summarize_counts_only_the_addresses_frames_use():
+    # The intern table may hold a token no frame references; it was once counted.
+    s = summarize(Trace([0, 1], [0, 0], [0, 2], InternTable(["A", "B", "C"])))
+    assert s.distinct_addresses == 2
+    assert s.distinct_destinations == 2
+
+
 def test_summarize_empty_trace_raises():
     with pytest.raises(ValueError):
         summarize(Trace.from_token_rows([]))
