@@ -414,12 +414,22 @@ def write_wss_csv(reports: Sequence[WorkingSetReport], stream: TextIO) -> None:
 
 
 def write_stackdist_csv(hist: StackDistanceHistogram, stream: TextIO) -> None:
-    """Finite distances in order, then one 'inf' row for first references."""
+    """Finite distances in order, then one 'inf' row for first references.
+
+    The pdf and cdf columns are one numpy division each.  While the total
+    is below 2**53 every count converts to float exactly, so each quotient
+    rounds as `hist.pdf` and `hist.cdf` round it.
+    """
     first = fmt(hist._share(hist.infinite_count))  # an empty histogram raises before any row
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["distance", "count", "pdf", "cdf"])
-    for d in (np.flatnonzero(hist.counts[1:]) + 1).tolist():
-        writer.writerow([d, int(hist.counts[d]), fmt(hist.pdf(d)), fmt(hist.cdf(d))])
+    distances = np.flatnonzero(hist.counts[1:]) + 1
+    counts = hist.counts[distances]
+    pdf = counts / hist.total
+    cdf = (hist.cumulative[distances] - hist.infinite_count) / hist.total
+    writer.writerows(
+        zip(distances.tolist(), counts.tolist(), map(fmt, pdf.tolist()), map(fmt, cdf.tolist()))
+    )
     writer.writerow(["inf", hist.infinite_count, first, fmt(1.0)])
 
 

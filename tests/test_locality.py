@@ -497,6 +497,19 @@ def test_stackdist_csv():
     assert buf.getvalue() == (
         "distance,count,pdf,cdf\n2,2,0.5,0.5\ninf,2,0.5,1.0\n"
     )
+    # Counts up to 2**40, with gaps: each row's fractions are those of
+    # `pdf` and `cdf`, digit for digit.
+    counts = np.random.default_rng(2).integers(0, 2**40, size=300)
+    counts[::7] = 0
+    counts[0] = 2**41
+    hist = StackDistanceHistogram(counts)
+    buf = io.StringIO()
+    write_stackdist_csv(hist, buf)
+    rows = [line.split(",") for line in buf.getvalue().splitlines()[1:-1]]
+    assert rows == [
+        [str(d), str(counts[d]), repr(hist.pdf(d)), repr(hist.cdf(d))]
+        for d in range(1, len(counts)) if counts[d]
+    ]
 
 
 def test_runs_csv():
