@@ -54,7 +54,7 @@ from .searchcost import (
     search_time_curve,
     write_search_time_csv,
 )
-from .trace import TraceSummary, summarize
+from .trace import TraceSummary
 
 _POWER_SWEEP = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 _SEEDS = "an integer in 0..2**64 - 1 (default: 0)"
@@ -74,8 +74,9 @@ def _write(path, writer) -> None:
     print(f"wrote {path}")
 
 
-def _read_nonempty(path, destinations_only: bool = False):
-    frames = trace.read_trace(path, destinations_only=destinations_only)
+def _read_nonempty(path, select: str):
+    """The "destinations" or "summary" read of the trace at `path`, which must have frames."""
+    frames = trace.read_trace(path, _select=select)
     if len(frames) == 0:
         raise ValueError(f"{path}: trace has no records")
     return frames
@@ -231,7 +232,7 @@ def _search_times(
 
 
 def _cmd_summarize(args) -> int:
-    s = summarize(_read_nonempty(args.trace))
+    s = _read_nonempty(args.trace, "summary").summary()
     print(
         f"frames={s.frame_count} addresses={s.distinct_addresses} "
         f"destinations={s.distinct_destinations} duration_hours={fmt(s.duration_hours)}"
@@ -258,31 +259,31 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_concentration(args) -> int:
-    curve = concentration_curve(_Refs(_read_nonempty(args.trace, destinations_only=True)))
+    curve = concentration_curve(_Refs(_read_nonempty(args.trace, "destinations")))
     _write(args.out, partial(write_concentration_csv, curve))
     return 0
 
 
 def _cmd_wss(args) -> int:
-    reports = _working_sets(args, _Refs(_read_nonempty(args.trace, destinations_only=True)))
+    reports = _working_sets(args, _Refs(_read_nonempty(args.trace, "destinations")))
     _write(args.out, partial(write_wss_csv, reports))
     return 0
 
 
 def _cmd_stackdist(args) -> int:
-    hist = _Refs(_read_nonempty(args.trace, destinations_only=True)).hist
+    hist = _Refs(_read_nonempty(args.trace, "destinations")).hist
     _write(args.out, partial(write_stackdist_csv, hist))
     return 0
 
 
 def _cmd_runs(args) -> int:
-    hist = run_lengths(_Refs(_read_nonempty(args.trace, destinations_only=True)))
+    hist = run_lengths(_Refs(_read_nonempty(args.trace, "destinations")))
     _write(args.out, partial(write_runs_csv, hist))
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    refs = _Refs(_read_nonempty(args.trace, destinations_only=True))
+    refs = _Refs(_read_nonempty(args.trace, "destinations"))
     curves = _sweep(args, refs, args.capacities or sorted(set(_POWER_SWEEP) | {refs.distinct}))
     _write(args.miss_out, partial(write_miss_ratio_csv, curves))
     _write(args.interfault_out, partial(write_interfault_csv, curves))
@@ -290,7 +291,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_searchtime(args) -> int:
-    refs = _Refs(_read_nonempty(args.trace, destinations_only=True))
+    refs = _Refs(_read_nonempty(args.trace, "destinations"))
     _, time_curves = _search_times(args, refs, *_search_sweep(args, refs))
     _write(args.out, partial(write_search_time_csv, time_curves))
     return 0
@@ -317,9 +318,8 @@ def _write_summary(
 def _cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    frames = _read_nonempty(args.trace)
-    summary, refs = summarize(frames), _Refs(frames.dst)
-    del frames
+    read = _read_nonempty(args.trace, "summary")
+    summary, refs = read.summary(), _Refs(read.dst)
     # Every check that the trace decides comes before the first file is written.
     sizes = _search_sweep(args, refs)
     reports = _working_sets(args, refs)

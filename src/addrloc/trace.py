@@ -36,13 +36,23 @@ only new ones are decoded and interned.  Any other block goes to the
 line reader, which reads one line at a time and defines the accepted
 syntax: a timestamp or length is anything `int()` accepts, such as " 5",
 "+5" or "1_0", and the error names the first bad line.  Both readers
-give the same trace, with the syntax and errors of the line reader.
+give the same trace, with the syntax and errors of the line reader.  Each
+reader counts the lines it reads, the block reader from the line breaks
+it finds and the line reader from its list of lines, so error line
+numbers need no further pass over the bytes.
 
-With `destinations_only=True`, `parse_trace` and `read_trace` return the
-read-only int32 `dst` column alone, its ids numbered by first appearance
-among destinations.  Every line is checked as in a full read, with the
-same errors, but only destination tokens are interned; the block reader
-never groups src or proto tokens and no other column is stored.
+There are three reads, each a selection of `_Columns`, and each checks
+every line as the full one does, with the same errors:
+- the full read gives the `Trace`;
+- with `destinations_only=True`, `parse_trace` and `read_trace` return
+  the read-only int32 `dst` column alone, its ids numbered by first
+  appearance among destinations: only destination tokens are interned,
+  and the block reader never groups src or proto tokens;
+- the summary read, which the `summarize` and `report` commands make,
+  interns src and dst tokens as the full read does, so its dst ids are
+  the full read's, and keeps only them, the first and last timestamps
+  and the count of addresses: enough for `summarize`'s `TraceSummary`.
+  Proto tokens are never grouped.
 """
 
 from __future__ import annotations
@@ -234,7 +244,7 @@ class Trace:
             protos.append(row[3] or "" if len(row) > 3 else "")
             lengths.append(-1 if len(row) < 5 or row[4] is None else row[4])
         columns.append_tokens(timestamps, addresses, protos, lengths)
-        return columns.trace()
+        return columns.result()
 
     def destinations(self) -> list[int]:
         """The destination reference string: the ordered sequence of dst ids."""
@@ -264,26 +274,38 @@ class _Columns:
     """Trace columns growing block by block, with their address and proto tables.
 
     Each column is an `array`, which grows in place with little slack, so
-    building a trace holds one copy of it plus the current block.  With
-    `destinations_only`, only `dst` grows and only dst tokens are interned.
+    building a trace holds one copy of it plus the current block.  `select`
+    names the read: "trace" keeps every column; "summary" interns src and
+    dst tokens as "trace" does but keeps only `dst` and the first and last
+    timestamps; "destinations" interns dst tokens alone and keeps `dst`.
     """
 
-    def __init__(self, destinations_only: bool = False):
-        self.destinations_only = destinations_only
+    def __init__(self, select: str = "trace"):
+        if select not in ("trace", "summary", "destinations"):
+            raise ValueError(f"unknown read {select!r}")
+        self.select = select
         self.timestamps = array("q")
         self.src = array("i")
         self.dst = array("i")
         self.proto = array("i")
         self.length = array("q")
+        self.span: tuple[int, ...] = ()  # a summary read's first and last timestamps
         self.interns = InternTable()
         self.protos = InternTable([""])  # "" -> 0, the "no tag" code
         self.known_addresses = _Known(self.interns)
         self.known_protos = _Known(self.protos)
 
-    def append(
-        self, timestamps: np.ndarray, ids: np.ndarray, proto: np.ndarray, lengths: np.ndarray
-    ) -> None:
-        """Add one block: `ids` alternates src and dst ids; `proto` indexes `protos`."""
+    def append(self, timestamps, ids: np.ndarray, proto=None, lengths=None) -> None:
+        """Add one block: `ids` alternates src and dst ids, or holds dst ids
+        alone in a "destinations" read; `proto` indexes `protos`, and it and
+        `lengths` are read only in a "trace" read."""
+        if self.select != "trace":
+            dst = ids if self.select == "destinations" else ids[1::2]
+            self.dst.frombytes(np.ascontiguousarray(dst).view(np.uint8))
+            if self.select == "summary" and len(timestamps):
+                first = self.span[0] if self.span else int(timestamps[0])
+                self.span = (first, int(timestamps[-1]))
+            return
         for column, values in (
             (self.timestamps, timestamps),
             (self.src, ids[0::2]),
@@ -301,8 +323,9 @@ class _Columns:
         lengths: Sequence[int],
     ) -> None:
         """Add one block of tokens: a proto of "" is no tag, a length of -1 is absent."""
-        if self.destinations_only:  # `addresses` alternates src and dst
-            self.dst.frombytes(self.interns.intern_all(addresses[1::2]).view(np.uint8))
+        if self.select != "trace":  # `addresses` alternates src and dst
+            kept = addresses[1::2] if self.select == "destinations" else addresses
+            self.append(timestamps, self.interns.intern_all(kept))
             return
         self.append(
             _column(timestamps, np.int64, "timestamps"),
@@ -311,16 +334,22 @@ class _Columns:
             _column(lengths, np.int64, "length"),
         )
 
-    def trace(self) -> Trace:
-        return Trace(
-            np.frombuffer(self.timestamps, np.int64),
-            np.frombuffer(self.src, np.int32),
-            np.frombuffer(self.dst, np.int32),
-            self.interns,
-            np.frombuffer(self.proto, np.int32),
-            np.frombuffer(self.length, np.int64),
-            (None,) + self.protos.tokens[1:],
-        )
+    def result(self):
+        """What the read gives: a `Trace`, a `_SummaryRead` or the read-only dst column."""
+        if self.select == "trace":
+            return Trace(
+                np.frombuffer(self.timestamps, np.int64),
+                np.frombuffer(self.src, np.int32),
+                np.frombuffer(self.dst, np.int32),
+                self.interns,
+                np.frombuffer(self.proto, np.int32),
+                np.frombuffer(self.length, np.int64),
+                (None,) + self.protos.tokens[1:],
+            )
+        dst = _column(np.frombuffer(self.dst, np.int32), np.int32, "dst")
+        if self.select == "destinations":
+            return dst
+        return _SummaryRead(dst, self.span, len(self.interns))
 
 
 @dataclass(frozen=True)
@@ -329,6 +358,46 @@ class TraceSummary:
     distinct_addresses: int      # over src and dst fields together
     distinct_destinations: int   # over dst only
     duration_hours: float        # last timestamp minus first, in hours
+
+
+def _summary(dst: np.ndarray, timestamps, tokens: int, src=None) -> TraceSummary:
+    """The summary of frames with ids below `tokens`, destinations `dst` and
+    `timestamps` (or just their first and last).
+
+    `src` None stands for a read that interned only the tokens of its
+    frames, so all `tokens` are distinct addresses.
+    """
+    if len(dst) == 0:
+        raise ValueError("cannot summarize an empty trace")
+    seen = np.zeros(tokens, bool)
+    seen[dst] = True
+    destinations = int(np.count_nonzero(seen))
+    if src is not None:
+        seen[src] = True  # a token no frame uses is not counted
+        tokens = int(np.count_nonzero(seen))
+    return TraceSummary(
+        frame_count=len(dst),
+        distinct_addresses=tokens,
+        distinct_destinations=destinations,
+        duration_hours=(int(timestamps[-1]) - int(timestamps[0])) / MICROSECONDS_PER_HOUR,
+    )
+
+
+@dataclass(frozen=True)
+class _SummaryRead:
+    """A summary read: the read-only dst ids, the first and last timestamps
+    and the count of distinct addresses.  Its len() is the frame count."""
+
+    dst: np.ndarray
+    span: tuple[int, ...]
+    addresses: int
+
+    def __len__(self) -> int:
+        return len(self.dst)
+
+    def summary(self) -> TraceSummary:
+        """As `summarize` of the full read; ValueError for no frames."""
+        return _summary(self.dst, self.span, self.addresses)
 
 
 def _read_lines(lines: list[str], first_lineno: int, prev_ts: int, columns: _Columns) -> int:
@@ -606,17 +675,19 @@ def _numbers(data: bytes, ends: np.ndarray, fields: np.ndarray) -> Optional[np.n
     return numbers
 
 
-def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[int]:
-    """Append the frames of a block to `columns`, read as bytes by numpy; return the last timestamp.
+def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[int, int]]:
+    """Append the frames of a block to `columns`, read as bytes by numpy.
 
     `data` is the block's UTF-8 bytes, whole lines ending in LF, between
-    `_LEAD` and `_TAIL`.  Returns None, with `columns` untouched, for a
-    block this reader does not take: a line not starting with a digit, '#'
-    or its line break, 3 to 5 fields not met, a number that is not 1 to 18
-    ASCII digits, a decreasing timestamp, an empty address token or a hash
+    `_LEAD` and `_TAIL`.  Returns the last timestamp and the block's count
+    of lines, or None, with `columns` untouched, for a block this reader
+    does not take: a line not starting with a digit, '#' or its line
+    break, 3 to 5 fields not met, a number that is not 1 to 18 ASCII
+    digits, a decreasing timestamp, an empty address token or a hash
     collision.  Such a block goes to `_read_lines`, as does one of 2 GiB or
-    more, whose offsets int32 cannot hold.  When `columns` keeps
-    destinations only, src and proto tokens are checked but never grouped.
+    more, whose offsets int32 cannot hold.  Proto tokens are grouped only
+    in a "trace" read, and src tokens are checked but never grouped in a
+    "destinations" read.
 
     Field offsets are int32, and the one temporary as long as the block is
     the field-end mask, so the arrays peak at about 3 bytes per block byte
@@ -631,13 +702,14 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[int]:
     ends = np.flatnonzero(np.less(at_end, 2, out=at_end.view(bool)))
     del at_end
     breaks = np.flatnonzero(body[ends] == 10).astype(np.int32)
+    lines = len(breaks) - 1  # body[0] is no line's end
     ends = ends.astype(np.int32)
     lead = body[ends[breaks[:-1]] + 1]
     frame = lead - 48 < 10
     if not (frame | (lead == 35) | (lead == 10)).all():
         return None
     if not frame.any():
-        return prev_ts
+        return prev_ts, lines
     base = breaks[:-1][frame]  # field k of frame line i is field base[i] + k
     tabs = breaks[1:][frame]
     del breaks, lead, frame
@@ -651,7 +723,7 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[int]:
     address = np.stack((base + 1, base + 2), axis=1).ravel()
     if (ends[address + 1] - ends[address] < 2).any():
         return None  # an empty address token
-    if columns.destinations_only:
+    if columns.select == "destinations":
         address = address[1::2]
     words = np.ndarray((len(body) + 1,), "<u8", data, _DIGITS, (1,))
     if (address_groups := _distinct(words, ends, address)) is None:
@@ -663,10 +735,10 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[int]:
     sized_lengths = _numbers(data, ends, base[sized] + 4) if sized.any() else ()
     if sized_lengths is None:
         return None
-    if columns.destinations_only:
+    if columns.select != "trace":
         ids = columns.known_addresses.ids_of(body, words, ends, address, address_groups)
-        columns.dst.frombytes(ids.view(np.uint8))
-        return int(timestamps[-1])
+        columns.append(timestamps, ids)
+        return int(timestamps[-1]), lines
     codes = np.zeros(len(base), np.int32)  # 0: untagged
     if tagged.any():
         proto = base[tagged] + 3
@@ -677,7 +749,7 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[int]:
     lengths = np.full(len(base), -1, np.int64)
     lengths[sized] = sized_lengths
     columns.append(timestamps, ids, codes, lengths)
-    return int(timestamps[-1])
+    return int(timestamps[-1]), lines
 
 
 class _StrLines:
@@ -696,8 +768,12 @@ class _StrLines:
         return b""
 
 
-def _file_blocks(f: BinaryIO) -> Iterator[tuple[int, bytes]]:
-    """Binary file `f` in blocks of whole lines: (first line number, padded bytes).
+class _NotUtf8(Exception):
+    """A byte that is not UTF-8, raised by `_file_blocks` on the line after the lines it yielded."""
+
+
+def _file_blocks(f: BinaryIO) -> Iterator[bytes]:
+    """Binary file `f` in blocks of whole lines, as padded bytes.
 
     Reads `_CHUNK_BYTES` at a time, or as much as the carried bytes while a
     line is longer, and cuts each chunk after its last line break; the
@@ -705,10 +781,10 @@ def _file_blocks(f: BinaryIO) -> Iterator[tuple[int, bytes]]:
     mode.  A CR that ends a chunk waits for the next one, which may start
     with the LF of the same CRLF.  The last line gets a line break if it
     has none.  At the first byte that is not UTF-8 it yields the lines
-    before that byte's line, then raises the TraceParseError naming its
-    line and column, so the first bad line gives the error.
+    before that byte's line, then raises `_NotUtf8` naming its column, so
+    the first bad line gives the error and the line after the yielded ones
+    is the bad one.  Lines are counted by the readers, not here.
     """
-    lineno = 1
     rest = b""
     while True:
         chunk = f.read(max(_CHUNK_BYTES, len(rest)))
@@ -731,21 +807,17 @@ def _file_blocks(f: BinaryIO) -> Iterator[tuple[int, bytes]]:
             except UnicodeDecodeError as exc:
                 line_start = block.rfind(b"\n", 0, exc.start) + 1
                 column = len(block[line_start : exc.start].decode()) + 1
-                error = TraceParseError(
-                    lineno + block.count(b"\n", len(_LEAD), line_start),
-                    f"not UTF-8: byte 0x{block[exc.start]:02x} at column {column}",
-                )
+                error = _NotUtf8(f"not UTF-8: byte 0x{block[exc.start]:02x} at column {column}")
                 if line_start > len(_LEAD):  # the lines before may hold an earlier error
-                    yield lineno, block[:line_start] + _TAIL
+                    yield block[:line_start] + _TAIL
                 raise error from None
-            yield lineno, block
-            lineno += block.count(b"\n") - len(_LEAD)
+            yield block
         if eof:
             return
 
 
 def parse_trace(
-    lines: Iterable[str] | BinaryIO, *, destinations_only: bool = False
+    lines: Iterable[str] | BinaryIO, *, destinations_only: bool = False, _select: str = ""
 ) -> Trace | np.ndarray:
     """Parse a trace file opened in binary mode, or an iterable of str lines.
 
@@ -758,19 +830,22 @@ def parse_trace(
     error.  The module docstring describes the two readers of its blocks.
     With `destinations_only`, returns the read-only int32 dst ids alone,
     numbered by first appearance among destinations, after the same checks.
+    `_select` names a read of `_Columns` in place of `destinations_only`.
     """
-    columns = _Columns(destinations_only)
-    prev_ts = 0
+    columns = _Columns(_select or ("destinations" if destinations_only else "trace"))
+    prev_ts, lineno = 0, 1
     binary = isinstance(lines, (io.RawIOBase, io.BufferedIOBase))
-    for lineno, data in _file_blocks(lines if binary else _StrLines(lines)):
-        last = _read_block(data, prev_ts, columns)
-        if last is None:  # whole lines of valid UTF-8
-            block = data[len(_LEAD) : -len(_TAIL)].decode().split("\n")[:-1]
-            last = _read_lines(block, lineno, prev_ts, columns)
-        prev_ts = last
-    if destinations_only:
-        return _column(np.frombuffer(columns.dst, np.int32), np.int32, "dst")
-    return columns.trace()
+    try:
+        for data in _file_blocks(lines if binary else _StrLines(lines)):
+            read = _read_block(data, prev_ts, columns)
+            if read is None:  # whole lines of valid UTF-8
+                block = data[len(_LEAD) : -len(_TAIL)].decode().split("\n")[:-1]
+                read = _read_lines(block, lineno, prev_ts, columns), len(block)
+            prev_ts, count = read
+            lineno += count
+    except _NotUtf8 as exc:
+        raise TraceParseError(lineno, str(exc)) from None
+    return columns.result()
 
 
 def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = None) -> None:
@@ -801,20 +876,23 @@ def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = Non
         if frames is not None:
             rows = np.flatnonzero(frames[rows]) + start
         ts, src, dst, codes, lengths = (column[rows] for column in columns)
-        tails = tag_only[codes]
-        sized = lengths >= 0
-        if sized.any():
-            tags = tag_field[codes[sized]].tolist()
-            tails[sized] = [f"{tag}\t{n}" for tag, n in zip(tags, lengths[sized].tolist())]
-        stream.write("".join([
-            f"{t}\t{s}\t{d}{tail}\n"
-            for t, s, d, tail in zip(
-                ts.tolist(), tokens[src].tolist(), tokens[dst].tolist(), tails.tolist()
-            )
-        ]))
+        fields = ts.tolist(), tokens[src].tolist(), tokens[dst].tolist()
+        if (sized := lengths >= 0).all():  # one format for every row
+            text = [
+                f"{t}\t{s}\t{d}{tag}\t{n}\n"
+                for t, s, d, tag, n in zip(*fields, tag_field[codes].tolist(), lengths.tolist())
+            ]
+        else:
+            tails = tag_only[codes]
+            if sized.any():
+                tags = tag_field[codes[sized]].tolist()
+                tails[sized] = [f"{tag}\t{n}" for tag, n in zip(tags, lengths[sized].tolist())]
+            text = [f"{t}\t{s}\t{d}{tail}\n" for t, s, d, tail in zip(*fields, tails.tolist())]
+        stream.write("".join(text))
+        del fields, text  # before the next window's are built
 
 
-def read_trace(path, *, destinations_only: bool = False) -> Trace | np.ndarray:
+def read_trace(path, *, destinations_only: bool = False, _select: str = "") -> Trace | np.ndarray:
     """Read the trace file at `path` with one `parse_trace` call of it opened in binary mode.
 
     Raises TraceParseError naming the line of a malformed line or of a
@@ -822,7 +900,7 @@ def read_trace(path, *, destinations_only: bool = False) -> Trace | np.ndarray:
     `destinations_only` is passed on: the dst ids alone, as `parse_trace`.
     """
     with open(path, "rb") as f:
-        return parse_trace(f, destinations_only=destinations_only)
+        return parse_trace(f, destinations_only=destinations_only, _select=_select)
 
 
 def save_trace(trace: Trace, path) -> None:
@@ -832,19 +910,7 @@ def save_trace(trace: Trace, path) -> None:
 
 def summarize(trace: Trace) -> TraceSummary:
     """Frame, address, and destination counts plus the timestamp span in hours."""
-    if len(trace) == 0:
-        raise ValueError("cannot summarize an empty trace")
-    span = int(trace.timestamps[-1]) - int(trace.timestamps[0])
-    seen = np.zeros(len(trace.interns), bool)
-    seen[trace.dst] = True
-    destinations = int(np.count_nonzero(seen))
-    seen[trace.src] = True  # a token no frame uses is not counted
-    return TraceSummary(
-        frame_count=len(trace),
-        distinct_addresses=int(np.count_nonzero(seen)),
-        distinct_destinations=destinations,
-        duration_hours=span / MICROSECONDS_PER_HOUR,
-    )
+    return _summary(trace.dst, trace.timestamps, len(trace.interns), trace.src)
 
 
 def _protocol_mask(trace: Trace, proto_predicate: Callable[[str], bool]) -> np.ndarray:
@@ -878,5 +944,5 @@ def split_by_protocol(trace: Trace, proto_predicate: Callable[[str], bool]) -> t
             addresses = tokens[np.stack((trace.src[block], trace.dst[block]), 1).ravel()].tolist()
             protos = tags[trace.proto[block]].tolist()
             columns.append_tokens(trace.timestamps[block], addresses, protos, trace.length[block])
-        sides.append(columns.trace())
+        sides.append(columns.result())
     return sides[0], sides[1]

@@ -155,22 +155,27 @@ def test_windows_share_one_previous_use_array_freed_before_the_sweeps(tmp_path, 
     assert alive_at_sweep and not any(alive_at_sweep)
 
 
-# Every command, with its flags, and whether it reads the trace's dst ids alone.
+# Every command, with its flags, and its read: the dst column alone, the
+# summary read (dst ids, the first and last timestamps, the address count)
+# or every column.
 _COMMANDS = [
-    (["concentration", "--out", "{out}/c.csv"], True),
-    (["wss", "--out", "{out}/w.csv"], True),
-    (["stackdist", "--out", "{out}/s.csv"], True),
-    (["runs", "--out", "{out}/r.csv"], True),
-    (["simulate", "--miss-out", "{out}/m.csv", "--interfault-out", "{out}/i.csv"], True),
-    (["searchtime", "--out", "{out}/t.csv"], True),
-    (["summarize"], False),
-    (["split", "--proto", "lat", "--match-out", "{out}/a.txt", "--rest-out", "{out}/b.txt"], False),
-    (["report", "--out-dir", "{out}/report"], False),
+    (["concentration", "--out", "{out}/c.csv"], "destinations"),
+    (["wss", "--out", "{out}/w.csv"], "destinations"),
+    (["stackdist", "--out", "{out}/s.csv"], "destinations"),
+    (["runs", "--out", "{out}/r.csv"], "destinations"),
+    (["simulate", "--miss-out", "{out}/m.csv", "--interfault-out", "{out}/i.csv"], "destinations"),
+    (["searchtime", "--out", "{out}/t.csv"], "destinations"),
+    (["summarize"], "summary"),
+    (
+        ["split", "--proto", "lat", "--match-out", "{out}/a.txt", "--rest-out", "{out}/b.txt"],
+        "trace",
+    ),
+    (["report", "--out-dir", "{out}/report"], "summary"),
 ]
 
 
-@pytest.mark.parametrize("command, destinations_only", _COMMANDS, ids=[c[0] for c, _ in _COMMANDS])
-def test_each_command_reads_its_trace_once(tmp_path, monkeypatch, command, destinations_only):
+@pytest.mark.parametrize("command, select", _COMMANDS, ids=[c[0] for c, _ in _COMMANDS])
+def test_each_command_reads_its_trace_once(tmp_path, monkeypatch, command, select):
     # The readers are wrapped where they are defined, as a tracer does, so a
     # command that bound its own reader at import, or read twice, is caught.
     trace = tmp_path / "t.txt"
@@ -180,13 +185,14 @@ def test_each_command_reads_its_trace_once(tmp_path, monkeypatch, command, desti
     for name in ("read_trace", "parse_trace"):
 
         def counted(*args, _name=name, _read=getattr(trace_module, name), **kwargs):
-            calls.append((_name, kwargs.get("destinations_only", False)))
+            only = "destinations" if kwargs.get("destinations_only") else "trace"
+            calls.append((_name, kwargs.get("_select") or only))
             return _read(*args, **kwargs)
 
         monkeypatch.setattr(trace_module, name, counted)
     argv = [command[0], str(trace)] + [a.format(out=tmp_path) for a in command[1:]]
     assert main(argv) == 0
-    assert calls == [("read_trace", destinations_only), ("parse_trace", destinations_only)]
+    assert calls == [("read_trace", select), ("parse_trace", select)]
 
 
 _NOT_INTEGERS = [

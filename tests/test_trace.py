@@ -601,7 +601,7 @@ def _mixed_text(size: int, seed: int = 0) -> bytes:
     return text
 
 
-def _block_peaks(text: bytes, destinations_only: bool) -> list[float]:
+def _block_peaks(text: bytes, select: str) -> list[float]:
     """Per full block of `text`, the tracemalloc peak of `_read_block` over the
     memory before it, per block byte.
 
@@ -610,25 +610,25 @@ def _block_peaks(text: bytes, destinations_only: bool) -> list[float]:
     holds that block's temporaries and its columns, but no growth of
     columns that earlier blocks filled.
     """
-    blocks = [data for _, data in trace_module._file_blocks(io.BytesIO(text))][:-1]
-    warm = trace_module._Columns(destinations_only)
+    blocks = list(trace_module._file_blocks(io.BytesIO(text)))[:-1]
+    warm = trace_module._Columns(select)
     prev_ts = 0
     for data in blocks:
-        prev_ts = trace_module._read_block(data, prev_ts, warm)
+        prev_ts, _ = trace_module._read_block(data, prev_ts, warm)
     peaks = []
     prev_ts = 0
     gc.collect()
     tracemalloc.start()
     try:
         for data in blocks:
-            columns = trace_module._Columns(destinations_only)
+            columns = trace_module._Columns(select)
             columns.interns, columns.known_addresses = warm.interns, warm.known_addresses
             columns.protos, columns.known_protos = warm.protos, warm.known_protos
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            prev_ts = trace_module._read_block(data, prev_ts, columns)
+            prev_ts, lines = trace_module._read_block(data, prev_ts, columns)
             peaks.append((tracemalloc.get_traced_memory()[1] - start) / len(data))
-            assert prev_ts is not None and len(columns.dst)
+            assert lines == data.count(b"\n") - len(trace_module._LEAD) and len(columns.dst)
             del columns
     finally:
         tracemalloc.stop()
@@ -637,18 +637,23 @@ def _block_peaks(text: bytes, destinations_only: bool) -> list[float]:
 
 
 @pytest.mark.parametrize(
-    "shape,destinations_only,bound",
-    [(_mixed_text, False, 6.8), (_capture_text, False, 3.05), (_capture_text, True, 2.3)],
-    ids=["mixed-full", "capture-full", "capture-dst"],
+    "shape,select,bound",
+    [
+        (_mixed_text, "trace", 6.8),
+        (_capture_text, "trace", 3.05),
+        (_capture_text, "summary", 3.05),
+        (_capture_text, "destinations", 2.3),
+    ],
+    ids=["mixed-full", "capture-full", "capture-summary", "capture-dst"],
 )
-def test_block_reader_temporaries_are_bounded_per_block_byte(shape, destinations_only, bound):
+def test_block_reader_temporaries_are_bounded_per_block_byte(shape, select, bound):
     # At most half of what 128 KiB blocks held per block byte when field
     # offsets were int64, decoding masked the whole block, and timestamps
     # and lengths shared one digit matrix: 13.6, 6.1 and 4.6 bytes.  Its
     # columns are about 28 bytes per frame: 1.6 per block byte for
     # 17-byte lines, 0.5 for capture lines.
     text = shape(3 * trace_module._CHUNK_BYTES)
-    assert max(_block_peaks(text, destinations_only)) <= bound
+    assert max(_block_peaks(text, select)) <= bound
 
 
 def test_capture_blocks_of_any_size_read_alike(tmp_path):
@@ -1059,19 +1064,32 @@ def _renumbered(ids: np.ndarray) -> list[int]:
 
 
 def _assert_destinations_match_the_full_read(read) -> None:
-    """`read(True)` gives `read(False)`'s dst ids, renumbered by first appearance
-    among destinations, or fails with the same error class, line and message."""
+    """`read(select)` of the "destinations" and "summary" reads agrees with the
+    full read `read("trace")`, or fails with its error class, line and message.
+
+    The destinations read gives the full read's dst ids renumbered by first
+    appearance among destinations; the summary read gives its dst ids as
+    they are and its `summarize`.
+    """
     try:
-        t = read(False)
+        t = read("trace")
     except TraceParseError as exc:
-        with pytest.raises(TraceParseError) as info:
-            read(True)
-        got = info.value
-        assert (type(got), got.line, str(got)) == (type(exc), exc.line, str(exc))
+        for select in ("destinations", "summary"):
+            with pytest.raises(TraceParseError) as info:
+                read(select)
+            got = info.value
+            assert (type(got), got.line, str(got)) == (type(exc), exc.line, str(exc))
         return
-    dst = read(True)
-    assert dst.dtype == np.int32 and not dst.flags.writeable
+    dst, summary = read("destinations"), read("summary")
+    for ids in (dst, summary.dst):
+        assert ids.dtype == np.int32 and not ids.flags.writeable
     assert dst.tolist() == _renumbered(t.dst)
+    assert summary.dst.tolist() == t.dst.tolist() and len(summary) == len(t)
+    if len(t):
+        assert summary.summary() == summarize(t)
+    else:
+        with pytest.raises(ValueError, match="^cannot summarize an empty trace$"):
+            summary.summary()
 
 
 @pytest.mark.parametrize("hash_", [trace_module._hash, _constant_hash], ids=["hash", "collide"])
@@ -1086,7 +1104,7 @@ def test_destinations_only_read_matches_the_full_read(tmp_path, hash_, data, chu
     path = tmp_path / "t.tsv"
     path.write_bytes(data)
     with mock.patch.multiple(trace_module, _CHUNK_BYTES=chunk, _hash=hash_):
-        _assert_destinations_match_the_full_read(lambda d: read_trace(path, destinations_only=d))
+        _assert_destinations_match_the_full_read(lambda select: read_trace(path, _select=select))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1097,7 +1115,7 @@ def test_destinations_only_read_matches_the_full_read(tmp_path, hash_, data, chu
 )
 def test_destinations_only_parse_of_str_lines_matches_the_full_parse(lines, block_lines, hash_):
     with mock.patch.multiple(trace_module, _CHUNK_LINES=block_lines, _hash=hash_):
-        _assert_destinations_match_the_full_read(lambda d: parse_trace(lines, destinations_only=d))
+        _assert_destinations_match_the_full_read(lambda select: parse_trace(lines, _select=select))
 
 
 @pytest.mark.parametrize("tail", _PLAIN_BAD_TAILS)
@@ -1107,8 +1125,8 @@ def test_destinations_only_rejects_each_bad_field_of_the_plain_shape(tmp_path, t
     lines = ["5\tA\tB\tP\t60\n", f"5{tail}\n", "6\tA\tC\n"]
     path = tmp_path / "t.tsv"
     path.write_text("".join(lines), encoding="utf-8")
-    _assert_destinations_match_the_full_read(lambda d: read_trace(path, destinations_only=d))
-    _assert_destinations_match_the_full_read(lambda d: parse_trace(lines, destinations_only=d))
+    _assert_destinations_match_the_full_read(lambda select: read_trace(path, _select=select))
+    _assert_destinations_match_the_full_read(lambda select: parse_trace(lines, _select=select))
 
 
 def test_destinations_only_groups_dst_tokens_alone(tmp_path):
@@ -1131,29 +1149,38 @@ def test_destinations_only_groups_dst_tokens_alone(tmp_path):
 def test_destinations_only_read_memory_is_bounded(tmp_path):
     # Retained: the int32 dst ids alone, 4 bytes per frame plus the 1/16
     # by which an `array` grows, and numpy's cache of small freed buffers.
-    # Transient: one chunk of the file and the arrays over it, whatever the
-    # file's length, plus the tables of the distinct destinations, which the
-    # read drops: each one's str, dict entry and list slot, and its entry
-    # in the table of known tokens (about 185 bytes here).
-    transient = {}
-    for shape, n in ((_capture_lines, 50_000), (_capture_lines, 200_000), (_fresh_lines, 50_000)):
-        path = tmp_path / f"{shape.__name__}{n}.tsv"
-        path.write_text("".join(shape(n)), encoding="utf-8")
-        gc.collect()
-        tracemalloc.start()
-        try:
-            dst = read_trace(path, destinations_only=True)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(dst) == n
-        assert retained <= 4 * n * 17 / 16 + 32_768
-        transient[shape, n] = peak - retained, int(dst.max()) + 1
-        del dst
-    assert transient[_capture_lines, 200_000][0] < 1.25 * transient[_capture_lines, 50_000][0]
-    table, fresh = transient[_fresh_lines, 50_000]
-    chunk, known = transient[_capture_lines, 50_000]
-    assert (table - chunk) / (fresh - known) <= 256
+    # The summary read keeps the same ids and three numbers, where a full
+    # read keeps 28 bytes per frame.  Transient: one chunk of the file and
+    # the arrays over it, whatever the file's length, plus the tables of
+    # the distinct tokens interned, which the read drops: each one's str,
+    # dict entry and list slot, and its entry in the table of known tokens
+    # (about 185 bytes here).
+    reads = {
+        "destinations": lambda path: (dst := read_trace(path, destinations_only=True), dst),
+        "summary": lambda path: (got := read_trace(path, _select="summary"), got.dst),
+    }
+    inputs = (_capture_lines, 50_000), (_capture_lines, 200_000), (_fresh_lines, 50_000)
+    for select, read in reads.items():
+        transient = {}
+        for shape, n in inputs:
+            path = tmp_path / f"{shape.__name__}{n}.tsv"
+            path.write_text("".join(shape(n)), encoding="utf-8")
+            gc.collect()
+            tracemalloc.start()
+            try:
+                got, dst = read(path)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(got) == len(dst) == n, select
+            assert retained <= 4 * n * 17 / 16 + 32_768, select
+            tokens = got.addresses if select == "summary" else int(dst.max()) + 1
+            transient[shape, n] = peak - retained, tokens
+            del got, dst
+        assert transient[_capture_lines, 200_000][0] < 1.25 * transient[_capture_lines, 50_000][0]
+        table, fresh = transient[_fresh_lines, 50_000]
+        chunk, known = transient[_capture_lines, 50_000]
+        assert (table - chunk) / (fresh - known) <= 256, select
 
 
 # --- split and write ---------------------------------------------------------
@@ -1198,6 +1225,50 @@ def test_write_of_chosen_frames_equals_writing_their_selection(lines, chunk, dat
             write_trace(selection, want)
         assert got.getvalue() == want.getvalue()
         assert parse_trace(io.StringIO(got.getvalue())) == selection
+
+
+def _row_text(t: Trace, i: int) -> str:
+    """Frame i of `t` in the file format, formatted on its own."""
+    tag, length = t.protos[t.proto[i]], int(t.length[i])
+    fields = [str(t.timestamps[i]), t.token_of(t.src[i]), t.token_of(t.dst[i])]
+    if length >= 0:
+        fields += [tag or "", str(length)]
+    elif tag is not None:
+        fields.append(tag)
+    return "\t".join(fields) + "\n"
+
+
+_LENGTHS = {
+    "sized": st.integers(0, 2**63 - 1),
+    "unsized": st.none(),
+    "mixed": st.one_of(st.none(), st.integers(0, 1500)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_LENGTHS)), st.integers(1, 3), st.data())
+def test_write_matches_a_per_row_formatter(lengths, chunk, data):
+    # Windows of 1 to 3 frames: every row has a length, none does, or some
+    # do, in the whole trace or in the frames a mask picks.
+    frames = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["A", "B", "c-0"]),
+                st.sampled_from(["A", "B", "d-1"]),
+                st.sampled_from([None, "lat", "ip"]),
+                _LENGTHS[lengths],
+            ),
+            max_size=12,
+        )
+    )
+    t = Trace.from_token_rows([(7 * i, *frame) for i, frame in enumerate(frames)])
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(t), max_size=len(t))), bool)
+    for chosen in (None, mask):
+        want = "".join(_row_text(t, i) for i in range(len(t)) if chosen is None or chosen[i])
+        got = io.StringIO()
+        with mock.patch.object(trace_module, "_WRITE_CHUNK", chunk):
+            write_trace(t, got, frames=chosen)
+        assert got.getvalue() == want
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 8192])
