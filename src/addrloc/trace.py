@@ -383,7 +383,7 @@ def _summary(dst: np.ndarray, timestamps, tokens: int, src=None) -> TraceSummary
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SummaryRead:
     """A summary read: the read-only dst ids, the first and last timestamps
     and the count of distinct addresses.  Its len() is the frame count."""
