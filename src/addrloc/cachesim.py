@@ -58,7 +58,7 @@ import numpy as np
 from . import _checks
 from ._csvfmt import write_curve_table
 from ._rng import derive_seed, randbelow_stream
-from .locality import _BLOCK, StackDistanceHistogram, _refs
+from .locality import StackDistanceHistogram, _positions, _refs
 
 POLICIES = ("MIN", "LRU", "FIFO", "RAND")
 
@@ -125,13 +125,7 @@ class _MinPlan:
         np.logical_not(push, out=push)
         visit = np.logical_not(hit[:n], out=hit[:n])
         visit |= push
-        positions = np.empty(np.count_nonzero(visit), dtype=np.int32)
-        filled = 0
-        for start in range(0, n, _BLOCK):
-            block = np.flatnonzero(visit[start : start + _BLOCK])
-            block += start
-            positions[filled : filled + len(block)] = block
-            filled += len(block)
+        positions = _positions(visit)
         del hit, visit
         keys = self.next_use[positions]
         if 2 * n >= 2**31:  # a last use's key, i - 2n, needs int64

@@ -18,10 +18,14 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import shutil
 import sys
-from contextlib import suppress
+import tempfile
+from contextlib import contextmanager, suppress
 from functools import partial
 from pathlib import Path
+from typing import TextIO
 
 # trace.read_trace and trace.write_trace are looked up per call: a wrapper sees each one.
 from . import _checks, synth, trace
@@ -72,6 +76,53 @@ def _write(path, writer) -> None:
     with open(path, "w", encoding="utf-8", newline="") as stream:
         writer(stream)
     print(f"wrote {path}")
+
+
+@contextmanager
+def _staged(*paths):
+    """Streams for `paths` whose text becomes the files only if the body ends
+    without error, then in order, as `_write` writes them.
+
+    A path's stream is a temporary file in its directory, renamed onto it;
+    '-' gets an anonymous temporary file, copied to stdout.  On any error
+    the temporary files are removed and nothing is written.
+    """
+    staged = []  # (path or None for stdout, temporary name or None, stream)
+    try:
+        for path in paths:
+            if path == "-":
+                stream = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+                staged.append((None, None, stream))
+            else:
+                staged.append((path, *_temporary(path)))
+        yield [stream for _, _, stream in staged]
+        for k, (path, name, stream) in enumerate(staged):
+            if path is None:
+                stream.seek(0)
+                shutil.copyfileobj(stream, sys.stdout)
+            else:
+                stream.close()
+                os.replace(name, path)
+                staged[k] = (path, None, stream)
+                print(f"wrote {path}")
+    finally:
+        for _, name, stream in staged:
+            stream.close()
+            if name is not None:
+                os.remove(name)
+
+
+def _temporary(path) -> tuple[str, TextIO]:
+    """A new temporary file beside `path`, with the mode `open` would give `path`."""
+    directory = os.path.dirname(path) or "."
+    try:
+        fd, name = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", dir=directory)
+    except OSError as exc:  # named as opening `path` would name it
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    umask = os.umask(0)
+    os.umask(umask)
+    os.fchmod(fd, 0o666 & ~umask)
+    return name, open(fd, "w", encoding="utf-8", newline="")
 
 
 def _read_nonempty(path, select: str):
@@ -193,7 +244,7 @@ def _working_sets(args, refs: _Refs) -> list[WorkingSetReport]:
             reports.append(working_set(refs, window, args.mode))
     if not reports:
         raise ValueError(f"no window fits a trace of {len(refs)} references")
-    del refs.previous_use  # shared by the windows; no later step needs it
+    del refs.head_positions, refs.head_gaps  # shared by the windows; no later step needs them
     return reports
 
 
@@ -248,13 +299,9 @@ def _cmd_gen(args, parser) -> int:
 
 
 def _cmd_split(args) -> int:
-    # Both sides are written from the parsed columns through one mask.
-    wanted = args.proto
-    parsed = trace.read_trace(args.trace)
-    matching = trace._protocol_mask(parsed, lambda proto: proto == wanted)
-    _write(args.match_out, partial(trace.write_trace, parsed, frames=matching))
-    matching ^= True  # now the rest
-    _write(args.rest_out, partial(trace.write_trace, parsed, frames=matching))
+    # Both sides are written a block at a time as the trace is parsed.
+    with open(args.trace, "rb") as f, _staged(args.match_out, args.rest_out) as (match, rest):
+        trace._split(f, args.proto, match, rest)
     return 0
 
 
@@ -429,7 +476,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output trace file (default: stdout)")
     p.set_defaults(func=partial(_cmd_gen, parser=p))  # flag-pairing errors are usage errors
 
-    p = sub.add_parser("split", parents=[trace_arg], help="split a trace by protocol tag")
+    p = sub.add_parser(
+        "split",
+        parents=[trace_arg],
+        help="split a trace by protocol tag",
+        description="Writes the frames tagged --proto to --match-out and the others, untagged "
+        "ones included, to --rest-out ('-' for stdout), a block at a time as the trace is "
+        "read. The outputs are written atomically: each goes to a temporary file that "
+        "replaces it only after the last frame, so a bad line leaves no output.",
+    )
     p.add_argument("--proto", required=True, help="protocol token selecting the matching side")
     p.add_argument("--match-out", required=True)
     p.add_argument("--rest-out", required=True)

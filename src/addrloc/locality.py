@@ -9,20 +9,26 @@ address ids (integers in 0..2**31 - 1, as in a trace's dst column):
 * run_lengths         - maximal runs of identical consecutive destinations
 
 All four are numpy kernels with exact integer results.  Each takes ids or
-a `_Refs`, the string prepared once per command, whose one previous-use
-array serves the working set and stack distances.  The stack-distance
+a `_Refs`, the string prepared once per command, whose one sort gives the
+previous uses that serve the working set and stack distances.  The
+working set and run lengths need only the run heads, as a reference that
+is no run head repeats the one before it: the working set reads each
+head's position and gap (position less previous use), 8 B per head, and
+the run lengths the distances between heads.  The stack-distance
 histogram is an array indexed by distance: `addrloc.cachesim` reads the
 LRU miss curve off its running sum, and MIN's LRU-hit filter reads the
-collapsed string's distances, kept from the same pass.  That pass counts
-a block of `_BLOCK` positions at a time, so its scratch is bounded.
+collapsed string's distances, kept from the same pass.  Every pass works
+a block of `_BLOCK` positions or heads at a time, so its scratch is
+bounded.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -32,6 +38,27 @@ from ._csvfmt import fmt
 
 # Largest destination id the vectorized analyses accept: a trace's int32 id.
 _MAX_ID = 2**31 - 1
+# Positions per block of the passes over a string; bounds their scratch arrays.
+_BLOCK = 1 << 15
+
+
+def _nonzero_blocks(mask: np.ndarray) -> Iterator[np.ndarray]:
+    """The positions where `mask` holds, one array per block of `_BLOCK` entries."""
+    for start in range(0, len(mask), _BLOCK):
+        block = np.flatnonzero(mask[start : start + _BLOCK])
+        block += start
+        yield block
+
+
+def _positions(mask: np.ndarray) -> np.ndarray:
+    """The positions where `mask` holds, as int32, found a block at a time,
+    so no int64 array is as long as the mask."""
+    positions = np.empty(np.count_nonzero(mask), dtype=np.int32)
+    filled = 0
+    for block in _nonzero_blocks(mask):
+        positions[filled : filled + len(block)] = block
+        filled += len(block)
+    return positions
 
 
 @dataclass(frozen=True)
@@ -229,18 +256,27 @@ class _Refs:
         return out
 
     @cached_property
-    def previous_use(self) -> np.ndarray:
-        """Per position, the last earlier position of the same id, or -1.
+    def head_positions(self) -> np.ndarray:
+        """The position of each run head, as int32: 4 B per collapsed reference."""
+        return _positions(self.heads)
 
-        4 B per reference: a caller done with it frees it by `del`.  A
-        reference that is no run head repeats the one before it.  A run
-        head's previous use ends the earlier run k of its id, so it is
-        before[k + 1], the position just before run k + 1 (before[0] = -1).
+    @cached_property
+    def head_gaps(self) -> np.ndarray:
+        """Per run head, its position less its previous use, as int32.
+
+        A caller done with the head arrays frees them by `del`.  Head k's
+        previous use ends the earlier run p = `collapsed_prev[k]` of its id,
+        so it is h[p + 1] - 1, where h holds the head positions; an id's
+        first head has p = -1 and previous use -1, which h[0] = 0 gives too.
         """
-        prev = np.arange(-1, len(self.ids) - 1, dtype=np.int32)
-        before = prev[self.heads]
-        prev[self.heads] = before[self.collapsed_prev + 1]
-        return prev
+        h = self.head_positions
+        prev = self.collapsed_prev
+        gaps = np.empty_like(h)
+        for s in range(0, len(h), _BLOCK):
+            at = prev[s : s + _BLOCK] + 1
+            np.subtract(h[s : s + _BLOCK], h[at], out=gaps[s : s + _BLOCK])
+        gaps += 1
+        return gaps
 
 
 def _refs(dst_sequence: Sequence[int] | _Refs) -> _Refs:
@@ -263,6 +299,15 @@ def concentration_curve(dst_sequence: Sequence[int]) -> ConcentrationCurve:
     )
 
 
+def _count_below(positions: np.ndarray, bound: int) -> int:
+    """How many of the sorted int32 `positions` lie below `bound`.
+
+    The bound goes in as int32: a Python int would make `searchsorted`
+    copy the positions to int64.
+    """
+    return int(np.searchsorted(positions, np.int32(bound)))
+
+
 def working_set(dst_sequence: Sequence[int], window: int, mode: str = "disjoint") -> WorkingSetReport:
     """Average count of distinct destinations per window of `window` references.
 
@@ -270,9 +315,12 @@ def working_set(dst_sequence: Sequence[int], window: int, mode: str = "disjoint"
     a trailing partial one; sliding mode averages over every window start.
     A reference counts toward a window that holds it iff its previous use
     lies before that window's start, so the total over all windows is an
-    exact integer count from one previous-use array, which a prepared
-    string (`_Refs`) keeps for its next window.  The window must be an
-    integer from 1 to the sequence length.
+    exact integer count.  Only run heads need work: a reference that is no
+    run head has previous use i - 1.  The heads' positions and gaps
+    (position less previous use) are walked a block at a time, and a
+    prepared string (`_Refs`) keeps them for its next window (Denning &
+    Schwartz, CACM 1972; Slutz & Traiger, CACM 1974).  The window must be
+    an integer from 1 to the sequence length.
     """
     refs = _refs(dst_sequence)
     n = len(refs)
@@ -281,24 +329,31 @@ def working_set(dst_sequence: Sequence[int], window: int, mode: str = "disjoint"
         raise ValueError(f"window {window} exceeds sequence length {n}")
     if mode not in ("disjoint", "sliding"):
         raise ValueError(f"unknown working-set mode {mode!r}")
-    prev = refs.previous_use
-    position = np.arange(n, dtype=np.int32)
+    h, gaps = refs.head_positions, refs.head_gaps
     if mode == "disjoint":
+        # Each window's first reference counts, and a later one iff it is a
+        # run head whose gap exceeds its offset in the window.
         window_count = n // window
-        covered = window_count * window
-        total = np.count_nonzero(prev[:covered] < position[:covered] // window * window)
+        inside = _count_below(h, window_count * window)
+        total = window_count
+        for s in range(0, inside, _BLOCK):
+            e = min(s + _BLOCK, inside)
+            offset = h[s:e] % window
+            total += np.count_nonzero(gaps[s:e] > offset) - np.count_nonzero(offset == 0)
     else:
-        # Position i counts for starts s with
-        # max(prev_i + 1, i - W + 1) <= s <= min(i, n - W).
+        # Position i counts for the starts max(prev_i + 1, i - W + 1)..min(i, n - W):
+        # once if it is no run head and i <= n - W, never if i > n - W; a run
+        # head min(gap, W) times, less how far it lies past n - W.
         window_count = n - window + 1
-        first = np.maximum(prev + 1, position - window + 1)
-        last = np.minimum(position, n - window)
-        total = np.maximum(last - first + 1, 0).sum()
+        total = window_count - _count_below(h, window_count)
+        for s in range(0, len(h), _BLOCK):
+            counts = np.minimum(gaps[s : s + _BLOCK], window)
+            if h[s + len(counts) - 1] >= window_count:  # at most W - 1 heads lie past n - W
+                late = h[s : s + _BLOCK] - (window_count - 1)
+                counts -= np.maximum(late, 0, out=late)
+                np.maximum(counts, 0, out=counts)
+            total += int(counts.sum(dtype=np.int64))
     return WorkingSetReport(window, mode, int(total) / window_count, window_count)
-
-
-# Positions per block of the stack-distance count; bounds its scratch arrays.
-_BLOCK = 1 << 15
 
 
 def _greater_before(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,13 +445,28 @@ def stack_distances(dst_sequence: Sequence[int]) -> tuple[np.ndarray, StackDista
 
 
 def run_lengths(dst_sequence: Sequence[int]) -> RunLengthHistogram:
-    """Histogram of maximal runs of identical consecutive destinations."""
+    """Histogram of maximal runs of identical consecutive destinations.
+
+    A run's length is the distance from its head to the next head, or to
+    the end.  The heads are found a block at a time: the distances within
+    a block, all shorter than it, are `bincount`ed, and each block's first
+    distance, which may span earlier blocks, is counted on its own.
+    """
     refs = _refs(dst_sequence)
-    if len(refs) == 0:
-        return RunLengthHistogram({}, 0)
-    runs = np.diff(np.append(np.flatnonzero(refs.heads), len(refs)))
-    lengths, counts = np.unique(runs, return_counts=True)
-    return RunLengthHistogram(dict(zip(lengths.tolist(), counts.tolist())), len(runs))
+    within = np.zeros(_BLOCK, dtype=np.int64)
+    spanning: Counter = Counter()
+    last = 0  # the head of the run in progress
+    for heads in _nonzero_blocks(refs.heads):
+        if len(heads):
+            within += np.bincount(np.diff(heads), minlength=_BLOCK)
+            spanning[int(heads[0]) - last] += 1
+            last = int(heads[-1])
+    spanning[len(refs) - last] += 1
+    del spanning[0]  # position 0, which heads the first run, or the end of an empty string
+    lengths = np.flatnonzero(within)
+    spanning.update(dict(zip(lengths.tolist(), within[lengths].tolist())))
+    counts = dict(sorted(spanning.items()))
+    return RunLengthHistogram(counts, sum(counts.values()))
 
 
 def write_concentration_csv(curve: ConcentrationCurve, stream: TextIO) -> None:

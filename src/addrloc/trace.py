@@ -43,7 +43,9 @@ numbers need no further pass over the bytes.
 
 There are three reads, each a selection of `_Columns`, and each checks
 every line as the full one does, with the same errors:
-- the full read gives the `Trace`;
+- the full read gives the `Trace`.  It is for library callers: no
+  command makes it, as the `split` command (`_split`) runs the same
+  block loop but writes each block's frames and drops them;
 - with `destinations_only=True`, `parse_trace` and `read_trace` return
   the read-only int32 `dst` column alone, its ids numbered by first
   appearance among destinations: only destination tokens are interned,
@@ -334,18 +336,22 @@ class _Columns:
             _column(lengths, np.int64, "length"),
         )
 
+    def take(self) -> tuple[np.ndarray, ...]:
+        """The timestamps, src, dst, proto and length columns so far, as arrays;
+        the columns start again empty."""
+        taken = []
+        for name in ("timestamps", "src", "dst", "proto", "length"):
+            column = getattr(self, name)
+            setattr(self, name, array(column.typecode))
+            taken.append(np.frombuffer(column, f"i{column.itemsize}"))
+        return tuple(taken)
+
     def result(self):
         """What the read gives: a `Trace`, a `_SummaryRead` or the read-only dst column."""
         if self.select == "trace":
-            return Trace(
-                np.frombuffer(self.timestamps, np.int64),
-                np.frombuffer(self.src, np.int32),
-                np.frombuffer(self.dst, np.int32),
-                self.interns,
-                np.frombuffer(self.proto, np.int32),
-                np.frombuffer(self.length, np.int64),
-                (None,) + self.protos.tokens[1:],
-            )
+            timestamps, src, dst, proto, length = self.take()
+            protos = (None,) + self.protos.tokens[1:]
+            return Trace(timestamps, src, dst, self.interns, proto, length, protos)
         dst = _column(np.frombuffer(self.dst, np.int32), np.int32, "dst")
         if self.select == "destinations":
             return dst
@@ -816,6 +822,27 @@ def _file_blocks(f: BinaryIO) -> Iterator[bytes]:
             return
 
 
+def _blocks(lines: Iterable[str] | BinaryIO, columns: _Columns) -> Iterator[None]:
+    """Read `lines` into `columns` one block at a time, yielding after each block.
+
+    The one parse loop: `parse_trace` runs it to the end, and `_split`
+    writes and drops each block's frames in between.
+    """
+    prev_ts, lineno = 0, 1
+    binary = isinstance(lines, (io.RawIOBase, io.BufferedIOBase))
+    try:
+        for data in _file_blocks(lines if binary else _StrLines(lines)):
+            read = _read_block(data, prev_ts, columns)
+            if read is None:  # whole lines of valid UTF-8
+                block = data[len(_LEAD) : -len(_TAIL)].decode().split("\n")[:-1]
+                read = _read_lines(block, lineno, prev_ts, columns), len(block)
+            prev_ts, count = read
+            lineno += count
+            yield
+    except _NotUtf8 as exc:
+        raise TraceParseError(lineno, str(exc)) from None
+
+
 def parse_trace(
     lines: Iterable[str] | BinaryIO, *, destinations_only: bool = False, _select: str = ""
 ) -> Trace | np.ndarray:
@@ -833,45 +860,33 @@ def parse_trace(
     `_select` names a read of `_Columns` in place of `destinations_only`.
     """
     columns = _Columns(_select or ("destinations" if destinations_only else "trace"))
-    prev_ts, lineno = 0, 1
-    binary = isinstance(lines, (io.RawIOBase, io.BufferedIOBase))
-    try:
-        for data in _file_blocks(lines if binary else _StrLines(lines)):
-            read = _read_block(data, prev_ts, columns)
-            if read is None:  # whole lines of valid UTF-8
-                block = data[len(_LEAD) : -len(_TAIL)].decode().split("\n")[:-1]
-                read = _read_lines(block, lineno, prev_ts, columns), len(block)
-            prev_ts, count = read
-            lineno += count
-    except _NotUtf8 as exc:
-        raise TraceParseError(lineno, str(exc)) from None
+    for _ in _blocks(lines, columns):
+        pass
     return columns.result()
 
 
-def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = None) -> None:
-    """Write a trace in the file format; parse_trace(write_trace(t)) == t.
+def _tag_only(tag: Optional[str]) -> str:
+    """The text after an unsized row's dst field: "\tproto", or none when untagged."""
+    return f"\t{tag}" if tag else ""
 
-    The round trip holds for a trace whose ids are in first-appearance
-    order, source before destination, with no unused token, as a parsed or
-    generated trace's are; other ids come back renumbered.  `frames`, a
-    boolean mask over the trace's frames, writes only the frames where it
-    holds, in order, and builds no sub-trace: for a parsed trace, the text
-    of the trace those frames parse to, which for a protocol mask is a side
-    of `split_by_protocol`.  The trace is walked one `_WRITE_CHUNK` window
-    at a time, so no temporary is longer than a window.  It only formats,
-    as the constructor has checked every rule: its one ValueError, for a
-    `frames` that is not a boolean mask of N entries, comes before any text.
+
+def _tag_field(tag: Optional[str]) -> str:
+    """A sized row's proto field with its tab: "\tproto", or "\t" when untagged."""
+    return f"\t{tag or ''}"
+
+
+def _write_rows(
+    stream: TextIO, tokens: np.ndarray, tags: tuple, columns: tuple, frames=None
+) -> None:
+    """Write the frames of `columns` (timestamps, src, dst, proto codes,
+    lengths) where the boolean mask `frames` holds, or all of them, one
+    `_WRITE_CHUNK` window at a time, so no temporary is longer than a window.
+
+    `tokens` holds the address tokens by id, and `tags` the `_tag_only` and
+    `_tag_field` texts by proto code, as object arrays.
     """
-    frames = frames if frames is None else np.asarray(frames)
-    if frames is not None and (frames.dtype != bool or frames.shape != (len(trace),)):
-        raise ValueError(f"frames must be a boolean mask of {len(trace)} entries")
-    tokens = np.array(trace.interns.tokens, dtype=object)
-    # The text after the dst field: "\tproto" alone, or "\tproto\tlength"
-    # with an empty proto field when untagged.
-    tag_only = np.array(["" if p is None else f"\t{p}" for p in trace.protos], dtype=object)
-    tag_field = np.array([f"\t{p or ''}" for p in trace.protos], dtype=object)
-    columns = trace.timestamps, trace.src, trace.dst, trace.proto, trace.length
-    for start in range(0, len(trace), _WRITE_CHUNK):
+    tag_only, tag_field = tags
+    for start in range(0, len(columns[0]), _WRITE_CHUNK):
         rows = slice(start, start + _WRITE_CHUNK)
         if frames is not None:
             rows = np.flatnonzero(frames[rows]) + start
@@ -885,11 +900,85 @@ def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = Non
         else:
             tails = tag_only[codes]
             if sized.any():
-                tags = tag_field[codes[sized]].tolist()
-                tails[sized] = [f"{tag}\t{n}" for tag, n in zip(tags, lengths[sized].tolist())]
+                tag_texts = tag_field[codes[sized]].tolist()
+                tails[sized] = [f"{tag}\t{n}" for tag, n in zip(tag_texts, lengths[sized].tolist())]
             text = [f"{t}\t{s}\t{d}{tail}\n" for t, s, d, tail in zip(*fields, tails.tolist())]
         stream.write("".join(text))
         del fields, text  # before the next window's are built
+
+
+def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = None) -> None:
+    """Write a trace in the file format; parse_trace(write_trace(t)) == t.
+
+    The round trip holds for a trace whose ids are in first-appearance
+    order, source before destination, with no unused token, as a parsed or
+    generated trace's are; other ids come back renumbered.  `frames`, a
+    boolean mask over the trace's frames, writes only the frames where it
+    holds, in order, and builds no sub-trace: for a parsed trace, the text
+    of the trace those frames parse to, which for a protocol mask is a side
+    of `split_by_protocol`.  The rows are written a window at a time
+    (`_write_rows`).  It only formats, as the constructor has checked every
+    rule: its one ValueError, for a `frames` that is not a boolean mask of
+    N entries, comes before any text.
+    """
+    frames = frames if frames is None else np.asarray(frames)
+    if frames is not None and (frames.dtype != bool or frames.shape != (len(trace),)):
+        raise ValueError(f"frames must be a boolean mask of {len(trace)} entries")
+    tokens = np.array(trace.interns.tokens, dtype=object)
+    tags = tuple(np.array(list(map(form, trace.protos)), dtype=object)
+                 for form in (_tag_only, _tag_field))
+    columns = trace.timestamps, trace.src, trace.dst, trace.proto, trace.length
+    _write_rows(stream, tokens, tags, columns, frames)
+
+
+class _Formatted:
+    """`form(token)` for each token of a list that grows, as an object array.
+
+    `array()` formats only the tokens added since its last call and doubles
+    the array when it is full, so a token is formatted once and copied
+    O(1) times on average however many blocks come after it.
+    """
+
+    def __init__(self, tokens: list, form: Callable[[str], str] = str):
+        self.tokens, self.form = tokens, form
+        self.table = np.empty(0, dtype=object)
+        self.done = 0
+
+    def array(self) -> np.ndarray:
+        if len(self.tokens) > self.done:
+            if len(self.tokens) > len(self.table):
+                grown = np.empty(max(len(self.tokens), 2 * len(self.table)), dtype=object)
+                grown[: self.done] = self.table[: self.done]
+                self.table = grown
+            new = self.tokens[self.done :]
+            self.table[self.done : len(self.tokens)] = list(map(self.form, new))
+            self.done = len(self.tokens)
+        return self.table
+
+
+def _split(lines: Iterable[str] | BinaryIO, proto: str, match: TextIO, rest: TextIO) -> None:
+    """Write the frames of a trace file whose proto tag is `proto` to `match`
+    and the others, untagged ones included, to `rest`, a block at a time.
+
+    `lines` is read as `parse_trace` reads it, with the same errors, and each
+    side's text is what `write_trace` writes of the full read through its
+    protocol mask.  Only the address and tag tables, kept with their
+    formatted texts, and the last timestamp outlive a block: its columns
+    are dropped once its rows are written.  A bad line raises after the
+    blocks before it were written.
+    """
+    columns = _Columns()
+    tokens = _Formatted(columns.interns._tokens)
+    tags = (_Formatted(columns.protos._tokens, _tag_only),
+            _Formatted(columns.protos._tokens, _tag_field))
+    for _ in _blocks(lines, columns):
+        block = columns.take()
+        code = columns.protos._ids.get(proto, -1) if proto else -1  # "" is code 0, no tag
+        matching = block[3] == code
+        tables = tokens.array(), tuple(tag.array() for tag in tags)
+        _write_rows(match, *tables, block, matching)
+        _write_rows(rest, *tables, block, np.logical_not(matching, out=matching))
+        del block, matching
 
 
 def read_trace(path, *, destinations_only: bool = False, _select: str = "") -> Trace | np.ndarray:

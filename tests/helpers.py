@@ -1,11 +1,13 @@
 """Shared test utilities: random reference strings, a trace's frames as rows,
-and patched random-draw block sizes."""
+patched random-draw block sizes and traced memory peaks."""
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, TypeVar
 
 import pytest
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from addrloc import _rng
 from addrloc.trace import Trace
 
 _MAX_ID = 2**31 - 1
+T = TypeVar("T")
 
 
 def random_reference_string(
@@ -73,3 +76,20 @@ def rng_blocks(blocks: Optional[tuple[int, int]]) -> Iterator[None]:
             mp.setattr(_rng, "_FIRST_BLOCK", blocks[0])
             mp.setattr(_rng, "_BLOCK", blocks[1])
         yield
+
+
+def traced_peak(run: Callable[[], T]) -> tuple[T, int]:
+    """`run()`'s result and the peak of the memory it allocated, in bytes.
+
+    Memory allocated before the call is not traced, so a caller that wants
+    an intermediate left out computes it first.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import stat
 import subprocess
 import sys
 from math import log2
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import addrloc
+import addrloc.trace
 from addrloc.cli import build_parser, main
 from addrloc.trace import read_trace
 
@@ -97,6 +99,77 @@ def test_split_command(tmp_path):
                  "--match-out", str(match_out), "--rest-out", str(rest_out)]) == 0
     assert len(read_trace(match_out)) == 2
     assert len(read_trace(rest_out)) == 1
+
+
+_SPLIT_TEXT = "# capture\n0\tA\tB\tLAT\n1\tB\tA\tDEC\n2\tA\tB\tLAT\t60\n3\tC\tA\n"
+_SIDES = "0\tA\tB\tLAT\n2\tA\tB\tLAT\t60\n", "1\tB\tA\tDEC\n3\tC\tA\n"
+
+
+def _split(path, match, rest) -> int:
+    return main(["split", str(path), "--proto", "LAT", "--match-out", str(match),
+                 "--rest-out", str(rest)])
+
+
+def test_split_writes_both_sides_as_open_would_and_leaves_nothing_else(tmp_path, capsys):
+    path = _write_fixture(tmp_path, _SPLIT_TEXT)
+    sides = tmp_path / "lat.tsv", tmp_path / "rest.tsv"
+    assert _split(path, *sides) == 0
+    assert capsys.readouterr().out == f"wrote {sides[0]}\nwrote {sides[1]}\n"
+    assert tuple(side.read_text(encoding="utf-8") for side in sides) == _SIDES
+    assert sorted(os.listdir(tmp_path)) == ["lat.tsv", "rest.tsv", "t.tsv"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert [stat.S_IMODE(side.stat().st_mode) for side in sides] == [0o666 & ~umask] * 2
+
+
+@pytest.mark.parametrize("match, rest", [("-", "-"), ("-", "rest.tsv"), ("lat.tsv", "-")])
+def test_split_sides_on_stdout_come_in_order(tmp_path, capsys, match, rest):
+    path = _write_fixture(tmp_path, _SPLIT_TEXT)
+    targets = [side if side == "-" else tmp_path / side for side in (match, rest)]
+    assert _split(path, *targets) == 0
+    want = "".join(
+        text if target == "-" else f"wrote {target}\n" for target, text in zip(targets, _SIDES)
+    )
+    assert capsys.readouterr().out == want
+
+
+def test_split_may_write_over_its_input(tmp_path):
+    path = _write_fixture(tmp_path, _SPLIT_TEXT)
+    assert _split(path, path, tmp_path / "rest.tsv") == 0
+    assert path.read_text(encoding="utf-8") == _SIDES[0]
+    assert (tmp_path / "rest.tsv").read_text(encoding="utf-8") == _SIDES[1]
+
+
+@pytest.mark.parametrize("text", ["", "# a comment\n\n# and no frame\n"])
+def test_split_of_no_frames_writes_two_empty_files(tmp_path, text):
+    path = _write_fixture(tmp_path, text)
+    sides = tmp_path / "lat.tsv", tmp_path / "rest.tsv"
+    assert _split(path, *sides) == 0
+    assert [side.read_bytes() for side in sides] == [b"", b""]
+
+
+def test_split_with_a_bad_line_late_in_the_file_writes_nothing(tmp_path, capsys, monkeypatch):
+    # Reads of 64 bytes: the blocks before the bad line are parsed and
+    # written to the temporary files before it is found.
+    monkeypatch.setattr(addrloc.trace, "_CHUNK_BYTES", 64)
+    frames = "".join(f"{i}\tA\tB\t{'LAT' if i % 2 else 'DEC'}\t60\n" for i in range(200))
+    path = _write_fixture(tmp_path, frames + "200\tA\n")
+    kept = tmp_path / "lat.tsv"
+    kept.write_text("kept\n", encoding="utf-8")
+    assert _split(path, kept, tmp_path / "rest.tsv") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 201: expected 3 to 5 tab-separated fields, got 2\n"
+    assert sorted(os.listdir(tmp_path)) == ["lat.tsv", "t.tsv"]
+    assert kept.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_split_into_a_missing_directory_writes_neither_side(tmp_path, capsys):
+    path = _write_fixture(tmp_path, _SPLIT_TEXT)
+    rest = tmp_path / "missing" / "rest.tsv"
+    assert _split(path, tmp_path / "lat.tsv", rest) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{rest}'\n"
+    assert sorted(os.listdir(tmp_path)) == ["t.tsv"]
 
 
 def test_concentration_stdout(tmp_path, capsys):

@@ -26,7 +26,7 @@ from addrloc.locality import (
     write_wss_csv,
 )
 
-from helpers import random_reference_string, reference_strings
+from helpers import random_reference_string, reference_strings, traced_peak
 from oracles import (
     concentration_curve_counter,
     greater_before_insort,
@@ -199,6 +199,65 @@ def test_working_set_matches_window_loop_on_long_strings():
         for window in (1, 10, 333, 5000):
             for mode in ("disjoint", "sliding"):
                 assert working_set(seq, window, mode) == working_set_loop(seq, window, mode)
+
+
+def _windows_near_runs(seq: list[int]) -> set[int]:
+    """1, the length, and each run length with its neighbours, that fit."""
+    lengths = run_lengths_groupby(seq).counts
+    near = {w + d for w in lengths for d in (-1, 0, 1)}
+    return {w for w in near | {1, len(seq)} if 1 <= w <= len(seq)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(reference_strings(), st.sampled_from([1, 2, 3, 8, None]))
+def test_head_walks_match_the_oracles_in_small_blocks(seq, block):
+    # Working sets and run lengths walk the run heads a block at a time; tiny
+    # blocks put runs, windows and the sliding tail across block edges.
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(locality, "_BLOCK", block)
+        refs = locality._Refs(seq)
+        assert run_lengths(refs) == run_lengths_groupby(seq)
+        for window in sorted(_windows_near_runs(seq)):
+            for mode in ("disjoint", "sliding"):
+                assert working_set(refs, window, mode) == working_set_loop(seq, window, mode)
+
+
+def _bursty_ids(n: int) -> np.ndarray:
+    """A trace's int32 dst column: 5,000 ids, each repeated once or twice in a row."""
+    rng = np.random.default_rng(0)
+    ids = rng.integers(0, 5000, size=n).astype(np.int32)
+    return np.repeat(ids, rng.integers(1, 3, size=n))[:n].copy()
+
+
+def test_working_set_phase_memory_is_bounded():
+    # The 7 default windows in both modes, as `wss` runs them, on a prepared
+    # string whose sort is done: the phase holds the head positions and gaps
+    # (8 B per run head) and block scratch.  An n-entry previous-use array
+    # with n-length temporaries per window took 24 B per reference.
+    n = 1 << 19
+    refs = locality._Refs(_bursty_ids(n))
+    refs.collapsed_prev
+    heads = len(refs.collapsed)
+
+    def phase():
+        for mode in ("disjoint", "sliding"):
+            for window in (10, 20, 50, 100, 200, 500, 1000):
+                working_set(refs, window, mode)
+
+    _, peak = traced_peak(phase)
+    assert peak / n <= 8 * heads / n + 1
+
+
+def test_run_lengths_memory_is_bounded():
+    # Block scratch only, given the run-head mask every analysis shares: an
+    # int64 array of head positions and its differences took 12 B per reference.
+    n = 1 << 20
+    refs = locality._Refs(_bursty_ids(n))
+    refs.heads
+    hist, peak = traced_peak(lambda: run_lengths(refs))
+    assert hist.total_runs == len(refs.collapsed)
+    assert peak / n <= 1.5
 
 
 def test_working_set_errors():

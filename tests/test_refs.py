@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,15 +53,20 @@ def test_kernels_agree_on_prepared_and_plain_strings(seq, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(reference_strings())
-def test_derived_previous_use_equals_a_direct_sort(seq):
+@given(reference_strings(), st.sampled_from([1, 2, 3, 8, None]))
+def test_derived_head_arrays_equal_a_direct_sort(seq, block):
     ids = np.array(seq, dtype=np.int64)
     order = np.argsort(ids, kind="stable")      # equal ids in position order
     repeat = ids[order][1:] == ids[order][:-1]
-    want = np.full(len(seq), -1)
-    want[order[1:][repeat]] = order[:-1][repeat]
+    previous = np.full(len(seq), -1)
+    previous[order[1:][repeat]] = order[:-1][repeat]
+    heads = [i for i in range(len(seq)) if i == 0 or seq[i] != seq[i - 1]]
     refs = _Refs(seq)
-    assert refs.previous_use.tolist() == want.tolist()
+    with mock.patch.object(locality, "_BLOCK", block or locality._BLOCK):
+        positions, gaps = refs.head_positions, refs.head_gaps
+    assert positions.dtype == gaps.dtype == np.int32
+    assert positions.tolist() == heads
+    assert gaps.tolist() == [i - previous[i] for i in heads]
     assert refs.distinct == len(set(seq))
 
 
@@ -127,37 +133,42 @@ def test_each_command_sorts_once_and_builds_one_histogram(
     assert len(passes) == stack_passes
 
 
-def test_windows_share_one_previous_use_array_freed_before_the_sweeps(tmp_path, monkeypatch):
+def test_windows_share_one_set_of_head_arrays_freed_before_the_sweeps(tmp_path, monkeypatch):
     trace = tmp_path / "t.txt"
     gen = ["gen", "--uniform-irm", "40", "--length", "1500", "--seed", "5", "--out", str(trace)]
     assert main(gen) == 0
-    derived = []
-    derive = _Refs.previous_use.func
+    derived = {"head_positions": [], "head_gaps": []}
+    for name, refs_to in derived.items():
+        derive = getattr(_Refs, name).func
 
-    def counted_derive(refs):
-        prev = derive(refs)
-        derived.append(weakref.ref(prev))
-        return prev
+        def counted_derive(refs, _derive=derive, _refs_to=refs_to):
+            array = _derive(refs)
+            _refs_to.append(weakref.ref(array))
+            return array
 
-    prop = functools.cached_property(counted_derive)
-    prop.__set_name__(_Refs, "previous_use")
-    monkeypatch.setattr(_Refs, "previous_use", prop)
+        prop = functools.cached_property(counted_derive)
+        prop.__set_name__(_Refs, name)
+        monkeypatch.setattr(_Refs, name, prop)
     alive_at_sweep = []
     sweep_ = cli.sweep
 
     def checked_sweep(*args, **kwargs):
-        alive_at_sweep.append(any(ref() is not None for ref in derived))
+        refs = [ref for refs_to in derived.values() for ref in refs_to]
+        alive_at_sweep.append(any(ref() is not None for ref in refs))
         return sweep_(*args, **kwargs)
 
     monkeypatch.setattr(cli, "sweep", checked_sweep)
     assert main(["report", str(trace), "--out-dir", str(tmp_path / "out")]) == 0
-    assert len(derived) == 1                  # 7 default windows
+    # One of each for the 7 default windows; run lengths need neither.
+    assert {name: len(refs_to) for name, refs_to in derived.items()} == {
+        "head_positions": 1, "head_gaps": 1
+    }
     assert alive_at_sweep and not any(alive_at_sweep)
 
 
 # Every command, with its flags, and its read: the dst column alone, the
 # summary read (dst ids, the first and last timestamps, the address count)
-# or every column.
+# or every column, which `split` reads a block at a time.
 _COMMANDS = [
     (["concentration", "--out", "{out}/c.csv"], "destinations"),
     (["wss", "--out", "{out}/w.csv"], "destinations"),
@@ -176,8 +187,10 @@ _COMMANDS = [
 
 @pytest.mark.parametrize("command, select", _COMMANDS, ids=[c[0] for c, _ in _COMMANDS])
 def test_each_command_reads_its_trace_once(tmp_path, monkeypatch, command, select):
-    # The readers are wrapped where they are defined, as a tracer does, so a
-    # command that bound its own reader at import, or read twice, is caught.
+    # The readers and the one parse loop are wrapped where they are defined,
+    # as a tracer does, so a command that bound its own reader at import, or
+    # read twice, is caught.  `split` runs the parse loop itself, so that it
+    # can write each block's frames and drop them.
     trace = tmp_path / "t.txt"
     gen = ["gen", "--uniform-irm", "40", "--length", "1500", "--seed", "5", "--out", str(trace)]
     assert main(gen) == 0
@@ -190,9 +203,17 @@ def test_each_command_reads_its_trace_once(tmp_path, monkeypatch, command, selec
             return _read(*args, **kwargs)
 
         monkeypatch.setattr(trace_module, name, counted)
+    blocks = trace_module._blocks
+
+    def counted_blocks(lines, columns):
+        calls.append(("_blocks", columns.select))
+        return blocks(lines, columns)
+
+    monkeypatch.setattr(trace_module, "_blocks", counted_blocks)
     argv = [command[0], str(trace)] + [a.format(out=tmp_path) for a in command[1:]]
     assert main(argv) == 0
-    assert calls == [("read_trace", select), ("parse_trace", select)]
+    readers = [] if command[0] == "split" else ["read_trace", "parse_trace"]
+    assert calls == [(name, select) for name in readers + ["_blocks"]]
 
 
 _NOT_INTEGERS = [

@@ -29,7 +29,7 @@ from addrloc.trace import (
     write_trace,
 )
 
-from helpers import rows
+from helpers import rows, traced_peak
 from oracles import parse_trace_by_line, select_rows, split_by_protocol_rows
 
 
@@ -1292,13 +1292,61 @@ def test_write_rejects_a_bad_mask_before_any_text(monkeypatch, chunk):
         assert buf.getvalue() == "0\tA\tB\tlat\n2\tB\tA\n4\tA\tB\tlat\t60\n"
 
 
-def test_split_command_peaks_at_the_parse(tmp_path):
-    # `split` writes both sides from the parsed columns through one mask (1 B
-    # per frame) and one window of frames at a time.  Two re-interned sides
-    # would add their columns, 28 B per frame (2.8 MB here).
-    n = 100_000
+def _full_split(data: bytes, proto: str) -> tuple[str, str]:
+    """The two sides of `split` from the full read and the masked write."""
+    t = parse_trace(io.BytesIO(data))
+    matching = trace_module._protocol_mask(t, lambda tag: tag == proto)
+    sides = io.StringIO(), io.StringIO()
+    for side, chosen in zip(sides, (matching, ~matching)):
+        write_trace(t, side, frames=chosen)
+    return sides[0].getvalue(), sides[1].getvalue()
+
+
+@pytest.mark.parametrize("hash_", [trace_module._hash, _constant_hash], ids=["hash", "collide"])
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(_file_bytes(), _plain_lines_and_a_bad_one().map(lambda ls: "".join(ls).encode())),
+    st.integers(1, 64),
+    st.sampled_from([1, 2, 3, 8192]),
+    st.data(),
+)
+def test_streamed_split_matches_the_full_read_and_masked_write(hash_, data, chunk, window, draw):
+    # Reads of 1 to 64 bytes put a tag, or a token, first seen in one block
+    # into later ones; a tag may be absent, or "", which no frame has.
+    tags = {line.split(b"\t")[3].decode() for line in data.splitlines() if line.count(b"\t") >= 3}
+    proto = draw.draw(st.sampled_from(sorted(tags | {"", "absent"})))
+    patches = dict(_CHUNK_BYTES=chunk, _WRITE_CHUNK=window, _hash=hash_)
+    with mock.patch.multiple(trace_module, **patches):
+        try:
+            want = _full_split(data, proto)
+        except TraceParseError as exc:
+            with pytest.raises(TraceParseError) as info:
+                trace_module._split(io.BytesIO(data), proto, io.StringIO(), io.StringIO())
+            got = info.value
+            assert (type(got), got.line, str(got)) == (type(exc), exc.line, str(exc))
+            return
+        sides = io.StringIO(), io.StringIO()
+        trace_module._split(io.BytesIO(data), proto, *sides)
+    assert (sides[0].getvalue(), sides[1].getvalue()) == want
+
+
+def test_streamed_split_formats_tags_and_tokens_first_seen_in_later_blocks(monkeypatch):
+    # One frame per 16-byte read: the wanted tag and the tokens C and D
+    # first appear blocks after the first, as do a table that must grow.
+    monkeypatch.setattr(trace_module, "_CHUNK_BYTES", 16)
+    frames = [(0, "A", "B", "ip"), (1, "B", "A", ""), (2, "C", "D", "lat"), (3, "A", "D", "lat")]
+    frames += [(4 + i, f"s{i}", "B", "ip") for i in range(9)]
+    data = "".join("\t".join(map(str, frame)) + "\n" for frame in frames).encode()
+    sides = io.StringIO(), io.StringIO()
+    trace_module._split(io.BytesIO(data), "lat", *sides)
+    assert (sides[0].getvalue(), sides[1].getvalue()) == _full_split(data, "lat")
+    assert sides[0].getvalue() == "2\tC\tD\tlat\n3\tA\tD\tlat\n"
+
+
+def _split_peak(tmp_path, n: int) -> int:
+    """The traced peak of the `split` command on `n` capture-shaped frames."""
     protos = ["lat", "ip", "", "lat", "arp"]
-    path = tmp_path / "t.tsv"
+    path = tmp_path / f"t{n}.tsv"
     path.write_text(
         "".join(
             f"{1000 + 7 * i}\t{i * 7919 % 500:04x}-s\t{i * 104729 % 3000:04x}-d\t{protos[i % 5]}"
@@ -1307,19 +1355,20 @@ def test_split_command_peaks_at_the_parse(tmp_path):
         ),
         encoding="utf-8",
     )
-    argv = ["split", str(path), "--proto", "lat",
-            "--match-out", str(tmp_path / "lat.tsv"), "--rest-out", str(tmp_path / "rest.tsv")]
+    sides = tmp_path / "lat.tsv", tmp_path / "rest.tsv"
+    argv = ["split", str(path), "--proto", "lat", "--match-out", str(sides[0]),
+            "--rest-out", str(sides[1])]
     assert main(argv) == 0  # numpy's lazily imported helpers load outside the measurement
-    peaks = []
-    for run in (lambda: read_trace(path), lambda: main(argv)):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 2**20
-    assert len(read_trace(tmp_path / "lat.tsv")) == 2 * n // 5
-    assert len(read_trace(tmp_path / "rest.tsv")) == 3 * n // 5
+    status, peak = traced_peak(lambda: main(argv))
+    assert status == 0
+    assert [len(read_trace(side)) for side in sides] == [2 * n // 5, 3 * n // 5]
+    return peak
+
+
+def test_split_command_holds_no_column_per_frame(tmp_path):
+    # `split` parses and writes a block at a time: only the address and tag
+    # tables outlive a block, and both traces have the same tokens, so the
+    # peak does not grow with the frames.  The full read held 28 B per frame.
+    small, large = 50_000, 200_000
+    per_frame = (_split_peak(tmp_path, large) - _split_peak(tmp_path, small)) / (large - small)
+    assert per_frame <= 1
