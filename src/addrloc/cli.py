@@ -17,9 +17,11 @@ entry above the database size, or no --windows entry that fits.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import shutil
+import stat
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
@@ -80,49 +82,119 @@ def _write(path, writer) -> None:
 
 @contextmanager
 def _staged(*paths):
-    """Streams for `paths` whose text becomes the files only if the body ends
+    """Streams for `paths` whose text reaches them only if the body ends
     without error, then in order, as `_write` writes them.
 
-    A path's stream is a temporary file in its directory, renamed onto it;
-    '-' gets an anonymous temporary file, copied to stdout.  On any error
-    the temporary files are removed and nothing is written.
+    Every target is opened, or its temporary file made, before the body
+    runs, so an error in the body, or a target that cannot be written,
+    leaves every target as it was and no temporary file.  Only a failed
+    write or rename after the body can leave the first side written.
     """
-    staged = []  # (path or None for stdout, temporary name or None, stream)
+    sides = []
     try:
         for path in paths:
-            if path == "-":
-                stream = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-                staged.append((None, None, stream))
-            else:
-                staged.append((path, *_temporary(path)))
-        yield [stream for _, _, stream in staged]
-        for k, (path, name, stream) in enumerate(staged):
-            if path is None:
-                stream.seek(0)
-                shutil.copyfileobj(stream, sys.stdout)
-            else:
-                stream.close()
-                os.replace(name, path)
-                staged[k] = (path, None, stream)
-                print(f"wrote {path}")
+            sides.append(_Side(path))
+        yield [side.stream for side in sides]
+        for side in sides:
+            side.commit()
     finally:
-        for _, name, stream in staged:
+        for side in sides:
+            side.discard()
+
+
+class _Side:
+    """One output of `_staged`, written to `path` ('-': stdout) by `commit`.
+
+    A new file, or a writable regular file of ours with one link, gets a
+    temporary file beside it (beside the file a symlink names), with the
+    mode `open` gives a new file or the target's own, renamed onto it.  A
+    rename would change any other target in more than its text (a device,
+    a FIFO, a file another user owns or one with two links), and a
+    directory we may not write takes no temporary file, so such a target's
+    text, like stdout's, is kept in an anonymous temporary file and copied
+    into it: the target is opened now and truncated, if a regular file,
+    only then.
+    """
+
+    def __init__(self, path):
+        self.path, self.name, self.fd = path, None, None
+        old = None
+        if path != "-":
+            with suppress(FileNotFoundError):
+                old = os.stat(path)
+            if old is None or _renamable(path, old):
+                self.target = os.path.realpath(path)
+                try:
+                    self.name, self.stream = _temporary(self.target, path, old)
+                    return
+                except PermissionError:
+                    if old is None:
+                        raise
+        self.stream = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+        if old is not None:
+            try:
+                self.fd = os.open(path, os.O_WRONLY)
+            except OSError:
+                self.stream.close()
+                raise
+
+    def commit(self) -> None:
+        if self.name is not None:
+            self.stream.close()
+            os.replace(self.name, self.target)
+            self.name = None
+        else:
+            self.stream.seek(0)
+            if self.fd is None:
+                shutil.copyfileobj(self.stream, sys.stdout)
+                return
+            fd, self.fd = self.fd, None
+            with open(fd, "w", encoding="utf-8", newline="") as out:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, 0)
+                shutil.copyfileobj(self.stream, out)
+        print(f"wrote {self.path}")
+
+    def discard(self) -> None:
+        self.stream.close()
+        if self.fd is not None:
+            os.close(self.fd)
+        if self.name is not None:
+            os.remove(self.name)
+
+
+def _renamable(path, st: os.stat_result) -> bool:
+    """Whether renaming a new file onto `path`, whose stat is `st`, changes
+    only its text, where `open(path, 'w')` would succeed."""
+    return (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+            and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid())
+            and os.access(path, os.W_OK))
+
+
+def _temporary(target, path, old) -> tuple[str, TextIO]:
+    """A new file beside `target` with `old`'s mode, or for None the mode
+    `open` gives a new file (0o666 less the umask); errors name `path`."""
+    directory, base = os.path.split(target)
+    for _ in range(100):
+        name = os.path.join(directory, f".{base}.{os.urandom(4).hex()}")
+        try:
+            fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:  # named as opening `path` would name it
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    else:
+        raise FileExistsError(errno.EEXIST, "no free temporary file name", str(path))
+    stream = open(fd, "w", encoding="utf-8", newline="")
+    if old is not None:
+        try:
+            os.fchmod(fd, stat.S_IMODE(old.st_mode))
+        except OSError:
             stream.close()
-            if name is not None:
-                os.remove(name)
-
-
-def _temporary(path) -> tuple[str, TextIO]:
-    """A new temporary file beside `path`, with the mode `open` would give `path`."""
-    directory = os.path.dirname(path) or "."
-    try:
-        fd, name = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", dir=directory)
-    except OSError as exc:  # named as opening `path` would name it
-        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
-    umask = os.umask(0)
-    os.umask(umask)
-    os.fchmod(fd, 0o666 & ~umask)
-    return name, open(fd, "w", encoding="utf-8", newline="")
+            os.remove(name)
+            raise
+    return name, stream
 
 
 def _read_nonempty(path, select: str):
@@ -482,8 +554,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="split a trace by protocol tag",
         description="Writes the frames tagged --proto to --match-out and the others, untagged "
         "ones included, to --rest-out ('-' for stdout), a block at a time as the trace is "
-        "read. The outputs are written atomically: each goes to a temporary file that "
-        "replaces it only after the last frame, so a bad line leaves no output.",
+        "read. The outputs are written atomically: both targets are opened, or a temporary "
+        "file made beside each, before the first frame, and nothing reaches them before "
+        "the last, so a bad line or an unwritable target leaves no output. A new or "
+        "regular file is replaced by renaming its temporary file onto it, keeping its mode; "
+        "a device, FIFO or shared file is written in place.",
     )
     p.add_argument("--proto", required=True, help="protocol token selecting the matching side")
     p.add_argument("--match-out", required=True)

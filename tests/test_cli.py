@@ -8,12 +8,14 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 from math import log2
 from pathlib import Path
 
 import pytest
 
 import addrloc
+import addrloc.cli
 import addrloc.trace
 from addrloc.cli import build_parser, main
 from addrloc.trace import read_trace
@@ -148,19 +150,25 @@ def test_split_of_no_frames_writes_two_empty_files(tmp_path, text):
     assert [side.read_bytes() for side in sides] == [b"", b""]
 
 
-def test_split_with_a_bad_line_late_in_the_file_writes_nothing(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("linked", [False, True])
+def test_split_with_a_bad_line_late_in_the_file_writes_nothing(
+    tmp_path, capsys, monkeypatch, linked
+):
     # Reads of 64 bytes: the blocks before the bad line are parsed and
-    # written to the temporary files before it is found.
+    # written to the temporary files before it is found.  A target with a
+    # second link is written in place, so it must be opened untruncated.
     monkeypatch.setattr(addrloc.trace, "_CHUNK_BYTES", 64)
     frames = "".join(f"{i}\tA\tB\t{'LAT' if i % 2 else 'DEC'}\t60\n" for i in range(200))
     path = _write_fixture(tmp_path, frames + "200\tA\n")
     kept = tmp_path / "lat.tsv"
     kept.write_text("kept\n", encoding="utf-8")
+    if linked:
+        os.link(kept, tmp_path / "other.tsv")
     assert _split(path, kept, tmp_path / "rest.tsv") == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: line 201: expected 3 to 5 tab-separated fields, got 2\n"
-    assert sorted(os.listdir(tmp_path)) == ["lat.tsv", "t.tsv"]
+    assert sorted(os.listdir(tmp_path)) == ["lat.tsv"] + ["other.tsv"] * linked + ["t.tsv"]
     assert kept.read_text(encoding="utf-8") == "kept\n"
 
 
@@ -170,6 +178,92 @@ def test_split_into_a_missing_directory_writes_neither_side(tmp_path, capsys):
     assert _split(path, tmp_path / "lat.tsv", rest) == 1
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{rest}'\n"
     assert sorted(os.listdir(tmp_path)) == ["t.tsv"]
+
+
+def test_split_onto_a_directory_writes_neither_side(tmp_path, capsys):
+    path = _write_fixture(tmp_path, _SPLIT_TEXT)
+    rest = tmp_path / "rest"
+    rest.mkdir()
+    assert _split(path, tmp_path / "lat.tsv", rest) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{rest}'\n")
+    assert sorted(os.listdir(tmp_path)) == ["rest", "t.tsv"]
+    assert os.listdir(rest) == []
+
+
+def test_split_writes_a_fifo_in_place(tmp_path, capsys):
+    # A rename onto the FIFO would replace the node and leave the reader
+    # waiting on the old one.
+    path = _write_fixture(tmp_path, _SPLIT_TEXT)
+    fifo = tmp_path / "rest.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(
+        target=lambda: got.append(fifo.read_text(encoding="utf-8")), daemon=True
+    )
+    reader.start()
+    assert _split(path, tmp_path / "lat.tsv", fifo) == 0
+    reader.join(timeout=30)
+    assert got == [_SIDES[1]]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'lat.tsv'}\nwrote {fifo}\n"
+    assert sorted(os.listdir(tmp_path)) == ["lat.tsv", "rest.fifo", "t.tsv"]
+
+
+def test_split_keeps_a_targets_mode_symlink_and_hard_links(tmp_path):
+    path = _write_fixture(tmp_path, _SPLIT_TEXT)
+    private, real, link, other = (tmp_path / name for name in ("p", "real", "link", "other"))
+    for target in private, real:
+        target.write_text("longer than a side\n" * 4, encoding="utf-8")
+    private.chmod(0o600)
+    link.symlink_to(real)
+    os.link(real, other)
+    assert _split(path, private, link) == 0
+    assert stat.S_IMODE(private.stat().st_mode) == 0o600
+    assert private.read_text(encoding="utf-8") == _SIDES[0]
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text(encoding="utf-8") == other.read_text(encoding="utf-8") == _SIDES[1]
+    assert os.path.samefile(real, other)
+    assert sorted(os.listdir(tmp_path)) == ["link", "other", "p", "real", "t.tsv"]
+
+
+def test_split_renames_onto_the_file_a_symlink_names(tmp_path):
+    path = _write_fixture(tmp_path, _SPLIT_TEXT)
+    (tmp_path / "data").mkdir()
+    real, link = tmp_path / "data" / "rest.tsv", tmp_path / "rest.tsv"
+    real.write_text("old\n", encoding="utf-8")
+    link.symlink_to(real)
+    assert _split(path, tmp_path / "lat.tsv", link) == 0
+    assert link.is_symlink() and real.read_text(encoding="utf-8") == _SIDES[1]
+    assert os.listdir(tmp_path / "data") == ["rest.tsv"]
+
+
+def test_split_writes_in_place_where_no_temporary_file_may_be_made(tmp_path, monkeypatch):
+    # As in a directory we may not write: an existing file is written in
+    # place, as open() would write it; a new one cannot be made.
+    def refused(target, path, old):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(addrloc.cli, "_temporary", refused)
+    path = _write_fixture(tmp_path, _SPLIT_TEXT)
+    sides = tmp_path / "lat.tsv", tmp_path / "rest.tsv"
+    for side in sides:
+        side.write_text("longer than a side\n" * 4, encoding="utf-8")
+    assert _split(path, *sides) == 0
+    assert tuple(side.read_text(encoding="utf-8") for side in sides) == _SIDES
+    assert _split(path, *sides[:1], tmp_path / "new.tsv") == 1
+    assert sorted(os.listdir(tmp_path)) == ["lat.tsv", "rest.tsv", "t.tsv"]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_split_onto_a_read_only_file_fails_as_open_would(tmp_path, capsys):
+    path = _write_fixture(tmp_path, _SPLIT_TEXT)
+    rest = tmp_path / "rest.tsv"
+    rest.write_text("kept\n", encoding="utf-8")
+    rest.chmod(0o444)
+    assert _split(path, tmp_path / "lat.tsv", rest) == 1
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{rest}'\n"
+    assert rest.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["rest.tsv", "t.tsv"]
 
 
 def test_concentration_stdout(tmp_path, capsys):
