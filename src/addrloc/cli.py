@@ -556,9 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
         "ones included, to --rest-out ('-' for stdout), a block at a time as the trace is "
         "read. The outputs are written atomically: both targets are opened, or a temporary "
         "file made beside each, before the first frame, and nothing reaches them before "
-        "the last, so a bad line or an unwritable target leaves no output. A new or "
-        "regular file is replaced by renaming its temporary file onto it, keeping its mode; "
-        "a device, FIFO or shared file is written in place.",
+        "the last, so a bad line or an unwritable target leaves no output. A new file, or "
+        "a regular file of the user's, gets its temporary file renamed onto it (an existing "
+        "file keeps its mode); a device, FIFO or shared file is written in place.",
     )
     p.add_argument("--proto", required=True, help="protocol token selecting the matching side")
     p.add_argument("--match-out", required=True)
