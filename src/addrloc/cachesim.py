@@ -58,7 +58,7 @@ import numpy as np
 from . import _checks
 from ._csvfmt import write_curve_table
 from ._rng import derive_seed, randbelow_stream
-from .locality import StackDistanceHistogram, _positions, _refs
+from .locality import StackDistanceHistogram, _nonzero_blocks, _positions, _refs
 
 POLICIES = ("MIN", "LRU", "FIFO", "RAND")
 
@@ -106,7 +106,8 @@ class _MinPlan:
         self.distances = refs.collapsed_distances
         self.reref = prev >= 0
         self.next_use = np.full(n, n, dtype=np.int32)  # n: never used again
-        self.next_use[prev[self.reref]] = np.flatnonzero(self.reref)
+        for block in _nonzero_blocks(self.reref):  # no temporary as long as the string
+            self.next_use[prev[block]] = block
 
     def loop(self, capacity: int) -> tuple[bytearray, memoryview, memoryview]:
         """The first-reference marks, then the positions left to loop over and

@@ -41,11 +41,18 @@ reader counts the lines it reads, the block reader from the line breaks
 it finds and the line reader from its list of lines, so error line
 numbers need no further pass over the bytes.
 
-There are three reads, each a selection of `_Columns`, and each checks
+There are four reads, each a selection of `_Columns`, and each checks
 every line as the full one does, with the same errors:
 - the full read gives the `Trace`.  It is for library callers: no
-  command makes it, as the `split` command (`_split`) runs the same
-  block loop but writes each block's frames and drops them;
+  command makes it;
+- the split read, which the `split` command (`_split`) makes, writes each
+  block and drops it.  A block the block reader takes whose frame lines
+  are already as `write_trace` writes them (no number with a leading
+  zero, no 4-field line with an empty proto field) keeps only its bytes
+  and each line's proto code, and its frame lines are copied to their
+  side: src and dst tokens are checked but never grouped or interned.
+  Any other block keeps the full read's columns, and its rows are
+  formatted;
 - with `destinations_only=True`, `parse_trace` and `read_trace` return
   the read-only int32 `dst` column alone, its ids numbered by first
   appearance among destinations: only destination tokens are interned,
@@ -280,12 +287,19 @@ class _Columns:
     names the read: "trace" keeps every column; "summary" interns src and
     dst tokens as "trace" does but keeps only `dst` and the first and last
     timestamps; "destinations" interns dst tokens alone and keeps `dst`.
+    "split" keeps every column of a block whose text is not `write_trace`'s
+    text of its frames; of any other block the block reader keeps only
+    `copied`: the bytes of its lines, their lengths and per line the proto
+    code, or -1 for a comment or blank line.  Its src and dst tokens are
+    checked but never grouped or interned.  `_split` writes and drops each
+    block of a "split" read, which has no `result`.
     """
 
     def __init__(self, select: str = "trace"):
-        if select not in ("trace", "summary", "destinations"):
+        if select not in ("trace", "summary", "destinations", "split"):
             raise ValueError(f"unknown read {select!r}")
         self.select = select
+        self.copied: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self.timestamps = array("q")
         self.src = array("i")
         self.dst = array("i")
@@ -300,8 +314,8 @@ class _Columns:
     def append(self, timestamps, ids: np.ndarray, proto=None, lengths=None) -> None:
         """Add one block: `ids` alternates src and dst ids, or holds dst ids
         alone in a "destinations" read; `proto` indexes `protos`, and it and
-        `lengths` are read only in a "trace" read."""
-        if self.select != "trace":
+        `lengths` are read only in a "trace" or "split" read."""
+        if self.select in ("summary", "destinations"):
             dst = ids if self.select == "destinations" else ids[1::2]
             self.dst.frombytes(np.ascontiguousarray(dst).view(np.uint8))
             if self.select == "summary" and len(timestamps):
@@ -325,7 +339,7 @@ class _Columns:
         lengths: Sequence[int],
     ) -> None:
         """Add one block of tokens: a proto of "" is no tag, a length of -1 is absent."""
-        if self.select != "trace":  # `addresses` alternates src and dst
+        if self.select in ("summary", "destinations"):  # `addresses` alternates src and dst
             kept = addresses[1::2] if self.select == "destinations" else addresses
             self.append(timestamps, self.interns.intern_all(kept))
             return
@@ -692,8 +706,9 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[
     digits, a decreasing timestamp, an empty address token or a hash
     collision.  Such a block goes to `_read_lines`, as does one of 2 GiB or
     more, whose offsets int32 cannot hold.  Proto tokens are grouped only
-    in a "trace" read, and src tokens are checked but never grouped in a
-    "destinations" read.
+    in a "trace" or "split" read, and src tokens are checked but never
+    grouped in a "destinations" read, nor src and dst tokens of a block
+    that a "split" read copies (`_Columns`).
 
     Field offsets are int32, and the one temporary as long as the block is
     the field-end mask, so the arrays peak at about 3 bytes per block byte
@@ -718,21 +733,25 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[
         return prev_ts, lines
     base = breaks[:-1][frame]  # field k of frame line i is field base[i] + k
     tabs = breaks[1:][frame]
-    del breaks, lead, frame
+    del lead
+    if columns.select != "split":
+        del breaks, frame  # only a split copies lines by them
     tabs -= base + 1
     if tabs.min() < 2 or tabs.max() > 4:
         return None
     sized, tagged = tabs == 4, tabs > 2
     del tabs
     # Tokens: src and dst interleaved, then the proto fields.  The address
-    # tokens are grouped first, while no other per-frame array is held.
+    # tokens are grouped first, while no other per-frame array is held; a
+    # split groups them only for a block it does not copy.
     address = np.stack((base + 1, base + 2), axis=1).ravel()
     if (ends[address + 1] - ends[address] < 2).any():
         return None  # an empty address token
     if columns.select == "destinations":
         address = address[1::2]
     words = np.ndarray((len(body) + 1,), "<u8", data, _DIGITS, (1,))
-    if (address_groups := _distinct(words, ends, address)) is None:
+    address_groups = None
+    if columns.select != "split" and (address_groups := _distinct(words, ends, address)) is None:
         return None
     if (timestamps := _numbers(data, ends, base)) is None:
         return None
@@ -741,7 +760,7 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[
     sized_lengths = _numbers(data, ends, base[sized] + 4) if sized.any() else ()
     if sized_lengths is None:
         return None
-    if columns.select != "trace":
+    if columns.select in ("summary", "destinations"):
         ids = columns.known_addresses.ids_of(body, words, ends, address, address_groups)
         columns.append(timestamps, ids)
         return int(timestamps[-1]), lines
@@ -751,6 +770,19 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[
         if (proto_groups := _distinct(words, ends, proto)) is None:
             return None
         codes[tagged] = columns.known_protos.ids_of(body, words, ends, proto, proto_groups)
+    if columns.select == "split":
+        # `write_trace` writes a number without leading zeros, and a 4-field
+        # line's empty proto field (code 0) not at all; it writes any other
+        # frame line as it is read.
+        first = ends[np.concatenate((base, base[sized] + 4))] + 1
+        padded = (body[first] == 48) & (body[first + 1] - 48 < 10)  # "0" and a digit
+        if not padded.any() and codes[tagged & ~sized].all():
+            line_codes = np.full(lines, -1, np.int32)
+            line_codes[frame] = codes
+            columns.copied = body[1:], np.diff(ends[breaks]), line_codes
+            return int(timestamps[-1]), lines
+        if (address_groups := _distinct(words, ends, address)) is None:
+            return None
     ids = columns.known_addresses.ids_of(body, words, ends, address, address_groups)
     lengths = np.full(len(base), -1, np.int64)
     lengths[sized] = sized_lengths
@@ -962,23 +994,41 @@ def _split(lines: Iterable[str] | BinaryIO, proto: str, match: TextIO, rest: Tex
 
     `lines` is read as `parse_trace` reads it, with the same errors, and each
     side's text is what `write_trace` writes of the full read through its
-    protocol mask.  Only the address and tag tables, kept with their
-    formatted texts, and the last timestamp outlive a block: its columns
-    are dropped once its rows are written.  A bad line raises after the
-    blocks before it were written.
+    protocol mask.  A block the block reader takes, if its frame lines are
+    already in `write_trace`'s form (see `_Columns`), is copied: each frame
+    line's bytes go to the side its proto code picks, and comment and blank
+    lines are dropped.  Any other block is parsed and its rows formatted.
+    Only the address and tag tables, kept with their formatted texts, and
+    the last timestamp outlive a block.  A bad line raises after the blocks
+    before it were written.
     """
-    columns = _Columns()
+    columns = _Columns("split")
     tokens = _Formatted(columns.interns._tokens)
     tags = (_Formatted(columns.protos._tokens, _tag_only),
             _Formatted(columns.protos._tokens, _tag_field))
     for _ in _blocks(lines, columns):
-        block = columns.take()
         code = columns.protos._ids.get(proto, -1) if proto else -1  # "" is code 0, no tag
+        if columns.copied is not None:
+            _copy_lines(columns.copied, code, match, rest)
+            columns.copied = None
+            continue
+        block = columns.take()
         matching = block[3] == code
         tables = tokens.array(), tuple(tag.array() for tag in tags)
         _write_rows(match, *tables, block, matching)
         _write_rows(rest, *tables, block, np.logical_not(matching, out=matching))
         del block, matching
+
+
+def _copy_lines(copied: tuple, code: int, match: TextIO, rest: TextIO) -> None:
+    """Write the frame lines of a split's copied block (`_Columns.copied`)
+    with proto code `code` to `match` and the others to `rest`, byte for byte."""
+    text, lengths, codes = copied
+    sides = np.where(codes == code, np.uint8(1), np.uint8(2))
+    sides[codes < 0] = 0  # comment and blank lines
+    sides = np.repeat(sides, lengths)
+    match.write(str(text[sides == 1], "utf-8"))
+    rest.write(str(text[sides == 2], "utf-8"))
 
 
 def read_trace(path, *, destinations_only: bool = False, _select: str = "") -> Trace | np.ndarray:

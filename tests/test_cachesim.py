@@ -27,7 +27,7 @@ from addrloc.cachesim import (
 from addrloc.locality import _refs, stack_distances
 from addrloc._rng import derive_seed
 
-from helpers import random_reference_string, rng_blocks
+from helpers import random_reference_string, rng_blocks, traced_peak
 from oracles import (
     brute_force_optimal,
     min_miss_positions,
@@ -585,3 +585,19 @@ def test_min_keys_memory_is_bounded():
         tracemalloc.stop()
     assert all(e.misses > 140_000 for e in curve.entries)
     assert peak / n <= 19
+
+
+def test_min_plan_build_memory_is_bounded():
+    # The plan keeps the first-reference mask and the int32 next uses, 5 B
+    # per collapsed reference, and fills the next uses a block at a time.
+    # The int64 positions of every re-reference and a gathered copy of
+    # their previous uses made the build peak at 17 B.
+    ids = np.random.default_rng(7).integers(0, 2000, size=2**20).astype(np.int32)
+    refs = _refs(ids)
+    refs.collapsed_prev, refs.collapsed_distances  # prepared before measuring
+    cachesim._MinPlan(refs)  # and numpy's lazily imported helpers
+    plan, peak = traced_peak(lambda: cachesim._MinPlan(refs))
+    n = len(refs.collapsed)
+    assert n > 10**6
+    assert plan.next_use.dtype == np.int32
+    assert peak / n <= 6

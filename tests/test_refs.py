@@ -168,7 +168,7 @@ def test_windows_share_one_set_of_head_arrays_freed_before_the_sweeps(tmp_path, 
 
 # Every command, with its flags, and its read: the dst column alone, the
 # summary read (dst ids, the first and last timestamps, the address count)
-# or every column, which `split` reads a block at a time.
+# or the split read, which `split` makes a block at a time.
 _COMMANDS = [
     (["concentration", "--out", "{out}/c.csv"], "destinations"),
     (["wss", "--out", "{out}/w.csv"], "destinations"),
@@ -179,7 +179,7 @@ _COMMANDS = [
     (["summarize"], "summary"),
     (
         ["split", "--proto", "lat", "--match-out", "{out}/a.txt", "--rest-out", "{out}/b.txt"],
-        "trace",
+        "split",
     ),
     (["report", "--out-dir", "{out}/report"], "summary"),
 ]

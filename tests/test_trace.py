@@ -792,8 +792,9 @@ def _token_pool(draw) -> list[str]:
 
 @st.composite
 def _plain_lines(draw) -> list[str]:
-    """Lines the block reader takes: plain-digit numbers, mixed 3/4/5-field frames,
-    empty proto fields, and comment and blank lines between them."""
+    """Lines the block reader takes: plain-digit numbers, some with leading
+    zeros, mixed 3/4/5-field frames, empty proto fields, and comment and
+    blank lines between them."""
     pool = draw(_token_pool())
     tokens = st.sampled_from(pool)
     lines = []
@@ -811,7 +812,8 @@ def _plain_lines(draw) -> list[str]:
             if width >= 4:
                 fields.append(draw(st.one_of(st.just(""), tokens)))
             if width == 5:
-                fields.append(str(draw(st.integers(0, 10**18 - 1))))
+                length = str(draw(st.integers(0, 10**18 - 1)))
+                fields.append(draw(st.sampled_from(["", "0", "00"]))[: 18 - len(length)] + length)
             line = "\t".join(fields)
         lines.append(line + "\n")
     return lines
@@ -1341,6 +1343,54 @@ def test_streamed_split_formats_tags_and_tokens_first_seen_in_later_blocks(monke
     trace_module._split(io.BytesIO(data), "lat", *sides)
     assert (sides[0].getvalue(), sides[1].getvalue()) == _full_split(data, "lat")
     assert sides[0].getvalue() == "2\tC\tD\tlat\n3\tA\tD\tlat\n"
+
+
+def _segments(groups: list[list[str]]) -> tuple[bytes, int]:
+    """Each group of lines padded by a comment line to one size, and that size:
+    read `_CHUNK_BYTES` of that size at a time, each group is one block."""
+    size = max(len("".join(lines).encode()) for lines in groups) + 2
+    return "".join(
+        "".join(lines) + "#" + "x" * (size - 2 - len("".join(lines).encode())) + "\n"
+        for lines in groups
+    ).encode(), size
+
+
+def test_split_copies_the_blocks_it_need_not_format(monkeypatch):
+    # Blocks already in `write_trace`'s form are copied, and never reach
+    # `_write_rows`; a zero-padded timestamp or length, a 4-field line with
+    # an empty proto field, a line for the line reader and two tags that
+    # collide are formatted, with the rest of their blocks.  Every hash is
+    # alike, so a block with two distinct tags collides.
+    groups = [  # (lines, whether the block is formatted)
+        (["1\tA\tB\tlat\t60\n", "\n", "2\tB\tC\n", "3\tA\tC\tlat\n"], False),
+        (["004\tA\tB\tlat\t60\n", "5\tB\tC\n"], True),
+        (["6\tC\tA\tip\t0\n", "7\tD\tE\n", "# comment\n"], False),
+        (["8\tA\tB\tlat\t060\n", "9\tB\tC\n"], True),
+        (["10\tA\tB\t\n", "11\tB\tC\tlat\n"], True),
+        (["12\tA\tB\t\t1500\n", "13\tE\tD\n"], False),
+        ([" 14\tA\tB\n", "15\tB\tC\tlat\n"], True),
+        (["16\tA\tB\tlat\n", "17\tB\tC\tip\n"], True),
+        (["18\tF\tA\tlat\t1\n"], False),
+    ]
+    data, size = _segments([lines for lines, _ in groups])
+    formatted = [int(line.split("\t")[0]) for lines, f in groups if f for line in lines]
+    monkeypatch.setattr(trace_module, "_CHUNK_BYTES", size)
+    monkeypatch.setattr(trace_module, "_hash", _constant_hash)
+    want = {proto: _full_split(data, proto) for proto in ("lat", "ip")}
+    written = []
+    write_rows = trace_module._write_rows
+
+    def spy(stream, tokens, tags, columns, frames=None):
+        written.extend(columns[0][frames].tolist())
+        write_rows(stream, tokens, tags, columns, frames)
+
+    monkeypatch.setattr(trace_module, "_write_rows", spy)
+    for proto, want_sides in want.items():
+        written.clear()
+        sides = io.StringIO(), io.StringIO()
+        trace_module._split(io.BytesIO(data), proto, *sides)
+        assert sorted(written) == formatted
+        assert (sides[0].getvalue(), sides[1].getvalue()) == want_sides
 
 
 def _split_peak(tmp_path, n: int) -> int:
