@@ -24,22 +24,31 @@ distinct address.  Generated traces have timestamps 0, 1, 2, ...
 microseconds, a single dummy source address, and destination tokens "a0",
 "a1", ... (prefixed "s<j>." per sub-stream when interleaving, so sub-stream
 address spaces stay disjoint), interned in order of first appearance.
+
+Random draws come as arrays (`_rng.random_array`, `_rng.randbelow_array`),
+each value that of the one-draw-at-a-time SplitMix64 stream, so no model
+spends Python work per draw: the IRM models map one array of draws to
+codes; the LRU stack model draws 2**16 depths at a time and pops and
+re-inserts a stack entry only for a draw below the top, since a draw at the
+top repeats the code before it.  `generate` finds each code's first
+reference with `np.minimum.at`, not a sort, and maps codes to ids with one
+gather.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
 
 from . import _checks
-from ._rng import RANDBELOW_MAX, derive_seed, random_stream, randbelow_stream
+from ._rng import RANDBELOW_MAX, derive_seed, randbelow_array, random_array
 from .trace import InternTable, Trace
 
 PMF_SUM_TOLERANCE = 1e-9
+_DRAW_BLOCK = 1 << 16  # LruStackModel's draws per block
 
 Model = Union["UniformIrm", "Irm", "Cyclic", "LruStackModel", "Interleave"]
 
@@ -68,7 +77,7 @@ class UniformIrm:
         object.__setattr__(self, "n_addresses", n)
 
     def emit(self, length: int, seed: int) -> tuple[np.ndarray, list[str]]:
-        draws = np.fromiter(randbelow_stream(seed, self.n_addresses), np.uint64, count=length)
+        draws = randbelow_array(seed, self.n_addresses, length)
         # n can be 2**64, so only the drawn addresses get a token.
         drawn, codes = np.unique(draws, return_inverse=True)
         return codes, [f"a{i}" for i in drawn.tolist()]
@@ -87,8 +96,7 @@ class Irm:
         weights = np.asarray(self.pmf, dtype=np.float64)
         cum = np.cumsum(weights / weights.sum())
         cum[-1] = 1.0  # uniforms live in [0, 1), so indices stay in range
-        uniforms = np.fromiter(random_stream(seed), dtype=np.float64, count=length)
-        codes = np.searchsorted(cum, uniforms, side="right")
+        codes = np.searchsorted(cum, random_array(seed, 0, length), side="right")
         return codes, [f"a{i}" for i in range(len(self.pmf))]
 
 
@@ -121,14 +129,24 @@ class LruStackModel:
         object.__setattr__(self, "pmf", _pmf(self.pmf))
 
     def emit(self, length: int, seed: int) -> tuple[np.ndarray, list[str]]:
-        cum = [*accumulate(self.pmf[:-1]), 1.0]  # u < 1, so depths stay in range
+        # `accumulate`'s sums, not np.cumsum's, whose rounding can differ.
+        cum = np.array([*accumulate(self.pmf[:-1]), 1.0])  # u < 1, so depths stay in range
         stack = list(range(len(self.pmf)))  # codes, top first
-        out = []
-        for u in islice(random_stream(seed), length):
-            code = stack.pop(bisect_right(cum, u))
-            stack.insert(0, code)
-            out.append(code)
-        return np.array(out, dtype=np.intp), [f"a{i}" for i in range(len(self.pmf))]
+        codes = np.empty(length, np.intp)
+        for start in range(0, length, _DRAW_BLOCK):
+            depths = np.searchsorted(
+                cum, random_array(seed, start, min(_DRAW_BLOCK, length - start)), side="right"
+            )
+            # Only a draw below the top moves the stack; a top draw repeats
+            # the code before it, the block's first one the stack's top.
+            moves = depths != 0
+            moved = [stack[0]]
+            for depth in depths[moves].tolist():
+                code = stack.pop(depth)
+                stack.insert(0, code)
+                moved.append(code)
+            codes[start : start + len(depths)] = np.array(moved)[np.cumsum(moves)]
+        return codes, [f"a{i}" for i in range(len(self.pmf))]
 
 
 @dataclass(frozen=True)
@@ -150,8 +168,9 @@ class Interleave:
 
     def emit(self, length: int, seed: int) -> tuple[np.ndarray, list[str]]:
         # owner[i] makes reference i; a take past `length` cannot change it.
-        takes = [min(take, length) for take in self.pattern]
-        owner = np.resize(np.repeat(np.arange(len(self.parts)), takes), length)
+        # Only length 0 makes an empty cycle, which tiles to no owner.
+        cycle = np.repeat(np.arange(len(self.parts)), [min(take, length) for take in self.pattern])
+        owner = np.tile(cycle, -(-length // max(len(cycle), 1)))[:length]
         codes = np.empty(length, np.intp)
         tokens: list[str] = []
         for j, part in enumerate(self.parts):
@@ -179,10 +198,17 @@ def generate(spec: GeneratorSpec) -> Trace:
     """Produce the trace for `spec`; bit-identical for identical spec and seed."""
     n = spec.length
     codes, tokens = spec.model.emit(n, spec.seed)
-    # Intern the used codes' tokens by first appearance, after the source "src" (id 0).
-    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
+    # Intern the used codes' tokens by first appearance, after the source
+    # "src" (id 0): a code's first reference is the least position holding it.
+    timestamps = np.arange(n)
+    first = np.full(len(tokens), n)
+    np.minimum.at(first, codes, timestamps)
+    heads = np.zeros(n, bool)
+    heads[first[first < n]] = True
+    used = codes[heads]
     interns = InternTable(["src"] if n else [])
-    ids = np.empty(len(used), np.int32)
-    ids[order] = interns.intern_all([tokens[c] for c in used[order].tolist()])
-    return Trace(np.arange(n), np.zeros(n, np.int32), ids[inverse], interns)
+    ids = np.empty(len(tokens), np.int32)
+    ids[used] = interns.intern_all([tokens[c] for c in used.tolist()])
+    dst = ids[codes]
+    del codes, heads  # before the trace's other columns are made
+    return Trace(timestamps, np.zeros(n, np.int32), dst, interns)

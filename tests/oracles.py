@@ -6,7 +6,7 @@ import bisect
 import heapq
 from collections import Counter, deque
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import inf
 from typing import Callable, Iterable, Sequence
 
@@ -285,6 +285,30 @@ class SplitMix64:
             r = self.next_u64()
             if r < limit:
                 return r % n
+
+
+def lru_stack_codes(pmf: Sequence[float], length: int, seed: int) -> list[int]:
+    """`LruStackModel(pmf).emit(length, seed)`'s codes, one scalar draw and
+    one move to the top of the stack per reference."""
+    cum = [*accumulate(pmf[:-1]), 1.0]
+    stack = list(range(len(pmf)))
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(length):
+        code = stack.pop(bisect.bisect_right(cum, rng.random()))
+        stack.insert(0, code)
+        out.append(code)
+    return out
+
+
+def interleave_owners(pattern: Sequence[int], length: int) -> list[int]:
+    """The part that makes each of `length` references of an `Interleave`:
+    pattern[j] references from part j in turn, cycle after cycle."""
+    owners: list[int] = []
+    while len(owners) < length:
+        for j, take in enumerate(pattern):
+            owners += [j] * min(take, length - len(owners))
+    return owners
 
 
 def simulate_rand(seq: Sequence[int], capacity: int, seed: int) -> int:

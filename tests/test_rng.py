@@ -1,7 +1,8 @@
-"""The seeded block streams behind RAND eviction and the synthetic models.
+"""The seeded draws behind RAND eviction and the synthetic models.
 
-Each stream is checked value for value against the scalar generator in
-`oracles.SplitMix64`, the one-draw-at-a-time form of the same sequence.
+Each array and stream is checked value for value against the scalar
+generator in `oracles.SplitMix64`, the one-draw-at-a-time form of the same
+sequence.
 """
 
 from __future__ import annotations
@@ -9,12 +10,13 @@ from __future__ import annotations
 from collections import Counter
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addrloc import _rng
-from addrloc._rng import derive_seed, random_stream, randbelow_stream
+from addrloc._rng import derive_seed, randbelow_array, randbelow_stream, random_array
 
 from helpers import rng_blocks
 from oracles import SplitMix64
@@ -57,17 +59,19 @@ def test_block_matches_scalar_at_any_offset(seed, start, count):
 
 
 @settings(max_examples=100, deadline=None)
-@given(SEEDS, BLOCKS, st.integers(min_value=0, max_value=200))
-def test_random_stream_matches_scalar(seed, blocks, count):
-    with rng_blocks(blocks):
-        got = list(islice(random_stream(seed), count))
+@given(SEEDS, st.integers(min_value=0, max_value=3000), st.integers(min_value=0, max_value=200))
+def test_random_array_matches_scalar(seed, start, count):
     rng = SplitMix64(seed)
-    assert got == [rng.random() for _ in range(count)]
+    for _ in range(start):
+        rng.next_u64()
+    got = random_array(seed, start, count)
+    assert got.dtype == np.float64
+    assert got.tolist() == [rng.random() for _ in range(count)]
 
 
 def test_random_unit_interval():
-    values = list(islice(random_stream(7), 2000))
-    assert all(0.0 <= v < 1.0 for v in values)
+    values = random_array(7, 0, 2000)
+    assert ((0.0 <= values) & (values < 1.0)).all()
 
 
 RANDBELOW_SIZES = st.one_of(
@@ -86,6 +90,21 @@ def test_randbelow_stream_matches_scalar(seed, n, blocks, count):
     assert got == [rng.randbelow(n) for _ in range(count)]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    SEEDS,
+    st.one_of(st.sampled_from([1, 2**64, 2**63 + 1, 3 * 2**62]), RANDBELOW_SIZES),
+    st.integers(min_value=0, max_value=300),
+)
+def test_randbelow_array_matches_scalar(seed, n, count):
+    # 2**63 + 1 and 3 * 2**62 reject about half and a quarter of all
+    # outputs, so the array is filled in several passes.
+    got = randbelow_array(seed, n, count)
+    assert got.dtype == np.uint64
+    rng = SplitMix64(seed)
+    assert got.tolist() == [rng.randbelow(n) for _ in range(count)]
+
+
 @pytest.mark.parametrize("blocks", [(1, 1), (2, 5), None])
 def test_randbelow_stream_rejection_path_runs(blocks):
     # With n = 2**63 + 1 about half of all outputs are rejected, so the kept
@@ -102,6 +121,8 @@ def test_randbelow_validates():
     for n in (0, -3, 2**64 + 1):
         with pytest.raises(ValueError, match=str(n)):
             randbelow_stream(0, n)
+        with pytest.raises(ValueError, match=str(n)):
+            randbelow_array(0, n, 1)
     with pytest.raises(ValueError):
         SplitMix64(0).randbelow(0)
 

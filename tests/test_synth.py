@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from addrloc import synth
 from addrloc.locality import stack_distances
 from addrloc.synth import (
     Cyclic,
@@ -20,7 +24,10 @@ from addrloc.synth import (
     UniformIrm,
     generate,
 )
+from addrloc.trace import parse_trace, write_trace
 from addrloc._rng import derive_seed
+
+from oracles import interleave_owners, lru_stack_codes
 
 
 def _tokens(model, length, seed=0):
@@ -181,6 +188,68 @@ def test_model_tokens_never_drift(model, digest):
     assert _digest(_emitted(model, 5000, 2024)) == digest
 
 
+@pytest.mark.parametrize(
+    "model, length, seed, digest",
+    [
+        (LruStackModel((8 / 15, 4 / 15, 2 / 15, 1 / 15)), 2 * 2**16 + 1, 0,
+         "76f207d315c02d62e74b3767cc8758e536f696376683966ab69bcae035e1ad41"),
+        (LruStackModel((8 / 15, 4 / 15, 2 / 15, 1 / 15)), 2 * 2**16 + 1, 2024,
+         "470b91984bc1edf216f0db80dc31259488322aa5c273970b9d14c9cbaa85f511"),
+        (UniformIrm(2**63 + 1), 150_000, 2024,
+         "a2b505b33acb799debf7365364deeb822d641003b23ddcc176acba57c0f8cce3"),
+    ],
+    ids=["lru-stack-seed0", "lru-stack-seed2024", "uniform-irm-rejecting"],
+)
+def test_long_model_tokens_never_drift(model, length, seed, digest):
+    # Pinned from the one-draw-at-a-time generator over lengths that cross
+    # 2**16-draw blocks and, rejecting about half of all outputs, refills.
+    assert _digest(_emitted(model, length, seed)) == digest
+
+
+def _normalized(weights):
+    return tuple(w / sum(weights) for w in weights)
+
+
+_B = synth._DRAW_BLOCK
+STACK_PMFS = st.one_of(
+    st.just((1.0,)),
+    st.lists(st.integers(0, 9), min_size=1, max_size=12).filter(any).map(_normalized),
+    st.lists(st.integers(0, 9), min_size=1, max_size=12).filter(any).map(
+        lambda w: _normalized([0, *w])  # no draw at the top
+    ),
+    st.lists(st.integers(1, 9), min_size=50, max_size=50).map(_normalized),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    STACK_PMFS,
+    st.one_of(st.sampled_from([0, 1, _B - 1, _B, _B + 1]), st.integers(0, 300)),
+    st.integers(0, 2**64 - 1),
+)
+def test_lru_stack_model_matches_the_per_draw_loop(pmf, length, seed):
+    model = LruStackModel(pmf)
+    codes, tokens = model.emit(length, seed)
+    assert codes.tolist() == lru_stack_codes(model.pmf, length, seed)
+    assert tokens == [f"a{i}" for i in range(len(pmf))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(1, 5), st.just(2**70)), min_size=1, max_size=4),
+    st.integers(0, 40),
+)
+@example(pattern=[3, 1], length=0)  # every take cut to 0: an empty owner cycle
+def test_interleave_owners_match_the_cycle_loop(pattern, length):
+    # Each part counts up past the trace's end, so a token names its part
+    # and how many references that part made before it.
+    model = Interleave(tuple(Cyclic(2**70) for _ in pattern), tuple(pattern))
+    owners = interleave_owners(pattern, length)
+    assert _emitted(model, length, 0) == [
+        f"s{j}.a{owners[:i].count(j)}" for i, j in enumerate(owners)
+    ]
+
+
 def test_nested_interleave_tokens_never_drift():
     inner = Interleave(parts=(Cyclic(3), UniformIrm(50)), pattern=(1, 2))
     model = Interleave(parts=(inner, LruStackModel((0.5, 0.3, 0.2))), pattern=(2, 3))
@@ -200,23 +269,35 @@ def test_cyclic_larger_than_the_trace():
         assert _tokens(Cyclic(k), 5) == ["a0", "a1", "a2", "a3", "a4"]
 
 
-@pytest.mark.parametrize(
+EVERY_MODEL = pytest.mark.parametrize(
     "model",
     [Cyclic(3), UniformIrm(2**64), Irm((0.5, 0.5)), LruStackModel((1.0,)),
      Interleave(parts=(Cyclic(2), UniformIrm(5)), pattern=(2, 1))],
     ids=["cyclic", "uniform-irm", "irm", "lru-stack", "interleave"],
 )
+
+
+@EVERY_MODEL
 def test_length_zero_is_an_empty_trace(model):
     trace = generate(GeneratorSpec(model, 0, seed=1))
     assert len(trace) == 0
     assert len(trace.interns) == 0
 
 
-def test_generate_memory_is_bounded():
-    # The ROADMAP baseline mix at 100k references.  Interning one token per
-    # reference peaked at about 92 B/reference; interning one per distinct
-    # address needs about half that.
-    length = 100_000
+@EVERY_MODEL
+def test_generated_ids_are_in_first_appearance_order(model):
+    # The source is id 0 and each new destination takes the next id, so
+    # the trace survives a write and a parse unchanged.
+    trace = generate(GeneratorSpec(model, 300, seed=4))
+    firsts = list(dict.fromkeys(trace.dst.tolist()))
+    assert firsts == list(range(1, len(trace.interns)))
+    text = io.StringIO()
+    write_trace(trace, text)
+    assert parse_trace(io.StringIO(text.getvalue())) == trace
+
+
+def _generate_peak_per_reference(length: int) -> float:
+    """The traced peak of `generate` on the ROADMAP baseline mix, per reference."""
     model = Interleave(
         parts=(LruStackModel((8 / 15, 4 / 15, 2 / 15, 1 / 15)), UniformIrm(2000)), pattern=(3, 1)
     )
@@ -226,4 +307,18 @@ def test_generate_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / length < 60
+    return peak / length
+
+
+def test_generate_memory_is_bounded():
+    # The ROADMAP baseline mix at 100k references.  Interning one token per
+    # reference peaked at about 92 B/reference; interning one per distinct
+    # address needs about half that.
+    assert _generate_peak_per_reference(100_000) < 60
+
+
+def test_generate_memory_at_300k_is_bounded():
+    # The trace's five columns hold 28 B/reference.  The draws, the stack's
+    # moves and the first-appearance ranking must take scratch in blocks or
+    # of a byte or so per reference, not a sort's several arrays.
+    assert _generate_peak_per_reference(300_000) < 44
