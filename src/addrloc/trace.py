@@ -1022,23 +1022,13 @@ def _split(lines: Iterable[str] | BinaryIO, proto: str, match: TextIO, rest: Tex
 
 def _copy_lines(copied: tuple, code: int, match: TextIO, rest: TextIO) -> None:
     """Write the frame lines of a split's copied block (`_Columns.copied`)
-    with proto code `code` to `match` and the others to `rest`, byte for byte.
-
-    A stream with a binary `buffer`, which must then write UTF-8 and "\n"
-    as it is (as the CLI's do), is flushed and gets the bytes themselves;
-    only a stream without one, such as a `StringIO`, gets them decoded.
-    """
+    with proto code `code` to `match` and the others to `rest`, byte for byte."""
     text, lengths, codes = copied
     sides = np.where(codes == code, np.uint8(1), np.uint8(2))
     sides[codes < 0] = 0  # comment and blank lines
     sides = np.repeat(sides, lengths)
-    for side, stream in ((1, match), (2, rest)):
-        lines = text[sides == side]
-        if (buffer := getattr(stream, "buffer", None)) is None:
-            stream.write(str(lines, "utf-8"))
-        else:
-            stream.flush()  # the text of earlier blocks goes first
-            buffer.write(lines)
+    match.write(str(text[sides == 1], "utf-8"))
+    rest.write(str(text[sides == 2], "utf-8"))
 
 
 def read_trace(path, *, destinations_only: bool = False, _select: str = "") -> Trace | np.ndarray:

@@ -1393,44 +1393,6 @@ def test_split_copies_the_blocks_it_need_not_format(monkeypatch):
         assert (sides[0].getvalue(), sides[1].getvalue()) == want_sides
 
 
-class _TextWrites(io.TextIOWrapper):
-    """A UTF-8 text stream over a `BytesIO` that keeps the text written to it."""
-
-    def __init__(self):
-        super().__init__(io.BytesIO(), encoding="utf-8", newline="")
-        self.texts = []
-
-    def write(self, text):
-        self.texts.append(text)
-        return super().write(text)
-
-
-def test_split_copies_bytes_to_a_binary_buffer(monkeypatch):
-    # Copied blocks go to a stream's binary buffer, after the text of the
-    # formatted blocks before them; its sides are a StringIO's.
-    groups = [
-        ["1\tA\tB\tlat\t60\n", "2\tB\tC\n"],
-        ["003\tA\tB\tlat\n", "4\tB\tC\tip\n"],
-        ["5\tC\tA\tlat\n", "# comment\n", "6\tD\tE\tip\t0\n"],
-        ["007\tE\tD\n", "8\tD\tA\tlat\t1\n"],
-        ["9\tA\tD\n"],
-    ]
-    data, size = _segments(groups)
-    monkeypatch.setattr(trace_module, "_CHUNK_BYTES", size)
-    for proto in ("lat", "ip"):
-        text_sides = io.StringIO(), io.StringIO()
-        trace_module._split(io.BytesIO(data), proto, *text_sides)
-        byte_sides = _TextWrites(), _TextWrites()
-        trace_module._split(io.BytesIO(data), proto, *byte_sides)
-        for side in byte_sides:
-            side.flush()
-        got = tuple(side.buffer.getvalue().decode() for side in byte_sides)
-        assert got == (text_sides[0].getvalue(), text_sides[1].getvalue())
-        assert got == _full_split(data, proto)
-        # Only the formatted blocks' four frames went through the text layer.
-        assert sum("".join(side.texts).count("\n") for side in byte_sides) == 4
-
-
 def _split_peak(tmp_path, n: int) -> int:
     """The traced peak of the `split` command on `n` capture-shaped frames."""
     protos = ["lat", "ip", "", "lat", "arp"]
