@@ -37,12 +37,12 @@ latest miss brought in is held outside the heap, and the next miss
 evicts it without a heap call when its key is below the heap's top.  On
 the benchmark's traces that is most full-cache misses: 87% on the wide
 trace at c = 16 and 72% on the mixed trace at c = 2; over their swept
-capacities only 28% and 30% make a heap call.  A fill loop takes the
-first c misses and a steady loop the rest without counting them: every
-marked position is visited, so the misses are the marks.  Two
-capacities need no simulation: at c >= D (distinct destinations) only
-the D compulsory misses remain, and at c = 1 every remaining reference
-misses.  All counts are exact.
+capacities only 28% and 30% make a heap call.  The cache starts as c
+empty slots, whose keys are below every Belady key, so one loop takes
+every miss, and it counts none: every marked position is visited, so the
+misses are the marks.  Two capacities need no simulation: at c >= D
+(distinct destinations) only the D compulsory misses remain, and at
+c = 1 every remaining reference misses.  All counts are exact.
 """
 
 from __future__ import annotations
@@ -153,29 +153,17 @@ def _min_misses(dead: bytearray, positions: memoryview, keys: memoryview, capaci
     # otherwise it goes into the heap as the top comes out.  A held entry
     # re-referenced before the next miss had an LRU hit as next use, so its key
     # is 0, above every key in the heap.  Stale keys are dropped once the heap
-    # holds about two per slot.  The fill loop takes the first `capacity`
-    # misses.  The steady loop counts none: every marked position is visited
-    # (first references and pushed keys' next uses are not LRU hits), so the
-    # misses are the marks.
+    # holds about two per slot.  The cache starts as `capacity` empty slots,
+    # `held` and capacity - 1 heap entries keyed below every Belady key, so the
+    # first misses evict them and mark nothing.  Until the last one goes, at
+    # the c-th miss, the heap holds at most c keys, so no compaction meets one.
+    # No miss is counted: every marked position is visited (first references
+    # and pushed keys' next uses are not LRU hits), so the misses are the marks.
     m = -len(dead)
-    heap: list[int] = []
+    held = 2 * m - 1
+    heap = [held] * (capacity - 1)
     limit = 2 * capacity
-    held = misses = 0
-    steps = zip(positions, keys)
-    for i, k in steps:
-        if dead[i]:
-            if held:
-                heappush(heap, held)
-            held = k
-            misses += 1
-            if misses == capacity:
-                break
-        elif k:
-            heappush(heap, k)
-            if len(heap) > limit:
-                heap = [x for x in heap if x < -i]
-                heapify(heap)
-    for i, k in steps:
+    for i, k in zip(positions, keys):
         if dead[i]:
             if heap and heap[0] < held:
                 v = heapreplace(heap, held) if held else heappop(heap)

@@ -3,7 +3,9 @@
 Every subcommand is a pure function of its flags and input files: fixed
 seeds, no wall clock, no hidden state, so repeated runs emit byte-identical
 output.  Analysis subcommands write CSV with a header row and full
-double-precision values; rounding is left to downstream plotting.
+double-precision values; rounding is left to downstream plotting.  Every
+command stages its outputs (`_staged`): it writes all of them or none,
+and an output sent to stdout arrives when the command ends.
 
 Exit status: 0 on success; 2 on a usage error; 1 on an input error or a
 flag value that the trace refutes (message on stderr).  Every value-taking
@@ -71,24 +73,21 @@ _COST_MODELS: dict[str, CostModel] = {
 
 
 def _write(path, writer) -> None:
-    """Run `writer(stream)` on `path`, or on stdout for None/'-'; note each file written."""
-    if path is None or path == "-":
-        writer(sys.stdout)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as stream:
+    """Run `writer(stream)` on the one `_staged` output `path`, stdout for None."""
+    with _staged("-" if path is None else path) as (stream,):
         writer(stream)
-    print(f"wrote {path}")
 
 
 @contextmanager
 def _staged(*paths):
-    """Streams for `paths` whose text reaches them only if the body ends
-    without error, then in order, as `_write` writes them.
+    """Streams for `paths` ('-': stdout) whose text reaches them only if
+    the body ends without error, then in order, each file noted as
+    "wrote PATH".
 
     Every target is opened, or its temporary file made, before the body
     runs, so an error in the body, or a target that cannot be written,
     leaves every target as it was and no temporary file.  Only a failed
-    write or rename after the body can leave the first side written.
+    write or rename after the body can leave the earlier targets written.
     """
     sides = []
     try:
@@ -117,6 +116,8 @@ class _Side:
     """
 
     def __init__(self, path):
+        if path == "":  # fails as `open` fails: realpath would name the working directory
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         self.path, self.name, self.fd = path, None, None
         old = None
         if path != "-":
@@ -404,8 +405,9 @@ def _cmd_runs(args) -> int:
 def _cmd_simulate(args) -> int:
     refs = _Refs(_read_nonempty(args.trace, "destinations"))
     curves = _sweep(args, refs, args.capacities or sorted(set(_POWER_SWEEP) | {refs.distinct}))
-    _write(args.miss_out, partial(write_miss_ratio_csv, curves))
-    _write(args.interfault_out, partial(write_interfault_csv, curves))
+    with _staged(args.miss_out, args.interfault_out) as (miss, interfault):
+        write_miss_ratio_csv(curves, miss)
+        write_interfault_csv(curves, interfault)
     return 0
 
 
@@ -439,19 +441,23 @@ def _cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     read = _read_nonempty(args.trace, "summary")
     summary, refs = read.summary(), _Refs(read.dst)
-    # Every check that the trace decides comes before the first file is written.
+    # The checks that the trace decides come before the outputs are opened.
     sizes = _search_sweep(args, refs)
     reports = _working_sets(args, refs)
-    curve = concentration_curve(refs)
-    _write(out_dir / "concentration.csv", partial(write_concentration_csv, curve))
-    _write(out_dir / "wss.csv", partial(write_wss_csv, reports))
-    _write(out_dir / "stackdist.csv", partial(write_stackdist_csv, refs.hist))
-    _write(out_dir / "runs.csv", partial(write_runs_csv, run_lengths(refs)))
-    miss_curves, time_curves = _search_times(args, refs, *sizes)
-    _write(out_dir / "miss_ratio.csv", partial(write_miss_ratio_csv, miss_curves))
-    _write(out_dir / "interfault.csv", partial(write_interfault_csv, miss_curves))
-    _write(out_dir / "searchtime.csv", partial(write_search_time_csv, time_curves))
-    _write(out_dir / "summary.txt", partial(_write_summary, summary, curve, time_curves))
+    names = ("concentration.csv", "wss.csv", "stackdist.csv", "runs.csv",
+             "miss_ratio.csv", "interfault.csv", "searchtime.csv", "summary.txt")
+    with _staged(*(out_dir / name for name in names)) as streams:
+        concentration, wss, stackdist, runs, miss, interfault, searchtime, summary_txt = streams
+        curve = concentration_curve(refs)
+        write_concentration_csv(curve, concentration)
+        write_wss_csv(reports, wss)
+        write_stackdist_csv(refs.hist, stackdist)
+        write_runs_csv(run_lengths(refs), runs)
+        miss_curves, time_curves = _search_times(args, refs, *sizes)
+        write_miss_ratio_csv(miss_curves, miss)
+        write_interfault_csv(miss_curves, interfault)
+        write_search_time_csv(time_curves, searchtime)
+        _write_summary(summary, curve, time_curves, summary_txt)
     return 0
 
 

@@ -53,10 +53,10 @@ every line as the full one does, with the same errors:
   side: src and dst tokens are checked but never grouped or interned.
   Any other block keeps the full read's columns, and its rows are
   formatted;
-- with `destinations_only=True`, `parse_trace` and `read_trace` return
-  the read-only int32 `dst` column alone, its ids numbered by first
-  appearance among destinations: only destination tokens are interned,
-  and the block reader never groups src or proto tokens;
+- the destinations read, which the commands that need only the `dst`
+  column make, gives that read-only int32 column alone, its ids numbered
+  by first appearance among destinations: only destination tokens are
+  interned, and the block reader never groups src or proto tokens;
 - the summary read, which the `summarize` and `report` commands make,
   interns src and dst tokens as the full read does, so its dst ids are
   the full read's, and keeps only them, the first and last timestamps
@@ -875,9 +875,7 @@ def _blocks(lines: Iterable[str] | BinaryIO, columns: _Columns) -> Iterator[None
         raise TraceParseError(lineno, str(exc)) from None
 
 
-def parse_trace(
-    lines: Iterable[str] | BinaryIO, *, destinations_only: bool = False, _select: str = ""
-) -> Trace | np.ndarray:
+def parse_trace(lines: Iterable[str] | BinaryIO, *, _select: str = "trace") -> Trace:
     """Parse a trace file opened in binary mode, or an iterable of str lines.
 
     Raises TraceParseError on a malformed line (wrong field count,
@@ -887,11 +885,9 @@ def parse_trace(
     str lines read as the file holding `"".join(lines)` in UTF-8 (see
     `_StrLines`): line numbers count line ends, and a lone surrogate is an
     error.  The module docstring describes the two readers of its blocks.
-    With `destinations_only`, returns the read-only int32 dst ids alone,
-    numbered by first appearance among destinations, after the same checks.
-    `_select` names a read of `_Columns` in place of `destinations_only`.
+    `_select` names another read of `_Columns`, whose result it returns.
     """
-    columns = _Columns(_select or ("destinations" if destinations_only else "trace"))
+    columns = _Columns(_select)
     for _ in _blocks(lines, columns):
         pass
     return columns.result()
@@ -1031,15 +1027,15 @@ def _copy_lines(copied: tuple, code: int, match: TextIO, rest: TextIO) -> None:
     rest.write(str(text[sides == 2], "utf-8"))
 
 
-def read_trace(path, *, destinations_only: bool = False, _select: str = "") -> Trace | np.ndarray:
+def read_trace(path, *, _select: str = "trace") -> Trace:
     """Read the trace file at `path` with one `parse_trace` call of it opened in binary mode.
 
     Raises TraceParseError naming the line of a malformed line or of a
     byte that is not UTF-8, and OSError when the file cannot be read.
-    `destinations_only` is passed on: the dst ids alone, as `parse_trace`.
+    `_select` is passed on to `parse_trace`.
     """
     with open(path, "rb") as f:
-        return parse_trace(f, destinations_only=destinations_only, _select=_select)
+        return parse_trace(f, _select=_select)
 
 
 def save_trace(trace: Trace, path) -> None:

@@ -349,6 +349,45 @@ def test_min_heap_compaction_keeps_counts_exact(monkeypatch):
         assert 0 in plan.loop(c)[2]
 
 
+def test_min_evicts_every_empty_slot_before_any_compaction(monkeypatch):
+    # MIN's cache starts as c empty slots, one held and c - 1 in the heap,
+    # keyed below every Belady key.  The first c misses evict them.  Until
+    # the last one goes the heap holds at most c keys, so no compaction
+    # (above 2c keys) meets one.  Here c - 1 ids come back before the c-th
+    # distinct one, each pushing its key, so the heap reaches c then.
+    seen = {}
+
+    def spied(name):
+        call = getattr(heapq, name)
+
+        def wrapper(heap, *args):
+            if "empty" not in seen:  # the first heap call finds the empties alone
+                seen.update(empty=heap[0], left=len(heap), fill_sizes=[])
+            result = call(heap, *args)
+            if name == "heappush" and seen["left"]:
+                seen["fill_sizes"].append(len(heap))
+            elif name != "heappush" and result == seen["empty"]:
+                seen["left"] -= 1
+            return result
+
+        return wrapper
+
+    def compaction(heap):
+        assert seen["empty"] not in heap
+        seen["compactions"] = seen.get("compactions", 0) + 1
+        heapq.heapify(heap)
+
+    for name in ("heappush", "heapreplace", "heappop"):
+        monkeypatch.setattr(cachesim, name, spied(name))
+    monkeypatch.setattr(cachesim, "heapify", compaction)
+    rnd = random.Random(3)
+    for c in (3, 5, 16, 33):  # at c = 2 the id coming back would be a repeat
+        seq = [*range(c - 1)] * 2 + [*range(c - 1, 3 * c)] + rnd.choices(range(3 * c), k=3000)
+        seen.clear()
+        assert simulate(seq, "MIN", c).misses == simulate_min(seq, c)
+        assert seen["left"] == 0 and max(seen["fill_sizes"]) == c and seen["compactions"]
+
+
 @st.composite
 def _min_strings(draw):
     """Strings with runs and last uses: short ones, or long ones whose

@@ -527,6 +527,88 @@ def test_report_equals_its_parts(tmp_path):
         assert (out / name).read_bytes() == (parts / name).read_bytes(), name
 
 
+def _fail_to_write(curves, stream):
+    stream.write("capacity\n")
+    raise OSError(28, "No space left on device")
+
+
+def test_simulate_writes_both_csvs_or_neither(tmp_path, capsys, monkeypatch):
+    path = _write_fixture(tmp_path, "".join(f"{i}\tS\td{i % 6}\n" for i in range(60)))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "m.csv").write_text("old\n", encoding="utf-8")
+    monkeypatch.setattr(addrloc.cli, "write_interfault_csv", _fail_to_write)
+    assert main(["simulate", str(path), "--miss-out", str(out / "m.csv"),
+                 "--interfault-out", str(out / "i.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "No space left on device" in captured.err
+    assert os.listdir(out) == ["m.csv"]
+    assert (out / "m.csv").read_text(encoding="utf-8") == "old\n"
+
+
+def test_report_writes_all_eight_files_or_none(tmp_path, capsys, monkeypatch):
+    path = _write_fixture(tmp_path, "".join(f"{i}\tS\td{(i * i) % 17}\n" for i in range(500)))
+    out = tmp_path / "rep"
+    monkeypatch.setattr(addrloc.cli, "write_search_time_csv", _fail_to_write)
+    assert main(["report", str(path), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "No space left on device" in captured.err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["concentration", "{trace}", "--out", ""],
+     ["split", "{trace}", "--proto", "LAT", "--rest-out", "-", "--match-out", ""]],
+    ids=["concentration", "split"],
+)
+def test_an_empty_output_path_fails_as_open_would(tmp_path, capsys, monkeypatch, argv):
+    # realpath("") names the working directory: "" must not be staged as a
+    # temporary file beside it, to be renamed onto it.
+    path = _write_fixture(tmp_path, _SPLIT_TEXT)
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    assert main([arg.format(trace=path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+    assert sorted(os.listdir(tmp_path)) == ["cwd", "t.tsv"] and not os.listdir()
+
+
+_ONE_OUTPUT = [
+    ["gen", "--uniform-irm", "9", "--length", "50", "--seed", "4"],
+    ["concentration", "{trace}"],
+    ["wss", "{trace}", "--windows", "2,5"],
+    ["stackdist", "{trace}"],
+    ["runs", "{trace}"],
+    ["searchtime", "{trace}", "--policies", "MIN,LRU"],
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_OUTPUT, ids=[argv[0] for argv in _ONE_OUTPUT])
+def test_stdout_gets_the_bytes_a_file_gets(tmp_path, capsysbinary, argv):
+    path = _write_fixture(tmp_path, "".join(f"{i}\tS\td{(i * i) % 17}\n" for i in range(200)))
+    argv = [arg.format(trace=path) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert capsysbinary.readouterr().out == f"wrote {tmp_path / 'out'}\n".encode()
+    text = (tmp_path / "out").read_bytes()
+    for to_stdout in ([], ["--out", "-"]):
+        assert main([*argv, *to_stdout]) == 0
+        assert capsysbinary.readouterr().out == text
+    assert sorted(os.listdir(tmp_path)) == ["out", "t.tsv"]
+
+
+def test_simulate_stdout_gets_both_csvs_in_order(tmp_path, capsysbinary):
+    path = _write_fixture(tmp_path, "".join(f"{i}\tS\td{(i * i) % 17}\n" for i in range(200)))
+    argv = ["simulate", str(path), "--capacities", "2,4,9"]
+    assert main([*argv, "--miss-out", str(tmp_path / "m.csv"),
+                 "--interfault-out", str(tmp_path / "i.csv")]) == 0
+    capsysbinary.readouterr()
+    want = (tmp_path / "m.csv").read_bytes() + (tmp_path / "i.csv").read_bytes()
+    assert main([*argv, "--miss-out", "-", "--interfault-out", "-"]) == 0
+    assert capsysbinary.readouterr().out == want
+
+
 # The flag contract: every value-taking flag has an argparse `type` (or
 # `choices`) that checks its value, so a bad value is a usage error naming
 # the flag, raised before the trace is opened or any output is written.

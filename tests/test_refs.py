@@ -198,8 +198,7 @@ def test_each_command_reads_its_trace_once(tmp_path, monkeypatch, command, selec
     for name in ("read_trace", "parse_trace"):
 
         def counted(*args, _name=name, _read=getattr(trace_module, name), **kwargs):
-            only = "destinations" if kwargs.get("destinations_only") else "trace"
-            calls.append((_name, kwargs.get("_select") or only))
+            calls.append((_name, kwargs.get("_select", "trace")))
             return _read(*args, **kwargs)
 
         monkeypatch.setattr(trace_module, name, counted)

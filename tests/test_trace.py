@@ -664,7 +664,7 @@ def test_capture_blocks_of_any_size_read_alike(tmp_path):
     reads = []
     for chunk in (trace_module._CHUNK_BYTES, 1 << 17, 7):
         with mock.patch.object(trace_module, "_CHUNK_BYTES", chunk):
-            reads.append((read_trace(path), read_trace(path, destinations_only=True).tolist()))
+            reads.append((read_trace(path), read_trace(path, _select="destinations").tolist()))
     assert reads[0][0] == reads[1][0] == reads[2][0]
     assert reads[0][1] == reads[1][1] == reads[2][1]
 
@@ -735,13 +735,13 @@ def test_read_trace_names_a_non_utf8_token_in_a_late_block(tmp_path):
     assert (error.line, str(error)) == (20_001, "line 20001: not UTF-8: byte 0xf0 at column 13")
 
 
-def _outcome(read, destinations_only: bool):
+def _outcome(read, select: str):
     """What `read` gives: the frames and tokens, the dst ids, or the error's kind, line and text."""
     try:
-        got = read(destinations_only=destinations_only)
+        got = read(_select=select)
     except TraceParseError as exc:
         return type(exc), exc.line, str(exc)
-    return got.tolist() if destinations_only else (list(rows(got)), got.interns.tokens)
+    return got.tolist() if select == "destinations" else (list(rows(got)), got.interns.tokens)
 
 
 @settings(
@@ -755,10 +755,10 @@ def test_str_lines_parse_as_the_file_holding_their_text(tmp_path, lines, block_l
         lines[at] = lines[at][:cut] + "\ud800" + lines[at][cut:]
     path = tmp_path / "t.tsv"
     path.write_bytes("".join(lines).encode("utf-8", "surrogatepass"))
-    for destinations_only in (False, True):
+    for select in ("trace", "destinations"):
         with mock.patch.object(trace_module, "_CHUNK_LINES", block_lines):
-            got = _outcome(partial(parse_trace, lines), destinations_only)
-        assert got == _outcome(partial(read_trace, path), destinations_only)
+            got = _outcome(partial(parse_trace, lines), select)
+        assert got == _outcome(partial(read_trace, path), select)
 
 
 def test_str_lines_name_the_line_of_a_lone_surrogate():
@@ -1102,7 +1102,7 @@ def _assert_destinations_match_the_full_read(read) -> None:
     st.one_of(_file_bytes(), _plain_lines_and_a_bad_one().map(lambda ls: "".join(ls).encode())),
     st.integers(1, 64),
 )
-def test_destinations_only_read_matches_the_full_read(tmp_path, hash_, data, chunk):
+def test_destinations_read_matches_the_full_read(tmp_path, hash_, data, chunk):
     path = tmp_path / "t.tsv"
     path.write_bytes(data)
     with mock.patch.multiple(trace_module, _CHUNK_BYTES=chunk, _hash=hash_):
@@ -1115,13 +1115,13 @@ def test_destinations_only_read_matches_the_full_read(tmp_path, hash_, data, chu
     st.sampled_from([1, 2, 3, 5, 4096]),
     st.sampled_from([trace_module._hash, _constant_hash]),
 )
-def test_destinations_only_parse_of_str_lines_matches_the_full_parse(lines, block_lines, hash_):
+def test_destinations_read_parse_of_str_lines_matches_the_full_parse(lines, block_lines, hash_):
     with mock.patch.multiple(trace_module, _CHUNK_LINES=block_lines, _hash=hash_):
         _assert_destinations_match_the_full_read(lambda select: parse_trace(lines, _select=select))
 
 
 @pytest.mark.parametrize("tail", _PLAIN_BAD_TAILS)
-def test_destinations_only_rejects_each_bad_field_of_the_plain_shape(tmp_path, tail):
+def test_destinations_read_rejects_each_bad_field_of_the_plain_shape(tmp_path, tail):
     # The sources repeat where the destinations change, so reading the wrong
     # column gives other ids.
     lines = ["5\tA\tB\tP\t60\n", f"5{tail}\n", "6\tA\tC\n"]
@@ -1131,7 +1131,7 @@ def test_destinations_only_rejects_each_bad_field_of_the_plain_shape(tmp_path, t
     _assert_destinations_match_the_full_read(lambda select: parse_trace(lines, _select=select))
 
 
-def test_destinations_only_groups_dst_tokens_alone(tmp_path):
+def test_destinations_read_groups_dst_tokens_alone(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("".join(_capture_lines(5_000)), encoding="utf-8")
     grouped = []
@@ -1143,12 +1143,12 @@ def test_destinations_only_groups_dst_tokens_alone(tmp_path):
 
     refuse = mock.Mock(side_effect=AssertionError)
     with mock.patch.multiple(trace_module, _distinct=counted, _read_lines=refuse):
-        dst = read_trace(path, destinations_only=True)
+        dst = read_trace(path, _select="destinations")
     assert sum(grouped) == len(dst) == 5_000
     assert dst.tolist() == _renumbered(read_trace(path).dst)
 
 
-def test_destinations_only_read_memory_is_bounded(tmp_path):
+def test_destinations_read_memory_is_bounded(tmp_path):
     # Retained: the int32 dst ids alone, 4 bytes per frame plus the 1/16
     # by which an `array` grows, and numpy's cache of small freed buffers.
     # The summary read keeps the same ids and three numbers, where a full
@@ -1158,7 +1158,7 @@ def test_destinations_only_read_memory_is_bounded(tmp_path):
     # dict entry and list slot, and its entry in the table of known tokens
     # (about 185 bytes here).
     reads = {
-        "destinations": lambda path: (dst := read_trace(path, destinations_only=True), dst),
+        "destinations": lambda path: (dst := read_trace(path, _select="destinations"), dst),
         "summary": lambda path: (got := read_trace(path, _select="summary"), got.dst),
     }
     inputs = (_capture_lines, 50_000), (_capture_lines, 200_000), (_fresh_lines, 50_000)
