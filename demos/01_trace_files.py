@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import io
 
-from addrloc import Trace, parse_trace, split_by_protocol, summarize, write_trace
+import numpy as np
+
+from addrloc import Trace, parse_trace, summarize, write_trace
 
 rows = [
     (0,        "08-00-2b-11-22-33", "08-00-2b-aa-bb-cc", "LAT", 64),
@@ -38,8 +40,11 @@ print(f"distinct destinations {s.distinct_destinations}")
 print(f"duration             {s.duration_hours:.6f} h")
 
 print("\n== split by protocol ==")
-interactive, rest = split_by_protocol(trace, lambda proto: proto == "LAT")
-print(f"LAT side: {len(interactive)} frames, rest: {len(rest)} frames")
-print("each side re-interns its own addresses so ids stay dense:")
-print("  LAT tokens :", interactive.interns.tokens)
-print("  rest tokens:", rest.interns.tokens)
+# As the `split` command does: a mask over the frames, from the proto
+# column and its tag table, and each side written through it.
+lat = np.array([tag == "LAT" for tag in trace.protos])[trace.proto]
+for name, mask in (("LAT", lat), ("rest", ~lat)):
+    side = io.StringIO()
+    write_trace(trace, side, frames=mask)
+    print(f"-- {name} side: {int(mask.sum())} frames --")
+    print(side.getvalue(), end="")

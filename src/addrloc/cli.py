@@ -101,6 +101,21 @@ def _staged(*paths):
             side.discard()
 
 
+@contextmanager
+def _made_dir(path: Path):
+    """Directory `path`, made with its missing parents; if the body fails,
+    the ones made are removed when empty, and none that was there before."""
+    made = [d for d in (path, *path.parents) if not d.exists()]  # deepest first
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for d in made:
+            with suppress(OSError):
+                d.rmdir()
+        raise
+
+
 class _Side:
     """One output of `_staged`, written to `path` ('-': stdout) by `commit`.
 
@@ -438,7 +453,6 @@ def _write_summary(
 
 def _cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     read = _read_nonempty(args.trace, "summary")
     summary, refs = read.summary(), _Refs(read.dst)
     # The checks that the trace decides come before the outputs are opened.
@@ -446,7 +460,7 @@ def _cmd_report(args) -> int:
     reports = _working_sets(args, refs)
     names = ("concentration.csv", "wss.csv", "stackdist.csv", "runs.csv",
              "miss_ratio.csv", "interfault.csv", "searchtime.csv", "summary.txt")
-    with _staged(*(out_dir / name for name in names)) as streams:
+    with _made_dir(out_dir), _staged(*(out_dir / name for name in names)) as streams:
         concentration, wss, stackdist, runs, miss, interfault, searchtime, summary_txt = streams
         curve = concentration_curve(refs)
         write_concentration_csv(curve, concentration)

@@ -51,8 +51,8 @@ every line as the full one does, with the same errors:
   zero, no 4-field line with an empty proto field) keeps only its bytes
   and each line's proto code, and its frame lines are copied to their
   side: src and dst tokens are checked but never grouped or interned.
-  Any other block keeps the full read's columns, and its rows are
-  formatted;
+  Any other block is a full read of its own, a trace with its own
+  address and tag tables, written through its protocol mask;
 - the destinations read, which the commands that need only the `dst`
   column make, gives that read-only int32 column alone, its ids numbered
   by first appearance among destinations: only destination tokens are
@@ -287,12 +287,14 @@ class _Columns:
     names the read: "trace" keeps every column; "summary" interns src and
     dst tokens as "trace" does but keeps only `dst` and the first and last
     timestamps; "destinations" interns dst tokens alone and keeps `dst`.
-    "split" keeps every column of a block whose text is not `write_trace`'s
-    text of its frames; of any other block the block reader keeps only
+    "split" keeps no column and no address table.  Of a block whose frame
+    lines are `write_trace`'s text of its frames the block reader keeps
     `copied`: the bytes of its lines, their lengths and per line the proto
-    code, or -1 for a comment or blank line.  Its src and dst tokens are
-    checked but never grouped or interned.  `_split` writes and drops each
-    block of a "split" read, which has no `result`.
+    code, or -1 for a comment or blank line; its src and dst tokens are
+    checked but never grouped or interned.  Any other block, and every
+    block of the line reader, is read into `block`, a "trace" read of its
+    own.  `_split` writes and drops each block of a "split" read, which
+    has no `result`.
     """
 
     def __init__(self, select: str = "trace"):
@@ -300,6 +302,7 @@ class _Columns:
             raise ValueError(f"unknown read {select!r}")
         self.select = select
         self.copied: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self.block: Optional[_Columns] = None
         self.timestamps = array("q")
         self.src = array("i")
         self.dst = array("i")
@@ -314,7 +317,7 @@ class _Columns:
     def append(self, timestamps, ids: np.ndarray, proto=None, lengths=None) -> None:
         """Add one block: `ids` alternates src and dst ids, or holds dst ids
         alone in a "destinations" read; `proto` indexes `protos`, and it and
-        `lengths` are read only in a "trace" or "split" read."""
+        `lengths` are read only in a "trace" read."""
         if self.select in ("summary", "destinations"):
             dst = ids if self.select == "destinations" else ids[1::2]
             self.dst.frombytes(np.ascontiguousarray(dst).view(np.uint8))
@@ -339,6 +342,10 @@ class _Columns:
         lengths: Sequence[int],
     ) -> None:
         """Add one block of tokens: a proto of "" is no tag, a length of -1 is absent."""
+        if self.select == "split":  # a block of the line reader: a trace of its own
+            self.block = _Columns()
+            self.block.append_tokens(timestamps, addresses, protos, lengths)
+            return
         if self.select in ("summary", "destinations"):  # `addresses` alternates src and dst
             kept = addresses[1::2] if self.select == "destinations" else addresses
             self.append(timestamps, self.interns.intern_all(kept))
@@ -350,20 +357,13 @@ class _Columns:
             _column(lengths, np.int64, "length"),
         )
 
-    def take(self) -> tuple[np.ndarray, ...]:
-        """The timestamps, src, dst, proto and length columns so far, as arrays;
-        the columns start again empty."""
-        taken = []
-        for name in ("timestamps", "src", "dst", "proto", "length"):
-            column = getattr(self, name)
-            setattr(self, name, array(column.typecode))
-            taken.append(np.frombuffer(column, f"i{column.itemsize}"))
-        return tuple(taken)
-
     def result(self):
         """What the read gives: a `Trace`, a `_SummaryRead` or the read-only dst column."""
         if self.select == "trace":
-            timestamps, src, dst, proto, length = self.take()
+            columns = self.timestamps, self.src, self.dst, self.proto, self.length
+            timestamps, src, dst, proto, length = (
+                np.frombuffer(column, f"i{column.itemsize}") for column in columns
+            )
             protos = (None,) + self.protos.tokens[1:]
             return Trace(timestamps, src, dst, self.interns, proto, length, protos)
         dst = _column(np.frombuffer(self.dst, np.int32), np.int32, "dst")
@@ -708,7 +708,9 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[
     more, whose offsets int32 cannot hold.  Proto tokens are grouped only
     in a "trace" or "split" read, and src tokens are checked but never
     grouped in a "destinations" read, nor src and dst tokens of a block
-    that a "split" read copies (`_Columns`).
+    that a "split" read copies.  A "split" read decides whether it copies
+    a block before it groups any token, and reads any other block into a
+    "trace" read of the block's own (`_Columns`).
 
     Field offsets are int32, and the one temporary as long as the block is
     the field-end mask, so the arrays peak at about 3 bytes per block byte
@@ -764,29 +766,35 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[
         ids = columns.known_addresses.ids_of(body, words, ends, address, address_groups)
         columns.append(timestamps, ids)
         return int(timestamps[-1]), lines
+    read = columns
+    if columns.select == "split":
+        # `write_trace` writes a number without leading zeros, and a 4-field
+        # line's empty proto field (code 0) not at all; it writes any other
+        # frame line as it is read.  Any other block is a trace of its own.
+        first = ends[np.concatenate((base, base[sized] + 4))] + 1
+        padded = (body[first] == 48) & (body[first + 1] - 48 < 10)  # "0" and a digit
+        proto = base[tagged & ~sized] + 3
+        if padded.any() or (ends[proto + 1] - ends[proto] < 2).any():
+            read = _Columns()
+            if (address_groups := _distinct(words, ends, address)) is None:
+                return None
     codes = np.zeros(len(base), np.int32)  # 0: untagged
     if tagged.any():
         proto = base[tagged] + 3
         if (proto_groups := _distinct(words, ends, proto)) is None:
             return None
-        codes[tagged] = columns.known_protos.ids_of(body, words, ends, proto, proto_groups)
-    if columns.select == "split":
-        # `write_trace` writes a number without leading zeros, and a 4-field
-        # line's empty proto field (code 0) not at all; it writes any other
-        # frame line as it is read.
-        first = ends[np.concatenate((base, base[sized] + 4))] + 1
-        padded = (body[first] == 48) & (body[first + 1] - 48 < 10)  # "0" and a digit
-        if not padded.any() and codes[tagged & ~sized].all():
-            line_codes = np.full(lines, -1, np.int32)
-            line_codes[frame] = codes
-            columns.copied = body[1:], np.diff(ends[breaks]), line_codes
-            return int(timestamps[-1]), lines
-        if (address_groups := _distinct(words, ends, address)) is None:
-            return None
-    ids = columns.known_addresses.ids_of(body, words, ends, address, address_groups)
+        codes[tagged] = read.known_protos.ids_of(body, words, ends, proto, proto_groups)
+    if read.select == "split":
+        line_codes = np.full(lines, -1, np.int32)
+        line_codes[frame] = codes
+        columns.copied = body[1:], np.diff(ends[breaks]), line_codes
+        return int(timestamps[-1]), lines
+    ids = read.known_addresses.ids_of(body, words, ends, address, address_groups)
     lengths = np.full(len(base), -1, np.int64)
     lengths[sized] = sized_lengths
-    columns.append(timestamps, ids, codes, lengths)
+    read.append(timestamps, ids, codes, lengths)
+    if read is not columns:
+        columns.block = read
     return int(timestamps[-1]), lines
 
 
@@ -920,17 +928,11 @@ def _write_rows(
             rows = np.flatnonzero(frames[rows]) + start
         ts, src, dst, codes, lengths = (column[rows] for column in columns)
         fields = ts.tolist(), tokens[src].tolist(), tokens[dst].tolist()
-        if (sized := lengths >= 0).all():  # one format for every row
-            text = [
-                f"{t}\t{s}\t{d}{tag}\t{n}\n"
-                for t, s, d, tag, n in zip(*fields, tag_field[codes].tolist(), lengths.tolist())
-            ]
-        else:
-            tails = tag_only[codes]
-            if sized.any():
-                tag_texts = tag_field[codes[sized]].tolist()
-                tails[sized] = [f"{tag}\t{n}" for tag, n in zip(tag_texts, lengths[sized].tolist())]
-            text = [f"{t}\t{s}\t{d}{tail}\n" for t, s, d, tail in zip(*fields, tails.tolist())]
+        tails = tag_only[codes]
+        if (sized := lengths >= 0).any():
+            tag_texts = tag_field[codes[sized]].tolist()
+            tails[sized] = [f"{tag}\t{n}" for tag, n in zip(tag_texts, lengths[sized].tolist())]
+        text = [f"{t}\t{s}\t{d}{tail}\n" for t, s, d, tail in zip(*fields, tails.tolist())]
         stream.write("".join(text))
         del fields, text  # before the next window's are built
 
@@ -959,61 +961,29 @@ def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = Non
     _write_rows(stream, tokens, tags, columns, frames)
 
 
-class _Formatted:
-    """`form(token)` for each token of a list that grows, as an object array.
-
-    `array()` formats only the tokens added since its last call and doubles
-    the array when it is full, so a token is formatted once and copied
-    O(1) times on average however many blocks come after it.
-    """
-
-    def __init__(self, tokens: list, form: Callable[[str], str] = str):
-        self.tokens, self.form = tokens, form
-        self.table = np.empty(0, dtype=object)
-        self.done = 0
-
-    def array(self) -> np.ndarray:
-        if len(self.tokens) > self.done:
-            if len(self.tokens) > len(self.table):
-                grown = np.empty(max(len(self.tokens), 2 * len(self.table)), dtype=object)
-                grown[: self.done] = self.table[: self.done]
-                self.table = grown
-            new = self.tokens[self.done :]
-            self.table[self.done : len(self.tokens)] = list(map(self.form, new))
-            self.done = len(self.tokens)
-        return self.table
-
-
 def _split(lines: Iterable[str] | BinaryIO, proto: str, match: TextIO, rest: TextIO) -> None:
     """Write the frames of a trace file whose proto tag is `proto` to `match`
     and the others, untagged ones included, to `rest`, a block at a time.
 
     `lines` is read as `parse_trace` reads it, with the same errors, and each
     side's text is what `write_trace` writes of the full read through its
-    protocol mask.  A block the block reader takes, if its frame lines are
-    already in `write_trace`'s form (see `_Columns`), is copied: each frame
-    line's bytes go to the side its proto code picks, and comment and blank
-    lines are dropped.  Any other block is parsed and its rows formatted.
-    Only the address and tag tables, kept with their formatted texts, and
-    the last timestamp outlive a block.  A bad line raises after the blocks
-    before it were written.
+    protocol mask.  A block whose frame lines are already in that form (see
+    `_Columns`) is copied line by line; any other block is a trace of its
+    own, written through its protocol mask.  Only the tag table and the last
+    timestamp outlive a block.  A bad line raises after the blocks before it
+    were written.
     """
     columns = _Columns("split")
-    tokens = _Formatted(columns.interns._tokens)
-    tags = (_Formatted(columns.protos._tokens, _tag_only),
-            _Formatted(columns.protos._tokens, _tag_field))
     for _ in _blocks(lines, columns):
-        code = columns.protos._ids.get(proto, -1) if proto else -1  # "" is code 0, no tag
         if columns.copied is not None:
+            code = columns.protos._ids.get(proto, -1) if proto else -1  # "" is code 0, no tag
             _copy_lines(columns.copied, code, match, rest)
-            columns.copied = None
-            continue
-        block = columns.take()
-        matching = block[3] == code
-        tables = tokens.array(), tuple(tag.array() for tag in tags)
-        _write_rows(match, *tables, block, matching)
-        _write_rows(rest, *tables, block, np.logical_not(matching, out=matching))
-        del block, matching
+        elif columns.block is not None:  # None for a block of no frame lines
+            block = columns.block.result()
+            matching = _protocol_mask(block, proto.__eq__)
+            write_trace(block, match, frames=matching)
+            write_trace(block, rest, frames=~matching)
+        columns.copied = columns.block = None
 
 
 def _copy_lines(copied: tuple, code: int, match: TextIO, rest: TextIO) -> None:

@@ -547,13 +547,27 @@ def test_simulate_writes_both_csvs_or_neither(tmp_path, capsys, monkeypatch):
 
 
 def test_report_writes_all_eight_files_or_none(tmp_path, capsys, monkeypatch):
+    # An --out-dir that was there stays, empty; one the report made, with
+    # its parents, is removed.
     path = _write_fixture(tmp_path, "".join(f"{i}\tS\td{(i * i) % 17}\n" for i in range(500)))
-    out = tmp_path / "rep"
+    old = tmp_path / "rep"
+    old.mkdir()
     monkeypatch.setattr(addrloc.cli, "write_search_time_csv", _fail_to_write)
-    assert main(["report", str(path), "--out-dir", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "No space left on device" in captured.err
-    assert list(out.iterdir()) == []
+    for out in (old, old / "new" / "rep"):
+        assert main(["report", str(path), "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "No space left on device" in captured.err
+    assert list(old.iterdir()) == []
+
+
+def test_report_makes_no_out_dir_for_a_trace_it_rejects(tmp_path, capsys):
+    # The --out-dir was made before the trace was read, and left behind.
+    one = _write_fixture(tmp_path, "0\tS\tD\n")
+    out = tmp_path / "new" / "rep"
+    for argv in ([str(tmp_path / "absent.tsv")], [str(one), "--windows", "5"]):
+        assert main(["report", *argv, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.tsv"]
 
 
 @pytest.mark.parametrize(

@@ -1385,22 +1385,34 @@ def test_split_copies_the_blocks_it_need_not_format(monkeypatch):
         write_rows(stream, tokens, tags, columns, frames)
 
     monkeypatch.setattr(trace_module, "_write_rows", spy)
+    reads = []
+    blocks = trace_module._blocks
+
+    def kept_blocks(lines, columns):
+        reads.append(columns)
+        return blocks(lines, columns)
+
+    monkeypatch.setattr(trace_module, "_blocks", kept_blocks)
     for proto, want_sides in want.items():
         written.clear()
         sides = io.StringIO(), io.StringIO()
         trace_module._split(io.BytesIO(data), proto, *sides)
         assert sorted(written) == formatted
         assert (sides[0].getvalue(), sides[1].getvalue()) == want_sides
+    # A formatted block is a trace of its own: the split read interns no address.
+    assert [len(columns.interns) for columns in reads] == [0, 0]
 
 
-def _split_peak(tmp_path, n: int) -> int:
-    """The traced peak of the `split` command on `n` capture-shaped frames."""
+def _split_peak(tmp_path, n: int, sources=500, destinations=3000, length="") -> int:
+    """The traced peak of the `split` command on `n` capture-shaped frames,
+    from `sources` and to `destinations` addresses, `length` the format of
+    their lengths."""
     protos = ["lat", "ip", "", "lat", "arp"]
-    path = tmp_path / f"t{n}.tsv"
+    path = tmp_path / f"t{n}-{sources}-{destinations}.tsv"
     path.write_text(
         "".join(
-            f"{1000 + 7 * i}\t{i * 7919 % 500:04x}-s\t{i * 104729 % 3000:04x}-d\t{protos[i % 5]}"
-            f"\t{60 + i % 1400}\n"
+            f"{1000 + 7 * i}\t{i * 7919 % sources:04x}-s\t{i * 104729 % destinations:04x}-d"
+            f"\t{protos[i % 5]}\t{60 + i % 1400:{length}}\n"
             for i in range(n)
         ),
         encoding="utf-8",
@@ -1416,9 +1428,20 @@ def _split_peak(tmp_path, n: int) -> int:
 
 
 def test_split_command_holds_no_column_per_frame(tmp_path):
-    # `split` parses and writes a block at a time: only the address and tag
-    # tables outlive a block, and both traces have the same tokens, so the
-    # peak does not grow with the frames.  The full read held 28 B per frame.
+    # `split` parses and writes a block at a time: only the tag table
+    # outlives a block, so the peak does not grow with the frames.  The
+    # full read held 28 B per frame.
     small, large = 50_000, 200_000
     per_frame = (_split_peak(tmp_path, large) - _split_peak(tmp_path, small)) / (large - small)
     assert per_frame <= 1
+
+
+def test_split_command_holds_no_address_table(tmp_path):
+    # Zero-padded lengths leave no block to copy: each is a trace of its
+    # own, with the addresses of its frames alone.  Both traces have as
+    # many per block, so ten times the addresses do not grow the peak.
+    # Tables kept across blocks held about 180 B per address.
+    n = 100_000
+    few = _split_peak(tmp_path, n, 10_000, 10_000, "05")
+    many = _split_peak(tmp_path, n, n, n, "05")
+    assert (many - few) / (2 * n - 20_000) <= 5
