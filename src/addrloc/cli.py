@@ -7,8 +7,9 @@ double-precision values; rounding is left to downstream plotting.  Every
 command stages its outputs (`_staged`): it writes all of them or none,
 and an output sent to stdout arrives when the command ends.
 
-Exit status: 0 on success; 2 on a usage error; 1 on an input error or a
-flag value that the trace refutes (message on stderr).  Every value-taking
+Exit status: 0 on success; 2 on a usage error; 1 on an input error, a
+flag value that the trace refutes, or two outputs that name one file, for
+which nothing is written (message on stderr).  Every value-taking
 flag has an argparse `type` that checks its value by the library's own
 rule, so a bad flag value exits 2 with argparse's "argument --FLAG: ..."
 message before the trace is opened.  Only the checks that need the trace
@@ -28,6 +29,7 @@ import sys
 import tempfile
 from contextlib import contextmanager, suppress
 from functools import partial
+from itertools import combinations
 from pathlib import Path
 from typing import TextIO
 
@@ -88,7 +90,13 @@ def _staged(*paths):
     runs, so an error in the body, or a target that cannot be written,
     leaves every target as it was and no temporary file.  Only a failed
     write or rename after the body can leave the earlier targets written.
+    Two paths that name one file are a ValueError, raised before any
+    target is opened, as one text would replace the other; '-' may repeat,
+    and '' fails as `open` fails.
     """
+    for a, b in combinations([path for path in paths if path not in ("-", "")], 2):
+        if _one_file(a, b):
+            raise ValueError(f"outputs {a} and {b} are the same file")
     sides = []
     try:
         for path in paths:
@@ -99,6 +107,14 @@ def _staged(*paths):
     finally:
         for side in sides:
             side.discard()
+
+
+def _one_file(a, b) -> bool:
+    """Whether paths `a` and `b` name one file: one real path, or hard links."""
+    try:
+        return os.path.realpath(a) == os.path.realpath(b) or os.path.samefile(a, b)
+    except OSError:  # one is missing, or cannot be opened either
+        return False
 
 
 @contextmanager

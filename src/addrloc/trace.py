@@ -18,45 +18,42 @@ order
 
     timestamp_us <TAB> src <TAB> dst [<TAB> proto [<TAB> length]]
 
-Timestamps are integer microseconds, non-negative and non-decreasing
-(ties allowed).  Timestamps and lengths must fit in a signed 64-bit
-integer, so neither may exceed 2**63 - 1.  Lines starting with '#' and
-blank lines are skipped.  An empty proto field stands for "no proto tag".
-In a file, LF, CRLF and a lone CR each end a line, as in Python's text
-mode.  The `Trace` constructor enforces these rules.
+A timestamp or length is 1 to 19 ASCII digits with a value of at most
+2**63 - 1, so that it fits in a signed 64-bit integer: no sign, space,
+underscore or other digit.  Timestamps are microseconds, non-decreasing
+(ties allowed).  A line starting with '#', an empty line and a line of
+only spaces, tabs, vertical tabs and form feeds are skipped.  An empty
+proto field stands for "no proto tag".  In a file, LF, CRLF and a lone
+CR each end a line, as in Python's text mode.  The `Trace` constructor
+enforces these rules.
 
 `parse_trace` reads a file opened in binary mode, as `read_trace` gives
 it, in chunks cut after their last line break; str lines are read as the
-file holding their text.  A block of the plain shape that writers
-produce (numbers of 1 to 18 digits, every line starting with a digit or
-'#' or empty) goes to the block reader, which reads its bytes with numpy
-and groups equal tokens by a hash of their 8-byte words, checked byte
-for byte; a table kept across blocks gives known tokens their ids, so
-only new ones are decoded and interned.  Any other block goes to the
-line reader, which reads one line at a time and defines the accepted
-syntax: a timestamp or length is anything `int()` accepts, such as " 5",
-"+5" or "1_0", and the error names the first bad line.  Both readers
-give the same trace, with the syntax and errors of the line reader.  Each
-reader counts the lines it reads, the block reader from the line breaks
-it finds and the line reader from its list of lines, so error line
-numbers need no further pass over the bytes.
+file holding their text.  One reader, `_read_block`, reads every block:
+it reads its bytes with numpy and groups equal tokens by a hash of their
+8-byte words, checked byte for byte; a table kept across blocks gives
+known tokens their ids, so only new ones are decoded and interned.  It
+counts lines from the line breaks it finds, so error line numbers need
+no further pass over the bytes.  It refuses a block that holds a bad
+line, and `_first_bad_line` reads that block one line at a time only to
+raise the error that names its first bad line and field.
 
 There are four reads, each a selection of `_Columns`, and each checks
 every line as the full one does, with the same errors:
 - the full read gives the `Trace`.  It is for library callers: no
   command makes it;
 - the split read, which the `split` command (`_split`) makes, writes each
-  block and drops it.  A block the block reader takes whose frame lines
-  are already as `write_trace` writes them (no number with a leading
-  zero, no 4-field line with an empty proto field) keeps only its bytes
-  and each line's proto code, and its frame lines are copied to their
-  side: src and dst tokens are checked but never grouped or interned.
+  block and drops it.  A block whose frame lines are already as
+  `write_trace` writes them (no number with a leading zero, no 4-field
+  line with an empty proto field) keeps only its bytes and each line's
+  proto code, and its frame lines are copied to their side: src and dst
+  tokens are checked but never grouped or interned.
   Any other block is a full read of its own, a trace with its own
   address and tag tables, written through its protocol mask;
 - the destinations read, which the commands that need only the `dst`
   column make, gives that read-only int32 column alone, its ids numbered
   by first appearance among destinations: only destination tokens are
-  interned, and the block reader never groups src or proto tokens;
+  interned, and src and proto tokens are never grouped;
 - the summary read, which the `summarize` and `report` commands make,
   interns src and dst tokens as the full read does, so its dst ids are
   the full read's, and keeps only them, the first and last timestamps
@@ -70,7 +67,7 @@ import io
 from array import array
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -87,6 +84,9 @@ _INT64_MAX = 2**63 - 1
 # a 128 KiB one.
 _CHUNK_LINES = 2048
 _CHUNK_BYTES = 1 << 18
+# A block of this many bytes or more takes int64 field offsets, as int32
+# ones cannot reach its end.  Only very long lines make one.
+_INT64_OFFSETS = 2**31
 # Frames written per output block.
 _WRITE_CHUNK = 8192
 
@@ -284,17 +284,17 @@ class _Columns:
 
     Each column is an `array`, which grows in place with little slack, so
     building a trace holds one copy of it plus the current block.  `select`
-    names the read: "trace" keeps every column; "summary" interns src and
-    dst tokens as "trace" does but keeps only `dst` and the first and last
-    timestamps; "destinations" interns dst tokens alone and keeps `dst`.
-    "split" keeps no column and no address table.  Of a block whose frame
-    lines are `write_trace`'s text of its frames the block reader keeps
-    `copied`: the bytes of its lines, their lengths and per line the proto
-    code, or -1 for a comment or blank line; its src and dst tokens are
-    checked but never grouped or interned.  Any other block, and every
-    block of the line reader, is read into `block`, a "trace" read of its
-    own.  `_split` writes and drops each block of a "split" read, which
-    has no `result`.
+    names the read of `_read_block`: "trace" keeps every column; "summary"
+    interns src and dst tokens as "trace" does but keeps only `dst` and
+    the first and last timestamps; "destinations" interns dst tokens alone
+    and keeps `dst`.  "split" keeps no column and no address table.  Of a
+    block whose frame lines are `write_trace`'s text of its frames it
+    keeps `copied`: the bytes of its lines, their lengths and per line the
+    proto code, or -1 for a skipped line; its src and dst tokens are
+    checked but never grouped or interned.  Any other block is read into
+    `block`, a "trace" read of its own.  `_split` writes and drops each
+    block of a "split" read, which has no `result`.  Only a "trace" read
+    takes tokens (`append_tokens`).
     """
 
     def __init__(self, select: str = "trace"):
@@ -341,15 +341,8 @@ class _Columns:
         protos: list[str],
         lengths: Sequence[int],
     ) -> None:
-        """Add one block of tokens: a proto of "" is no tag, a length of -1 is absent."""
-        if self.select == "split":  # a block of the line reader: a trace of its own
-            self.block = _Columns()
-            self.block.append_tokens(timestamps, addresses, protos, lengths)
-            return
-        if self.select in ("summary", "destinations"):  # `addresses` alternates src and dst
-            kept = addresses[1::2] if self.select == "destinations" else addresses
-            self.append(timestamps, self.interns.intern_all(kept))
-            return
+        """Add one block of tokens: `addresses` alternates src and dst, a proto
+        of "" is no tag and a length of -1 is absent."""
         self.append(
             _column(timestamps, np.int64, "timestamps"),
             self.interns.intern_all(addresses),
@@ -420,60 +413,52 @@ class _SummaryRead:
         return _summary(self.dst, self.span, self.addresses)
 
 
-def _read_lines(lines: list[str], first_lineno: int, prev_ts: int, columns: _Columns) -> int:
-    """Append the frames of `lines` to `columns` one line at a time; return the last timestamp.
+def _number(lineno: int, what: str, field: str) -> int:
+    """`field` read as a timestamp or length (`what`), or the TraceParseError naming it."""
+    if field.isascii() and field.isdigit():
+        value = int(field)
+        if value > _INT64_MAX:
+            raise TraceParseError(lineno, f"{what} {value} exceeds 2**63 - 1")
+        if len(field) <= _DIGITS:
+            return value
+    elif field[:1] == "-" and field[1:].isascii() and field[1:].isdigit() and int(field):
+        raise TraceParseError(lineno, f"negative {what} {int(field)}")
+    raise TraceParseError(lineno, f"bad {what} {field!r}")
 
-    The checks and their order define the accepted syntax: a timestamp or
-    length is anything `int()` takes, within 0..2**63 - 1, whatever columns
-    `columns` keeps.  Raises the error of the first bad line, after which
-    the parse fails and `columns` is not used again.
+
+def _first_bad_line(lines: list[str], first_lineno: int, prev_ts: int) -> NoReturn:
+    """Raise the error of the first bad line of a block `_read_block` refused.
+
+    `lines` are the block's lines, numbered from `first_lineno`, and
+    `prev_ts` the timestamp of the frame before them.  A line's checks run
+    in this order: its field count, its timestamp and their order, its
+    address tokens, its length.  A block with no bad line is an
+    AssertionError: the block reader refuses only a block that has one.
     """
-    timestamps: list[int] = []
-    addresses: list[str] = []
-    protos: list[str] = []
-    lengths: list[int] = []
     for lineno, line in enumerate(lines, start=first_lineno):
-        if not line.strip() or line.startswith("#"):
+        if line.startswith("#") or not line.strip(_BLANK):
             continue
         fields = line.split("\t")
         if len(fields) < 3 or len(fields) > 5:
             raise TraceParseError(lineno, f"expected 3 to 5 tab-separated fields, got {len(fields)}")
-        try:
-            ts = int(fields[0])
-        except ValueError:
-            raise TraceParseError(lineno, f"bad timestamp {fields[0]!r}") from None
-        if ts < 0:
-            raise TraceParseError(lineno, f"negative timestamp {ts}")
-        if ts > _INT64_MAX:
-            raise TraceParseError(lineno, f"timestamp {ts} exceeds 2**63 - 1")
+        ts = _number(lineno, "timestamp", fields[0])
         if ts < prev_ts:
             raise TraceOrderError(lineno, f"timestamp {ts} decreases below {prev_ts}")
         prev_ts = ts
         if not fields[1] or not fields[2]:
             raise TraceParseError(lineno, "empty address token")
-        length = -1
-        if len(fields) > 4:
-            try:
-                length = int(fields[4])
-            except ValueError:
-                raise TraceParseError(lineno, f"bad length {fields[4]!r}") from None
-            if length < 0:
-                raise TraceParseError(lineno, f"negative length {length}")
-            if length > _INT64_MAX:
-                raise TraceParseError(lineno, f"length {length} exceeds 2**63 - 1")
-        timestamps.append(ts)
-        addresses += fields[1:3]
-        protos.append(fields[3] if len(fields) > 3 else "")
-        lengths.append(length)
-    columns.append_tokens(timestamps, addresses, protos, lengths)
-    return prev_ts
+        if len(fields) == 5:
+            _number(lineno, "length", fields[4])
+    raise AssertionError(f"the block reader refused lines {first_lineno}.. with no bad line")
 
 
 # The block reader pads a block's bytes so that the digits before any field
 # end, and the 8-byte word at any token byte, can be read without a bounds
 # check.  The lead ends in a line break, which starts the block's first
-# line.  At most 18 digits keep a number below 10**18 < 2**63.
-_DIGITS = 18
+# line.  A number of at most 19 digits is below 10**19 < 2**64.
+_DIGITS = 19
+# The bytes of a skipped line that is not empty and not a '#' line.
+_BLANK = " \t\v\f"
 _LEAD = b"\n" * (_DIGITS + 1)
 _TAIL = b"\0" * 8
 _MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)  # the low r bytes
@@ -620,8 +605,12 @@ class _Known:
         """Ids of the tokens in `fields`, which `_distinct` grouped into `groups`.
 
         Distinct tokens with an entry of equal width and words take its id;
-        the others are decoded, interned and entered.
+        the others are decoded, interned and entered.  With `groups` None,
+        for tokens whose hashes collide, every token is decoded and interned
+        and none is entered.
         """
+        if groups is None:
+            return self.interns.intern_all(_decode(body, *_spans(ends, fields)))
         first, inverse, hashes = groups
         fields = fields[first]
         starts, widths = _spans(ends, fields)
@@ -658,7 +647,7 @@ class _Known:
         at += len(self.words)
         columns = self.ids, self.widths, self.starts, self.words
         for column, values in zip(columns, (ids, widths, at, packed)):
-            column.frombytes(values.view(np.uint8))
+            column.frombytes(values.astype(column.typecode, copy=False).view(np.uint8))
         order = np.argsort(hashes)
         level = hashes[order], entries[order]
         while self.levels and len(self.levels[-1][0]) <= 2 * len(level[0]):
@@ -669,7 +658,8 @@ class _Known:
 
 
 def _numbers(data: bytes, ends: np.ndarray, fields: np.ndarray) -> Optional[np.ndarray]:
-    """The numbers in `fields` as int64, or None unless each is 1 to 18 ASCII digits.
+    """The numbers in `fields` as int64, or None unless each is 1 to 19 ASCII
+    digits with a value of at most 2**63 - 1.
 
     Row i of the digit matrix is the widest number's count of bytes before
     field i's end.  Only the columns that some number does not reach are
@@ -688,11 +678,13 @@ def _numbers(data: bytes, ends: np.ndarray, fields: np.ndarray) -> Optional[np.n
         digits[:, k] *= widths > widest - k - 1
     if digits.max() > 9:
         return None
-    numbers = digits[:, 0].astype(np.int64)
+    numbers = digits[:, 0].astype(np.uint64)
     for column in digits.T[1:]:
         numbers *= 10
         numbers += column
-    return numbers
+    if widest == _DIGITS and (numbers > np.uint64(_INT64_MAX)).any():
+        return None
+    return numbers.view(np.int64)
 
 
 def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[int, int]]:
@@ -700,37 +692,37 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[
 
     `data` is the block's UTF-8 bytes, whole lines ending in LF, between
     `_LEAD` and `_TAIL`.  Returns the last timestamp and the block's count
-    of lines, or None, with `columns` untouched, for a block this reader
-    does not take: a line not starting with a digit, '#' or its line
-    break, 3 to 5 fields not met, a number that is not 1 to 18 ASCII
-    digits, a decreasing timestamp, an empty address token or a hash
-    collision.  Such a block goes to `_read_lines`, as does one of 2 GiB or
-    more, whose offsets int32 cannot hold.  Proto tokens are grouped only
+    of lines, or None, with `columns` untouched, for a block with a bad
+    line (see the module docstring for the format).  A frame line starts
+    with a digit; a line starting with neither a digit, '#' nor its line
+    break must hold only `_BLANK` bytes.  Proto tokens are grouped only
     in a "trace" or "split" read, and src tokens are checked but never
     grouped in a "destinations" read, nor src and dst tokens of a block
     that a "split" read copies.  A "split" read decides whether it copies
     a block before it groups any token, and reads any other block into a
     "trace" read of the block's own (`_Columns`).
 
-    Field offsets are int32, and the one temporary as long as the block is
-    the field-end mask, so the arrays peak at about 3 bytes per block byte
-    for capture-shaped lines and 5 for 17-byte 3-field lines.
+    Field offsets are int32, or int64 in a block of `_INT64_OFFSETS` bytes
+    or more, and the one temporary as long as the block is the field-end
+    mask, so the arrays peak at about 3 bytes per block byte for
+    capture-shaped lines and 5 for 17-byte 3-field lines.
     """
-    if len(data) >= 2**31:
-        return None
+    offset = np.int32 if len(data) < _INT64_OFFSETS else np.int64
     # body[0] is the lead's last line break.  ends[j] is the tab or line
     # break before field j, which is body[ends[j] + 1 : ends[j + 1]].
     body = np.frombuffer(data, np.uint8, len(data) - _DIGITS - 8, _DIGITS)
     at_end = body - 9
     ends = np.flatnonzero(np.less(at_end, 2, out=at_end.view(bool)))
     del at_end
-    breaks = np.flatnonzero(body[ends] == 10).astype(np.int32)
+    breaks = np.flatnonzero(body[ends] == 10).astype(offset)
     lines = len(breaks) - 1  # body[0] is no line's end
-    ends = ends.astype(np.int32)
+    ends = ends.astype(offset, copy=False)
     lead = body[ends[breaks[:-1]] + 1]
     frame = lead - 48 < 10
-    if not (frame | (lead == 35) | (lead == 10)).all():
-        return None
+    if (other := ~(frame | (lead == 35) | (lead == 10))).any():
+        starts = ends[breaks[:-1][other]] + 1
+        if "".join(_decode(body, starts, ends[breaks[1:][other]] - starts)).strip(_BLANK):
+            return None  # a line that is neither a frame nor skipped
     if not frame.any():
         return prev_ts, lines
     base = breaks[:-1][frame]  # field k of frame line i is field base[i] + k
@@ -752,9 +744,7 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[
     if columns.select == "destinations":
         address = address[1::2]
     words = np.ndarray((len(body) + 1,), "<u8", data, _DIGITS, (1,))
-    address_groups = None
-    if columns.select != "split" and (address_groups := _distinct(words, ends, address)) is None:
-        return None
+    address_groups = _distinct(words, ends, address) if columns.select != "split" else None
     if (timestamps := _numbers(data, ends, base)) is None:
         return None
     if timestamps[0] < prev_ts or (timestamps[1:] < timestamps[:-1]).any():
@@ -776,13 +766,11 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[
         proto = base[tagged & ~sized] + 3
         if padded.any() or (ends[proto + 1] - ends[proto] < 2).any():
             read = _Columns()
-            if (address_groups := _distinct(words, ends, address)) is None:
-                return None
+            address_groups = _distinct(words, ends, address)
     codes = np.zeros(len(base), np.int32)  # 0: untagged
     if tagged.any():
         proto = base[tagged] + 3
-        if (proto_groups := _distinct(words, ends, proto)) is None:
-            return None
+        proto_groups = _distinct(words, ends, proto)
         codes[tagged] = read.known_protos.ids_of(body, words, ends, proto, proto_groups)
     if read.select == "split":
         line_codes = np.full(lines, -1, np.int32)
@@ -829,7 +817,7 @@ def _file_blocks(f: BinaryIO) -> Iterator[bytes]:
     has none.  At the first byte that is not UTF-8 it yields the lines
     before that byte's line, then raises `_NotUtf8` naming its column, so
     the first bad line gives the error and the line after the yielded ones
-    is the bad one.  Lines are counted by the readers, not here.
+    is the bad one.  Lines are counted by `_read_block`, not here.
     """
     rest = b""
     while True:
@@ -872,10 +860,8 @@ def _blocks(lines: Iterable[str] | BinaryIO, columns: _Columns) -> Iterator[None
     binary = isinstance(lines, (io.RawIOBase, io.BufferedIOBase))
     try:
         for data in _file_blocks(lines if binary else _StrLines(lines)):
-            read = _read_block(data, prev_ts, columns)
-            if read is None:  # whole lines of valid UTF-8
-                block = data[len(_LEAD) : -len(_TAIL)].decode().split("\n")[:-1]
-                read = _read_lines(block, lineno, prev_ts, columns), len(block)
+            if (read := _read_block(data, prev_ts, columns)) is None:  # lines of valid UTF-8
+                _first_bad_line(data[len(_LEAD) : -len(_TAIL)].decode().split("\n"), lineno, prev_ts)
             prev_ts, count = read
             lineno += count
             yield
@@ -886,13 +872,14 @@ def _blocks(lines: Iterable[str] | BinaryIO, columns: _Columns) -> Iterator[None
 def parse_trace(lines: Iterable[str] | BinaryIO, *, _select: str = "trace") -> Trace:
     """Parse a trace file opened in binary mode, or an iterable of str lines.
 
-    Raises TraceParseError on a malformed line (wrong field count,
-    non-integer, negative or out-of-int64-range timestamp or length, empty
-    address token, or a byte that is not UTF-8) and TraceOrderError when a
-    timestamp decreases.  '#'-comment lines and blank lines are skipped.
+    Raises TraceParseError on a malformed line (wrong field count, a
+    timestamp or length that is not 1 to 19 ASCII digits of at most
+    2**63 - 1, empty address token, or a byte that is not UTF-8) and
+    TraceOrderError when a timestamp decreases.  '#' lines, empty lines
+    and lines of only spaces, tabs, vertical tabs and form feeds are skipped.
     str lines read as the file holding `"".join(lines)` in UTF-8 (see
     `_StrLines`): line numbers count line ends, and a lone surrogate is an
-    error.  The module docstring describes the two readers of its blocks.
+    error.  The module docstring describes the reader of its blocks.
     `_select` names another read of `_Columns`, whose result it returns.
     """
     columns = _Columns(_select)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import re
 from collections import Counter, deque
 from functools import lru_cache
 from itertools import accumulate, groupby
@@ -356,25 +357,33 @@ def parse_trace_by_line(lines: Iterable[str]) -> tuple[list[tuple], tuple[str, .
     """The frames and address tokens of a trace file, parsed one line at a time.
 
     Frames are (timestamp, src, dst, proto, length) tuples, as
-    `helpers.rows` yields them.  Accepts any timestamp or length int()
-    accepts; the product parser also bounds them to int64.
+    `helpers.rows` yields them.  A timestamp or length is 1 to 19 ASCII
+    digits of at most 2**63 - 1; a line of spaces, tabs, vertical tabs and
+    form feeds alone is blank.
     """
+
+    def number(lineno: int, what: str, field: str) -> int:
+        if re.fullmatch(r"-[0-9]*[1-9][0-9]*", field):
+            raise TraceParseError(lineno, f"negative {what} {int(field)}")
+        if not re.fullmatch(r"[0-9]+", field):
+            raise TraceParseError(lineno, f"bad {what} {field!r}")
+        if int(field) >= 2**63:
+            raise TraceParseError(lineno, f"{what} {int(field)} exceeds 2**63 - 1")
+        if len(field) > 19:
+            raise TraceParseError(lineno, f"bad {what} {field!r}")
+        return int(field)
+
     interns = InternTable()
     records: list[tuple] = []
     prev_ts = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.startswith("#"):
+        if re.fullmatch(r"[ \t\v\f]*", line) or line.startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) < 3 or len(fields) > 5:
             raise TraceParseError(lineno, f"expected 3 to 5 tab-separated fields, got {len(fields)}")
-        try:
-            ts = int(fields[0])
-        except ValueError:
-            raise TraceParseError(lineno, f"bad timestamp {fields[0]!r}") from None
-        if ts < 0:
-            raise TraceParseError(lineno, f"negative timestamp {ts}")
+        ts = number(lineno, "timestamp", fields[0])
         if prev_ts is not None and ts < prev_ts:
             raise TraceOrderError(lineno, f"timestamp {ts} decreases below {prev_ts}")
         prev_ts = ts
@@ -384,12 +393,7 @@ def parse_trace_by_line(lines: Iterable[str]) -> tuple[list[tuple], tuple[str, .
         proto = fields[3] if len(fields) > 3 and fields[3] != "" else None
         length = None
         if len(fields) > 4:
-            try:
-                length = int(fields[4])
-            except ValueError:
-                raise TraceParseError(lineno, f"bad length {fields[4]!r}") from None
-            if length < 0:
-                raise TraceParseError(lineno, f"negative length {length}")
+            length = number(lineno, "length", fields[4])
         records.append((ts, interns.intern(src_tok), interns.intern(dst_tok), proto, length))
     return records, interns.tokens
 

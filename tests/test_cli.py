@@ -226,6 +226,30 @@ def test_split_keeps_a_targets_mode_symlink_and_hard_links(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["link", "other", "p", "real", "t.tsv"]
 
 
+@pytest.mark.parametrize("second", ["same", "symlink", "hard link", "dot"])
+def test_two_outputs_naming_one_file_write_nothing(tmp_path, capsys, second):
+    # One text would replace the other; '-' twice is allowed (see above).
+    path = _write_fixture(tmp_path, _SPLIT_TEXT)
+    first = tmp_path / "same.txt"
+    first.write_text("old\n", encoding="utf-8")
+    other = {"same": first, "symlink": tmp_path / "link", "hard link": tmp_path / "hard",
+             "dot": f"{tmp_path}/./same.txt"}[second]
+    if second == "symlink":
+        other.symlink_to(first)
+    elif second == "hard link":
+        os.link(first, other)
+    names = sorted(os.listdir(tmp_path))
+    for argv in (["split", str(path), "--proto", "LAT", "--match-out", str(first),
+                  "--rest-out", str(other)],
+                 ["simulate", str(path), "--miss-out", str(first), "--interfault-out", str(other)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: outputs {first} and {other} are the same file\n"
+        assert first.read_text(encoding="utf-8") == "old\n"
+        assert sorted(os.listdir(tmp_path)) == names
+
+
 def test_split_renames_onto_the_file_a_symlink_names(tmp_path):
     path = _write_fixture(tmp_path, _SPLIT_TEXT)
     (tmp_path / "data").mkdir()

@@ -391,15 +391,31 @@ def test_constructor_defaults_and_records_view():
 
 # --- columnar parse vs the line-by-line parser -------------------------------
 
-def _spell(value: int, style: str) -> str:
-    """An int() spelling of `value`: plain, padded, signed or with an underscore."""
+_INT64_MAX = 2**63 - 1
+
+# Spellings of a number outside the format that int() reads as the number.
+# Each is a bad timestamp or length, named by its line.
+BAD_SPELLINGS = {
+    "pad": lambda text: f" {text} ",
+    "trailing space": lambda text: f"{text} ",
+    "plus": lambda text: f"+{text}",
+    "underscore": lambda text: f"0_{text}",
+    "arabic-indic": lambda text: text.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    "fullwidth": lambda text: text.translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+    "20 digits": lambda text: text.zfill(20),
+}
+
+
+@st.composite
+def _spelling(draw, value: int) -> str:
+    """`value` in plain digits, mostly; else zero-padded to at most 19 digits,
+    or now and then in a bad spelling."""
     text = str(value)
-    if style == "pad":
-        return f" {text} "
-    if style == "plus":
-        return f"+{text}"
-    if style == "underscore" and len(text) > 1:
-        return f"{text[0]}_{text[1:]}"
+    style = draw(st.sampled_from(["plain"] * 30 + ["zeros"] * 10 + ["bad"]))
+    if style == "zeros":
+        return text.zfill(draw(st.integers(len(text), 19)))
+    if style == "bad":
+        return BAD_SPELLINGS[draw(st.sampled_from(sorted(BAD_SPELLINGS)))](text)
     return text
 
 
@@ -418,7 +434,6 @@ BAD_LINES = {
     "negative length": "10\tA\tB\t\t-4",
 }
 
-_styles = st.sampled_from(["plain", "pad", "plus", "underscore"])
 _tokens = st.sampled_from(["A", "B", "aa-bb", "x y", "C\r", "D\rE"])
 
 
@@ -431,15 +446,16 @@ def _trace_lines(draw) -> list[str]:
         if kind == "comment":
             line = draw(st.sampled_from(["#", "# note", "#\ta\tb\tc"]))
         elif kind == "blank":
-            line = draw(st.sampled_from(["", " ", "\t\t", " \t \t\x0b"]))
+            line = draw(st.sampled_from(["", " ", "\t\t", " \t \t\x0b", "\x0c"]))
         else:
-            ts += draw(st.integers(0, 3))
-            fields = [_spell(ts, draw(_styles)), draw(_tokens), draw(_tokens)]
+            ts = min(ts + draw(st.sampled_from([0, 1, 2, 3, _INT64_MAX])), _INT64_MAX)
+            fields = [draw(_spelling(ts)), draw(_tokens), draw(_tokens)]
             width = draw(st.integers(3, 5))
             if width >= 4:
                 fields.append(draw(st.sampled_from(["", "lat", "ip"])))
             if width == 5:
-                fields.append(_spell(draw(st.integers(0, 1600)), draw(_styles)))
+                length = draw(st.one_of(st.integers(0, 1600), st.just(_INT64_MAX)))
+                fields.append(draw(_spelling(length)))
             line = "\t".join(fields)
         lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r\r\n"])))
     bad = draw(st.one_of(st.none(), st.sampled_from(sorted(BAD_LINES))))
@@ -792,9 +808,9 @@ def _token_pool(draw) -> list[str]:
 
 @st.composite
 def _plain_lines(draw) -> list[str]:
-    """Lines the block reader takes: plain-digit numbers, some with leading
-    zeros, mixed 3/4/5-field frames, empty proto fields, and comment and
-    blank lines between them."""
+    """Well-formed lines: plain-digit numbers, some with leading zeros, lengths
+    up to 2**63 - 1, mixed 3/4/5-field frames, empty proto fields, and
+    comment and blank lines between them."""
     pool = draw(_token_pool())
     tokens = st.sampled_from(pool)
     lines = []
@@ -804,7 +820,7 @@ def _plain_lines(draw) -> list[str]:
         if kind == "comment":
             line = "#" + draw(st.text(_token_chars, max_size=10)) + draw(st.sampled_from(["", "\t", "\tx\ty"]))
         elif kind == "blank":
-            line = ""
+            line = draw(st.sampled_from(["", " ", "\t\x0b\x0c"]))
         else:
             ts += draw(st.sampled_from([0, 1, 7, 10**9]))
             fields = [draw(st.sampled_from(["", "0", "00"])) + str(ts), draw(tokens), draw(tokens)]
@@ -812,8 +828,8 @@ def _plain_lines(draw) -> list[str]:
             if width >= 4:
                 fields.append(draw(st.one_of(st.just(""), tokens)))
             if width == 5:
-                length = str(draw(st.integers(0, 10**18 - 1)))
-                fields.append(draw(st.sampled_from(["", "0", "00"]))[: 18 - len(length)] + length)
+                length = str(draw(st.integers(0, _INT64_MAX)))
+                fields.append(draw(st.sampled_from(["", "0", "00"]))[: 19 - len(length)] + length)
             line = "\t".join(fields)
         lines.append(line + "\n")
     return lines
@@ -821,15 +837,15 @@ def _plain_lines(draw) -> list[str]:
 
 def _per_line_calls(lines: list[str], **patches) -> int:
     """Parse `lines`, checking them against the oracle; return how many blocks
-    went to the line reader."""
+    the block reader refused and `_first_bad_line` read."""
     calls = []
-    read_lines = trace_module._read_lines
+    first_bad_line = trace_module._first_bad_line
 
     def counting(*args):
         calls.append(args[1])
-        return read_lines(*args)
+        return first_bad_line(*args)
 
-    with mock.patch.multiple(trace_module, _read_lines=counting, **patches):
+    with mock.patch.multiple(trace_module, _first_bad_line=counting, **patches):
         try:
             parse_trace(lines)
         except TraceParseError:
@@ -847,24 +863,24 @@ def test_block_reader_matches_line_parser(lines, block_lines):
 
 @settings(max_examples=100, deadline=None)
 @given(_plain_lines(), st.sampled_from([2, 5, 4096]))
-def test_hash_collisions_fall_back_to_the_line_reader(lines, block_lines):
+def test_hash_collisions_stay_in_the_block_reader(lines, block_lines):
     # Every token hashes alike, so any block with two distinct tokens of a
     # kind collides; it must still parse as the oracle does.
     def constant(widths, pairs):
         return np.zeros(len(widths), np.uint64)
 
-    _per_line_calls(lines, _CHUNK_LINES=block_lines, _hash=constant)
+    assert _per_line_calls(lines, _CHUNK_LINES=block_lines, _hash=constant) == 0
 
 
 @pytest.mark.parametrize(
     "src,dst",
     [("A", "B"), ("a", "a\x00"), ("a\x00", "a\x00\x00"), ("12345678x", "12345678y"), ("€", "€\x00")],
 )
-def test_forced_collision_goes_to_the_line_reader(src, dst):
+def test_forced_collision_stays_in_the_block_reader(src, dst):
     # Equal words with different widths, or different last words, must not merge.
     constant = lambda widths, pairs: np.zeros(len(widths), np.uint64)  # noqa: E731
     lines = [f"1\t{src}\t{dst}\tlat\t60\n", f"2\t{dst}\t{src}\tlat\t61\n"]
-    assert _per_line_calls(lines, _hash=constant) == 1
+    assert _per_line_calls(lines, _hash=constant) == 0
 
 
 @pytest.mark.parametrize(
@@ -881,18 +897,18 @@ def test_benchmark_shaped_lines_take_the_block_reader(lines):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text,refused",
     [
-        "0\tA\r\tB\n",          # a carriage return ends a line of two fields
-        " 5\tA\tB\n",            # a line not starting with a digit, '#' or its line break
-        "+5\tA\tB\n",
-        "1_0\tA\tB\n",
-        f"{10**18}\tA\tB\n",     # 19 digits
-        "5\tA\tB\tP\t0x10\n",  # a length that int() rejects
+        ("0\tA\r\tB\n", 1),          # a carriage return ends a line of two fields
+        (" 5\tA\tB\n", 1),            # a line not starting with a digit, '#' or its line break
+        ("+5\tA\tB\n", 1),
+        ("1_0\tA\tB\n", 1),
+        (f"{10**18}\tA\tB\n", 0),     # 19 digits
+        ("5\tA\tB\tP\t0x10\n", 1),
     ],
 )
-def test_blocks_outside_the_plain_shape_take_the_line_reader(text):
-    assert _per_line_calls([text]) == 1
+def test_only_blocks_outside_the_format_reach_the_error_path(text, refused):
+    assert _per_line_calls([text]) == refused
 
 
 def test_a_last_line_without_a_line_break_takes_the_block_reader():
@@ -937,10 +953,24 @@ def test_untagged_blocks_before_the_first_proto_skip_the_proto_table(first_tagge
     assert _per_line_calls(lines, _CHUNK_LINES=4) == 0
 
 
-def test_int_spellings_are_still_accepted():
-    t = parse_trace([" 5\tA\tB\tP\t+6\n", "1_0\tA\tB\t\t0_7\n", "+10 \tB\tA\n"])
-    assert t.timestamps.tolist() == [5, 10, 10]
-    assert t.length.tolist() == [6, 7, -1]
+@pytest.mark.parametrize("spelling", sorted(BAD_SPELLINGS))
+@pytest.mark.parametrize("field", ["timestamp", "length"])
+def test_int_spellings_outside_the_format_name_their_line_and_field(tmp_path, spelling, field):
+    bad = BAD_SPELLINGS[spelling]("12" if field == "timestamp" else "7")
+    line = f"{bad}\tA\tB\n" if field == "timestamp" else f"12\tA\tB\tP\t{bad}\n"
+    path = tmp_path / "t.tsv"
+    path.write_text(f"0\tA\tB\n{line}", encoding="utf-8")
+    for read in (partial(read_trace, path), partial(parse_trace, ["0\tA\tB\n", line])):
+        for select in ("trace", "summary", "destinations"):
+            with pytest.raises(TraceParseError) as info:
+                read(_select=select)
+            assert str(info.value) == f"line 2: bad {field} {bad!r}"
+
+
+def test_a_line_of_only_a_no_break_space_is_not_blank():
+    with pytest.raises(TraceParseError) as info:
+        parse_trace(["0\tA\tB\n", "\xa0\n", "1\tA\tB\n"])
+    assert str(info.value) == "line 2: expected 3 to 5 tab-separated fields, got 1"
 
 
 @settings(max_examples=200, deadline=None)
@@ -1034,19 +1064,70 @@ def test_colliding_tokens_of_later_blocks_keep_their_ids(tmp_path, tokens):
     path.write_text("".join(lines), encoding="utf-8")
     patches = dict(_CHUNK_BYTES=len(lines[0].encode()), _hash=_constant_hash)
     refuse = mock.Mock(side_effect=AssertionError)
-    with mock.patch.multiple(trace_module, _read_lines=refuse, **patches):
+    with mock.patch.multiple(trace_module, _first_bad_line=refuse, **patches):
         t = read_trace(path)
     assert t.interns.tokens == tokens and t.dst.tolist() == [0, 1, 0, 1, 0, 1]
+
+
+def _every_read(data: bytes, proto: str) -> tuple:
+    """The full, summary and destinations reads of `data` and its split by
+    `proto`, as values that compare."""
+    t = parse_trace(io.BytesIO(data))
+    summary = parse_trace(io.BytesIO(data), _select="summary")
+    dst = parse_trace(io.BytesIO(data), _select="destinations")
+    sides = io.StringIO(), io.StringIO()
+    trace_module._split(io.BytesIO(data), proto, *sides)
+    return (
+        (list(rows(t)), t.interns.tokens),
+        (summary.dst.tolist(), summary.span, summary.addresses),
+        dst.tolist(),
+        (sides[0].getvalue(), sides[1].getvalue()),
+    )
+
+
+@pytest.mark.parametrize(
+    "patches",
+    [{"_hash": _constant_hash}, {"_INT64_OFFSETS": 0}],
+    ids=["collide", "int64-offsets"],
+)
+@settings(max_examples=40, deadline=None)
+@given(_plain_lines(), st.sampled_from([1, 7, 64, trace_module._CHUNK_BYTES]))
+def test_well_formed_blocks_never_reach_the_error_path(patches, lines, chunk):
+    # Numbers of 19 digits up to 2**63 - 1, lines of only " \t\v\f", tokens
+    # whose hashes all collide and int64 field offsets in every block: each
+    # read is the default one, and no block reaches `_first_bad_line`.
+    # int64 offsets find the known tokens int32 ones find, so as many
+    # tokens are decoded.
+    lines = [*lines, f"{_INT64_MAX}\tlast\tA\tlat\t{_INT64_MAX}\n", " \t\x0b\x0c\n"]
+    data = "".join(lines).encode()
+    decoded = []
+    decode = trace_module._decode
+
+    def counting(body, starts, widths):
+        decoded.append(len(starts))
+        return decode(body, starts, widths)
+
+    refuse = mock.Mock(side_effect=AssertionError)
+    patch = dict(_first_bad_line=refuse, _decode=counting, _CHUNK_BYTES=chunk)
+    with mock.patch.multiple(trace_module, **patch):
+        want, want_decoded = _every_read(data, "lat"), sum(decoded)
+        decoded.clear()
+        with mock.patch.multiple(trace_module, **patches):
+            assert _every_read(data, "lat") == want
+    if "_hash" not in patches:
+        assert sum(decoded) == want_decoded
+    frames, tokens = parse_trace_by_line(io.StringIO(data.decode(), newline=None))
+    assert want[0] == (frames, tokens)
 
 
 # --- destinations only -------------------------------------------------------
 
 # Lines of the plain shape that the block reader must still reject, each
 # after its timestamp, which repeats the frame before it: a 19-digit
-# length is valid but for the line reader alone.
+# length is valid only up to 2**63 - 1.
 _PLAIN_BAD_TAILS = [
     "\t\tB", "\tA\t\tP", "\tA", "\tA\tB\tP\t9\tx", "\tA\tB\tP\t", "\tA\tB\tP\t6.5",
-    f"\tA\tB\tP\t{10**18}",
+    f"\tA\tB\tP\t{2**63}",
 ]
 
 
@@ -1142,7 +1223,7 @@ def test_destinations_read_groups_dst_tokens_alone(tmp_path):
         return distinct(words, ends, fields)
 
     refuse = mock.Mock(side_effect=AssertionError)
-    with mock.patch.multiple(trace_module, _distinct=counted, _read_lines=refuse):
+    with mock.patch.multiple(trace_module, _distinct=counted, _first_bad_line=refuse):
         dst = read_trace(path, _select="destinations")
     assert sum(grouped) == len(dst) == 5_000
     assert dst.tolist() == _renumbered(read_trace(path).dst)
@@ -1357,10 +1438,10 @@ def _segments(groups: list[list[str]]) -> tuple[bytes, int]:
 
 def test_split_copies_the_blocks_it_need_not_format(monkeypatch):
     # Blocks already in `write_trace`'s form are copied, and never reach
-    # `_write_rows`; a zero-padded timestamp or length, a 4-field line with
-    # an empty proto field, a line for the line reader and two tags that
-    # collide are formatted, with the rest of their blocks.  Every hash is
-    # alike, so a block with two distinct tags collides.
+    # `_write_rows`, skipped lines dropped; a zero-padded timestamp or
+    # length and a 4-field line with an empty proto field are formatted,
+    # with the rest of their blocks.  Every hash is alike, so a block with
+    # two distinct tags collides, and is copied all the same.
     groups = [  # (lines, whether the block is formatted)
         (["1\tA\tB\tlat\t60\n", "\n", "2\tB\tC\n", "3\tA\tC\tlat\n"], False),
         (["004\tA\tB\tlat\t60\n", "5\tB\tC\n"], True),
@@ -1368,8 +1449,8 @@ def test_split_copies_the_blocks_it_need_not_format(monkeypatch):
         (["8\tA\tB\tlat\t060\n", "9\tB\tC\n"], True),
         (["10\tA\tB\t\n", "11\tB\tC\tlat\n"], True),
         (["12\tA\tB\t\t1500\n", "13\tE\tD\n"], False),
-        ([" 14\tA\tB\n", "15\tB\tC\tlat\n"], True),
-        (["16\tA\tB\tlat\n", "17\tB\tC\tip\n"], True),
+        ([" \t\x0b\x0c\n", "14\tA\tB\n", "15\tB\tC\tlat\n"], False),
+        (["16\tA\tB\tlat\n", "17\tB\tC\tip\n"], False),
         (["18\tF\tA\tlat\t1\n"], False),
     ]
     data, size = _segments([lines for lines, _ in groups])
