@@ -415,14 +415,15 @@ class _SummaryRead:
 
 def _number(lineno: int, what: str, field: str) -> int:
     """`field` read as a timestamp or length (`what`), or the TraceParseError naming it."""
+    digits = field.removeprefix("-")
+    value = digits.lstrip("0") or "0"  # as int() spells it, without its 4,300-digit limit
+    if digits != field and digits.isascii() and digits.isdigit() and value != "0":
+        raise TraceParseError(lineno, f"negative {what} -{value}")
     if field.isascii() and field.isdigit():
-        value = int(field)
-        if value > _INT64_MAX:
+        if len(value) > _DIGITS or int(value) > _INT64_MAX:
             raise TraceParseError(lineno, f"{what} {value} exceeds 2**63 - 1")
         if len(field) <= _DIGITS:
-            return value
-    elif field[:1] == "-" and field[1:].isascii() and field[1:].isdigit() and int(field):
-        raise TraceParseError(lineno, f"negative {what} {int(field)}")
+            return int(value)
     raise TraceParseError(lineno, f"bad {what} {field!r}")
 
 
@@ -457,8 +458,7 @@ def _first_bad_line(lines: list[str], first_lineno: int, prev_ts: int) -> NoRetu
 # check.  The lead ends in a line break, which starts the block's first
 # line.  A number of at most 19 digits is below 10**19 < 2**64.
 _DIGITS = 19
-# The bytes of a skipped line that is not empty and not a '#' line.
-_BLANK = " \t\v\f"
+_BLANK = " \t\v\f"  # the bytes of a skipped line that is not empty or a '#' line
 _LEAD = b"\n" * (_DIGITS + 1)
 _TAIL = b"\0" * 8
 _MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)  # the low r bytes
@@ -605,9 +605,8 @@ class _Known:
         """Ids of the tokens in `fields`, which `_distinct` grouped into `groups`.
 
         Distinct tokens with an entry of equal width and words take its id;
-        the others are decoded, interned and entered.  With `groups` None,
-        for tokens whose hashes collide, every token is decoded and interned
-        and none is entered.
+        the others are decoded, interned and entered.  With `groups` None
+        (colliding hashes), every token is decoded and interned, none entered.
         """
         if groups is None:
             return self.interns.intern_all(_decode(body, *_spans(ends, fields)))
@@ -693,14 +692,12 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[
     `data` is the block's UTF-8 bytes, whole lines ending in LF, between
     `_LEAD` and `_TAIL`.  Returns the last timestamp and the block's count
     of lines, or None, with `columns` untouched, for a block with a bad
-    line (see the module docstring for the format).  A frame line starts
-    with a digit; a line starting with neither a digit, '#' nor its line
-    break must hold only `_BLANK` bytes.  Proto tokens are grouped only
-    in a "trace" or "split" read, and src tokens are checked but never
-    grouped in a "destinations" read, nor src and dst tokens of a block
-    that a "split" read copies.  A "split" read decides whether it copies
-    a block before it groups any token, and reads any other block into a
-    "trace" read of the block's own (`_Columns`).
+    line (see the module docstring for the format).  Proto tokens are
+    grouped only in a "trace" or "split" read, and src tokens are checked
+    but never grouped in a "destinations" read, nor src and dst tokens of
+    a block that a "split" read copies.  A "split" read decides whether it
+    copies a block before it groups any token, and reads any other block
+    into a "trace" read of the block's own (`_Columns`).
 
     Field offsets are int32, or int64 in a block of `_INT64_OFFSETS` bytes
     or more, and the one temporary as long as the block is the field-end
@@ -719,10 +716,13 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[
     ends = ends.astype(offset, copy=False)
     lead = body[ends[breaks[:-1]] + 1]
     frame = lead - 48 < 10
-    if (other := ~(frame | (lead == 35) | (lead == 10))).any():
+    known = frame | (lead == 35) | (lead == 10)  # frame, '#' and empty lines
+    if not known.all():
+        other = ~known
         starts = ends[breaks[:-1][other]] + 1
         if "".join(_decode(body, starts, ends[breaks[1:][other]] - starts)).strip(_BLANK):
             return None  # a line that is neither a frame nor skipped
+    del known
     if not frame.any():
         return prev_ts, lines
     base = breaks[:-1][frame]  # field k of frame line i is field base[i] + k

@@ -363,15 +363,16 @@ def parse_trace_by_line(lines: Iterable[str]) -> tuple[list[tuple], tuple[str, .
     """
 
     def number(lineno: int, what: str, field: str) -> int:
-        if re.fullmatch(r"-[0-9]*[1-9][0-9]*", field):
-            raise TraceParseError(lineno, f"negative {what} {int(field)}")
-        if not re.fullmatch(r"[0-9]+", field):
+        # The value is spelled by regular expression: int() refuses more than 4,300 digits.
+        if match := re.fullmatch(r"-0*([1-9][0-9]*)", field):
+            raise TraceParseError(lineno, f"negative {what} -{match[1]}")
+        if not (match := re.fullmatch(r"0*([0-9]+)", field)):
             raise TraceParseError(lineno, f"bad {what} {field!r}")
-        if int(field) >= 2**63:
-            raise TraceParseError(lineno, f"{what} {int(field)} exceeds 2**63 - 1")
+        if len(match[1]) > 19 or int(match[1]) >= 2**63:
+            raise TraceParseError(lineno, f"{what} {match[1]} exceeds 2**63 - 1")
         if len(field) > 19:
             raise TraceParseError(lineno, f"bad {what} {field!r}")
-        return int(field)
+        return int(match[1])
 
     interns = InternTable()
     records: list[tuple] = []

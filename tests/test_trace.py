@@ -393,8 +393,9 @@ def test_constructor_defaults_and_records_view():
 
 _INT64_MAX = 2**63 - 1
 
-# Spellings of a number outside the format that int() reads as the number.
-# Each is a bad timestamp or length, named by its line.
+# Spellings of a number outside the format, most of which int() reads as the
+# number; int() refuses more than 4,300 digits.  Each is a bad timestamp or
+# length, named by its line.
 BAD_SPELLINGS = {
     "pad": lambda text: f" {text} ",
     "trailing space": lambda text: f"{text} ",
@@ -403,6 +404,7 @@ BAD_SPELLINGS = {
     "arabic-indic": lambda text: text.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
     "fullwidth": lambda text: text.translate(str.maketrans("0123456789", "０１２３４５６７８９")),
     "20 digits": lambda text: text.zfill(20),
+    "5000 digits": lambda text: text.zfill(5000),
 }
 
 
@@ -507,6 +509,10 @@ def test_parse_error_on_either_side_of_a_block_boundary(bad, at):
         (f"{2**63}\tA\tB", f"timestamp {2**63} exceeds 2**63 - 1"),
         (f"5\tA\tB\tP\t{2**63}", f"length {2**63} exceeds 2**63 - 1"),
         (f"{-2**63 - 1}\tA\tB", f"negative timestamp {-2**63 - 1}"),
+        # More digits than int() converts.
+        pytest.param("9" * 5000 + "\tA\tB", f"timestamp {'9' * 5000} exceeds 2**63 - 1", id="ts-5000"),
+        pytest.param("5\tA\tB\tP\t" + "9" * 5000, f"length {'9' * 5000} exceeds 2**63 - 1", id="len-5000"),
+        pytest.param("5\tA\tB\tP\t-00" + "9" * 5000, f"negative length -{'9' * 5000}", id="neg-5000"),
     ],
 )
 def test_parse_rejects_values_beyond_int64(line, message):
@@ -861,15 +867,26 @@ def test_block_reader_matches_line_parser(lines, block_lines):
     assert _per_line_calls(lines, _CHUNK_LINES=block_lines) == 0
 
 
-@settings(max_examples=100, deadline=None)
-@given(_plain_lines(), st.sampled_from([2, 5, 4096]))
-def test_hash_collisions_stay_in_the_block_reader(lines, block_lines):
-    # Every token hashes alike, so any block with two distinct tokens of a
-    # kind collides; it must still parse as the oracle does.
-    def constant(widths, pairs):
-        return np.zeros(len(widths), np.uint64)
+# Well-formed lines at the edges of the grammar: 19-digit numbers of value
+# 2**63 - 1, and a skipped line of only " \t\v\f".
+_EDGE_LINES = [f"{_INT64_MAX}\tlast\tA\tlat\t{_INT64_MAX}\n", " \t\x0b\x0c\n"]
 
-    assert _per_line_calls(lines, _CHUNK_LINES=block_lines, _hash=constant) == 0
+
+@settings(max_examples=100, deadline=None)
+@given(_plain_lines(), st.sampled_from([2, 5, 4096]), st.sampled_from([7, 64, trace_module._CHUNK_BYTES]))
+def test_hash_collisions_stay_in_the_block_reader(lines, block_lines, chunk):
+    # Every token hashes alike, so any block with two distinct tokens of a
+    # kind collides; no block may reach `_first_bad_line`, the full read must
+    # still parse as the oracle does, and the summary, destinations and split
+    # reads as they do with the real hash.
+    lines = [*lines, *_EDGE_LINES]
+    assert _per_line_calls(lines, _CHUNK_LINES=block_lines, _hash=_constant_hash) == 0
+    data = "".join(lines).encode()
+    refuse = mock.Mock(side_effect=AssertionError)
+    with mock.patch.multiple(trace_module, _first_bad_line=refuse, _CHUNK_BYTES=chunk):
+        want = _every_read(data, "lat")
+        with mock.patch.object(trace_module, "_hash", _constant_hash):
+            assert _every_read(data, "lat") == want
 
 
 @pytest.mark.parametrize(
@@ -1085,21 +1102,13 @@ def _every_read(data: bytes, proto: str) -> tuple:
     )
 
 
-@pytest.mark.parametrize(
-    "patches",
-    [{"_hash": _constant_hash}, {"_INT64_OFFSETS": 0}],
-    ids=["collide", "int64-offsets"],
-)
 @settings(max_examples=40, deadline=None)
-@given(_plain_lines(), st.sampled_from([1, 7, 64, trace_module._CHUNK_BYTES]))
-def test_well_formed_blocks_never_reach_the_error_path(patches, lines, chunk):
-    # Numbers of 19 digits up to 2**63 - 1, lines of only " \t\v\f", tokens
-    # whose hashes all collide and int64 field offsets in every block: each
-    # read is the default one, and no block reaches `_first_bad_line`.
-    # int64 offsets find the known tokens int32 ones find, so as many
-    # tokens are decoded.
-    lines = [*lines, f"{_INT64_MAX}\tlast\tA\tlat\t{_INT64_MAX}\n", " \t\x0b\x0c\n"]
-    data = "".join(lines).encode()
+@given(_plain_lines(), st.sampled_from([7, 64, trace_module._CHUNK_BYTES]))
+def test_int64_offsets_read_every_block_alike(lines, chunk):
+    # With int64 field offsets in every block, each read is the default one
+    # and no block reaches `_first_bad_line`.  int64 offsets find the known
+    # tokens int32 ones find, so as many tokens are decoded.
+    data = "".join([*lines, *_EDGE_LINES]).encode()
     decoded = []
     decode = trace_module._decode
 
@@ -1112,10 +1121,9 @@ def test_well_formed_blocks_never_reach_the_error_path(patches, lines, chunk):
     with mock.patch.multiple(trace_module, **patch):
         want, want_decoded = _every_read(data, "lat"), sum(decoded)
         decoded.clear()
-        with mock.patch.multiple(trace_module, **patches):
+        with mock.patch.object(trace_module, "_INT64_OFFSETS", 0):
             assert _every_read(data, "lat") == want
-    if "_hash" not in patches:
-        assert sum(decoded) == want_decoded
+    assert sum(decoded) == want_decoded
     frames, tokens = parse_trace_by_line(io.StringIO(data.decode(), newline=None))
     assert want[0] == (frames, tokens)
 
