@@ -59,6 +59,14 @@ every line as the full one does, with the same errors:
   the full read's, and keeps only them, the first and last timestamps
   and the count of addresses: enough for `summarize`'s `TraceSummary`.
   Proto tokens are never grouped.
+
+`write_trace` formats the frames of a window at a time with numpy: row i
+of a byte matrix is the window's frame i, each field filled out to the
+window's widest with PAD (0xFF, which UTF-8 never holds), and the text is
+its bytes less the PAD.  A window is at most `_WRITE_CHUNK` frames and
+ends before a frame that would take its matrix past `_WRITE_BYTES`, and
+tokens and tags come from tables at most twice as wide as each of their
+lines, so a write holds one window beside them, however long a token.
 """
 
 from __future__ import annotations
@@ -87,8 +95,9 @@ _CHUNK_BYTES = 1 << 18
 # A block of this many bytes or more takes int64 field offsets, as int32
 # ones cannot reach its end.  Only very long lines make one.
 _INT64_OFFSETS = 2**31
-# Frames written per output block.
+# Frames per written window, and the bytes of its matrix unless one frame takes more.
 _WRITE_CHUNK = 8192
+_WRITE_BYTES = 1 << 20
 
 
 class TraceParseError(ValueError):
@@ -888,40 +897,72 @@ def parse_trace(lines: Iterable[str] | BinaryIO, *, _select: str = "trace") -> T
     return columns.result()
 
 
-def _tag_only(tag: Optional[str]) -> str:
-    """The text after an unsized row's dst field: "\tproto", or none when untagged."""
-    return f"\t{tag}" if tag else ""
+_PAD = 0xFF  # no byte of UTF-8 (see the module docstring)
+# 0..9999 as 4 bytes at 10000 * form + value: form 0 has all four digits, 1
+# is a number's last group and 2 an earlier one, PAD before their first digit.
+# It is built from uint16 pieces: int64 temporaries of about 1 MB raised a
+# cold `report`'s peak RSS by 0.7 MB.
+_GROUPS = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+_GROUPS = np.concatenate([  # the first `places` may be PAD, where no digit is at or above them
+    np.where((_GROUPS == 0) & (np.arange(4) < places), _PAD, _GROUPS % 10 + 48).astype(np.uint8)
+    for places in (0, 3, 4)
+]).view("V4").ravel()
 
 
-def _tag_field(tag: Optional[str]) -> str:
-    """A sized row's proto field with its tab: "\tproto", or "\t" when untagged."""
-    return f"\t{tag or ''}"
+def _texts(text: str) -> tuple:
+    """The lines of `text`, each ended by LF, as (sizes, classes, items, tables):
+    line i, in UTF-8 and then PAD, is item `items[i]`, of `sizes[i]` bytes, of
+    the V-dtype array `tables[classes[i]]`."""
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    ends = np.flatnonzero(data == 10)
+    starts = np.append(0, ends[:-1] + 1)
+    widths = ends - starts
+    data = np.pad(data, (0, widths.max()), constant_values=_PAD)  # so that every item is read whole
+    order = np.argsort(-widths, kind="stable")
+    sizes, classes, items, tables = *np.empty((3, len(order)), np.intp), []
+    while len(order):  # a table of the widest lines left and those at least half as wide
+        size = max(int(widths[order[0]]), 1)
+        members, order = np.split(order, [np.count_nonzero(2 * widths[order] >= widths[order[0]])])
+        table = np.ndarray((len(data) - size + 1,), f"V{size}", data, 0, (1,))[starts[members]]
+        cells = table.view(np.uint8).reshape(-1, size)
+        blocks = np.unique(widths[members], return_index=True, return_counts=True)
+        for width, first, count in zip(*blocks):  # the members of one width are together
+            cells[first : first + count, width:] = _PAD
+        sizes[members], classes[members], items[members] = size, len(tables), range(len(members))
+        tables.append(table)
+    return sizes, classes, items, tables
 
 
-def _write_rows(
-    stream: TextIO, tokens: np.ndarray, tags: tuple, columns: tuple, frames=None
-) -> None:
-    """Write the frames of `columns` (timestamps, src, dst, proto codes,
-    lengths) where the boolean mask `frames` holds, or all of them, one
-    `_WRITE_CHUNK` window at a time, so no temporary is longer than a window.
-
-    `tokens` holds the address tokens by id, and `tags` the `_tag_only` and
-    `_tag_field` texts by proto code, as object arrays.
-    """
-    tag_only, tag_field = tags
-    for start in range(0, len(columns[0]), _WRITE_CHUNK):
-        rows = slice(start, start + _WRITE_CHUNK)
-        if frames is not None:
-            rows = np.flatnonzero(frames[rows]) + start
-        ts, src, dst, codes, lengths = (column[rows] for column in columns)
-        fields = ts.tolist(), tokens[src].tolist(), tokens[dst].tolist()
-        tails = tag_only[codes]
-        if (sized := lengths >= 0).any():
-            tag_texts = tag_field[codes[sized]].tolist()
-            tails[sized] = [f"{tag}\t{n}" for tag, n in zip(tag_texts, lengths[sized].tolist())]
-        text = [f"{t}\t{s}\t{d}{tail}\n" for t, s, d, tail in zip(*fields, tails.tolist())]
-        stream.write("".join(text))
-        del fields, text  # before the next window's are built
+def _matrix(trace: Trace, rows: np.ndarray, texts: tuple, tails: tuple) -> np.ndarray:
+    """The matrix of frames `rows` of `trace` (see the module docstring); line
+    2 * code of `tails` follows the dst field of a frame with no length, and
+    line 2 * code + 1 that of a frame with one."""
+    sized = trace.length[rows] >= 0
+    proto = trace.proto[rows] * 2 + sized
+    fields = (texts, trace.src[rows]), (texts, trace.dst[rows]), (tails, proto)
+    numbers = trace.timestamps[rows], np.where(sized, trace.length[rows], 0)
+    groups = [(len(str(v.max())) + 3) // 4 for v in numbers]
+    groups[1] *= bool(sized.any())
+    widths = [int(t[0][ids].max()) for t, ids in fields]
+    m = np.full((len(rows), 4 * sum(groups) + sum(widths) + 1), _PAD, np.uint8)
+    at = 4 * groups[0]
+    for ((_, classes, items, tables), ids), width in zip(fields, widths):
+        classes = classes[ids]
+        present = np.flatnonzero(np.bincount(classes)).tolist()
+        for c in present:
+            pick, table = slice(None) if len(present) == 1 else classes == c, tables[c]
+            m[:, at : at + table.itemsize].view(table.dtype)[pick, 0] = table.take(items[ids[pick]])
+        at += width
+    for values, count, start in (numbers[0], groups[0], 0), (numbers[1], groups[1], at):
+        cells, values = m[:, start : start + 4 * count].view("V4"), values.astype(np.uint64)
+        for k in range(count - 1, -1, -1):
+            quotient = values // 10000
+            values -= quotient * 10000
+            values += (quotient == 0) * np.uint64(10000 << (k < count - 1))
+            cells[:, k], values = _GROUPS[values], quotient
+    m[~sized, at:-1] = _PAD  # no length
+    m[:, -1] = 10  # LF
+    return m
 
 
 def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = None) -> None:
@@ -933,19 +974,30 @@ def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = Non
     boolean mask over the trace's frames, writes only the frames where it
     holds, in order, and builds no sub-trace: for a parsed trace, the text
     of the trace those frames parse to, which for a protocol mask is a side
-    of `split_by_protocol`.  The rows are written a window at a time
-    (`_write_rows`).  It only formats, as the constructor has checked every
-    rule: its one ValueError, for a `frames` that is not a boolean mask of
-    N entries, comes before any text.
+    of `split_by_protocol`.  The rows are written a window at a time (see
+    the module docstring).  It only formats, as the constructor has checked
+    every rule: its one ValueError, for a `frames` that is not a boolean
+    mask of N entries, comes before any text.
     """
     frames = frames if frames is None else np.asarray(frames)
     if frames is not None and (frames.dtype != bool or frames.shape != (len(trace),)):
         raise ValueError(f"frames must be a boolean mask of {len(trace)} entries")
-    tokens = np.array(trace.interns.tokens, dtype=object)
-    tags = tuple(np.array(list(map(form, trace.protos)), dtype=object)
-                 for form in (_tag_only, _tag_field))
-    columns = trace.timestamps, trace.src, trace.dst, trace.proto, trace.length
-    _write_rows(stream, tokens, tags, columns, frames)
+    texts = _texts("\t" + "\n\t".join(trace.interns.tokens) + "\n")
+    tails = _texts("".join(f"\t{tag}\n\t{tag}\t\n" if tag else "\n\t\t\n" for tag in trace.protos))
+    rest = int(tails[0].max()) + 41  # a row's bytes besides its tokens: tail, two numbers, LF
+    widest = 2 * int(texts[0].max()) + rest
+    for chunk in range(0, len(trace), _WRITE_CHUNK):
+        rows = np.arange(chunk, min(chunk + _WRITE_CHUNK, len(trace)))
+        rows = rows if frames is None else rows[frames[rows]]
+        while len(rows):
+            cut = len(rows)
+            if widest * cut > _WRITE_BYTES:
+                wide = np.maximum.accumulate(texts[0][trace.src[rows]] + texts[0][trace.dst[rows]])
+                cut = max(1, np.count_nonzero((wide + rest) * np.arange(1, cut + 1) <= _WRITE_BYTES))
+            text = _matrix(trace, rows[:cut], texts, tails).tobytes().translate(None, b"\xff")
+            stream.write(text.decode("utf-8", "surrogatepass"))
+            del text  # before the next window's is built
+            rows = rows[cut:]
 
 
 def _split(lines: Iterable[str] | BinaryIO, proto: str, match: TextIO, rest: TextIO) -> None:

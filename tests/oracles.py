@@ -460,3 +460,18 @@ def split_by_protocol_rows(
     tags = [proto for _, _, _, proto, _ in rows(trace)]
     matching = np.array([tag is not None and bool(proto_predicate(tag)) for tag in tags], bool)
     return select_rows(trace, matching), select_rows(trace, ~matching)
+
+
+def format_rows(trace: Trace, frames=None) -> str:
+    """The file text of the frames of `trace` where the boolean mask `frames`
+    holds, or of all of them, each row formatted on its own."""
+    lines = []
+    for i, (ts, src, dst, tag, length) in enumerate(rows(trace)):
+        fields = [str(ts), trace.token_of(src), trace.token_of(dst)]
+        if length is not None:
+            fields += [tag or "", str(length)]
+        elif tag is not None:
+            fields.append(tag)
+        if frames is None or frames[i]:
+            lines.append("\t".join(fields) + "\n")
+    return "".join(lines)

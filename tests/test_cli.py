@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import os
 import stat
 import subprocess
@@ -19,6 +20,8 @@ import addrloc.cli
 import addrloc.trace
 from addrloc.cli import build_parser, main
 from addrloc.trace import read_trace
+
+from test_golden import GEN_ARGS, GOLDEN
 
 FIXTURE = "0\tA\tB\n5\tB\tA\n"
 
@@ -66,6 +69,13 @@ def test_gen_writes_parseable_trace_to_stdout(capsys):
     assert main(["gen", "--uniform-irm", "5", "--length", "20", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert len(_parse_trace_text(out)) == 20
+
+
+def test_gen_to_stdout_writes_the_golden_trace(capsysbinary):
+    # The text stream the CLI hands the writer for stdout takes the bytes
+    # that `--out FILE` writes, pinned by their hash in test_golden.py.
+    assert main([*GEN_ARGS, "--out", "-"]) == 0
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == GOLDEN["trace.txt"]
 
 
 def test_gen_model_flags(tmp_path):

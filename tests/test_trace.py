@@ -30,7 +30,7 @@ from addrloc.trace import (
 )
 
 from helpers import rows, traced_peak
-from oracles import parse_trace_by_line, select_rows, split_by_protocol_rows
+from oracles import format_rows, parse_trace_by_line, select_rows, split_by_protocol_rows
 
 
 def test_parse_two_line_file():
@@ -1318,48 +1318,97 @@ def test_write_of_chosen_frames_equals_writing_their_selection(lines, chunk, dat
         assert parse_trace(io.StringIO(got.getvalue())) == selection
 
 
-def _row_text(t: Trace, i: int) -> str:
-    """Frame i of `t` in the file format, formatted on its own."""
-    tag, length = t.protos[t.proto[i]], int(t.length[i])
-    fields = [str(t.timestamps[i]), t.token_of(t.src[i]), t.token_of(t.dst[i])]
-    if length >= 0:
-        fields += [tag or "", str(length)]
-    elif tag is not None:
-        fields.append(tag)
-    return "\t".join(fields) + "\n"
-
-
-_LENGTHS = {
-    "sized": st.integers(0, 2**63 - 1),
-    "unsized": st.none(),
-    "mixed": st.one_of(st.none(), st.integers(0, 1500)),
-}
+# Tokens and tags of 1 to 40 characters that a line can hold, some of
+# several UTF-8 bytes, and numbers at the edges of a digit group.
+_TEXT = st.text(
+    st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",))
+    | st.sampled_from("é€𝄞\x85\u2028"),
+    min_size=1,
+    max_size=40,
+)
+_NUMBERS = st.integers(0, 2**63 - 1) | st.sampled_from(
+    [0, 9, 10, 99, 100, 9999, 10**4, 10**8, 10**18, 2**63 - 1]
+)
+_LENGTHS = {"sized": _NUMBERS, "unsized": st.none(), "mixed": st.none() | _NUMBERS}
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(_LENGTHS)), st.integers(1, 3), st.data())
-def test_write_matches_a_per_row_formatter(lengths, chunk, data):
-    # Windows of 1 to 3 frames: every row has a length, none does, or some
-    # do, in the whole trace or in the frames a mask picks.
+@given(
+    st.sampled_from(sorted(_LENGTHS)),
+    st.sampled_from([1, 2, 3, 8192]),
+    st.sampled_from([1, 300, 1 << 20]),
+    st.data(),
+)
+def test_write_matches_a_per_row_formatter(lengths, chunk, budget, data):
+    # Windows of 1 to 3 frames, or cut at a budget of bytes: every row has a
+    # length, none does, or some do, in the whole trace or in the frames a
+    # mask picks; tokens of many widths share a window.
+    tokens = data.draw(st.lists(_TEXT, min_size=1, max_size=8, unique=True))
+    tags = data.draw(st.lists(_TEXT, max_size=3, unique=True))
     frames = data.draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["A", "B", "c-0"]),
-                st.sampled_from(["A", "B", "d-1"]),
-                st.sampled_from([None, "lat", "ip"]),
+                st.sampled_from(tokens),
+                st.sampled_from(tokens),
+                st.sampled_from([None, *tags]),
                 _LENGTHS[lengths],
             ),
             max_size=12,
         )
     )
-    t = Trace.from_token_rows([(7 * i, *frame) for i, frame in enumerate(frames)])
+    stamps = sorted(data.draw(st.lists(_NUMBERS, min_size=len(frames), max_size=len(frames))))
+    t = Trace.from_token_rows([(ts, *frame) for ts, frame in zip(stamps, frames)])
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(t), max_size=len(t))), bool)
-    for chosen in (None, mask):
-        want = "".join(_row_text(t, i) for i in range(len(t)) if chosen is None or chosen[i])
+    for chosen in (None, mask, np.zeros(len(t), bool), np.ones(len(t), bool)):
         got = io.StringIO()
-        with mock.patch.object(trace_module, "_WRITE_CHUNK", chunk):
+        with mock.patch.multiple(trace_module, _WRITE_CHUNK=chunk, _WRITE_BYTES=budget):
             write_trace(t, got, frames=chosen)
-        assert got.getvalue() == want
+        assert got.getvalue() == format_rows(t, chosen)
+    assert parse_trace(io.BytesIO(format_rows(t).encode())) == t
+
+
+class _Discard:
+    """A text stream that keeps nothing written to it."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def _write_peak(t: Trace) -> int:
+    """The traced peak of `write_trace` of `t` to a stream that keeps nothing."""
+    write_trace(t, _Discard())  # numpy's lazily imported helpers load outside the measurement
+    return traced_peak(lambda: write_trace(t, _Discard()))[1]
+
+
+def test_write_memory_does_not_grow_with_the_frames():
+    # Each window's matrix and text are dropped before the next is built,
+    # so a trace four times as long, of the same tokens, peaks no higher.
+    tokens = [f"s{i % 2}.a{i}" for i in range(2000)]
+    rng = np.random.default_rng(1)
+    peaks = []
+    for n in (50_000, 200_000):
+        dst = rng.integers(0, len(tokens), n)
+        dst[: len(tokens)] = np.arange(len(tokens))  # every token in both traces
+        t = Trace(np.arange(n) * 7, np.zeros(n, np.int32), dst, InternTable(tokens))
+        peaks.append(_write_peak(t))
+    assert peaks[1] <= peaks[0] + 64 * 1024
+
+
+def test_write_of_one_long_token_holds_no_table_of_its_width():
+    # One frame of 20,000 has a 1 MiB destination among 10,000 short tokens.
+    # Tables as wide as the longest token would take 10 GiB; the writer's
+    # take twice their tokens' bytes at most, and the frame's window is cut
+    # to the frame alone.
+    tokens = [f"t{i}" for i in range(10_000)] + ["x" * (1 << 20)]
+    n = 20_000
+    dst = np.arange(n) % 10_000
+    dst[12_345] = 10_000
+    t = Trace(np.arange(n), np.zeros(n, np.int32), dst, InternTable(tokens), length=np.arange(n))
+    got = io.StringIO()
+    write_trace(t, got)
+    assert got.getvalue() == format_rows(t)
+    text_bytes = sum(len(token) + 1 for token in tokens)
+    assert _write_peak(t) <= 3 * (text_bytes + trace_module._WRITE_BYTES)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 8192])
@@ -1446,7 +1495,7 @@ def _segments(groups: list[list[str]]) -> tuple[bytes, int]:
 
 def test_split_copies_the_blocks_it_need_not_format(monkeypatch):
     # Blocks already in `write_trace`'s form are copied, and never reach
-    # `_write_rows`, skipped lines dropped; a zero-padded timestamp or
+    # its formatter `_matrix`, skipped lines dropped; a zero-padded timestamp or
     # length and a 4-field line with an empty proto field are formatted,
     # with the rest of their blocks.  Every hash is alike, so a block with
     # two distinct tags collides, and is copied all the same.
@@ -1467,13 +1516,13 @@ def test_split_copies_the_blocks_it_need_not_format(monkeypatch):
     monkeypatch.setattr(trace_module, "_hash", _constant_hash)
     want = {proto: _full_split(data, proto) for proto in ("lat", "ip")}
     written = []
-    write_rows = trace_module._write_rows
+    format_window = trace_module._matrix
 
-    def spy(stream, tokens, tags, columns, frames=None):
-        written.extend(columns[0][frames].tolist())
-        write_rows(stream, tokens, tags, columns, frames)
+    def spy(t, window, texts, tails):
+        written.extend(t.timestamps[window].tolist())
+        return format_window(t, window, texts, tails)
 
-    monkeypatch.setattr(trace_module, "_write_rows", spy)
+    monkeypatch.setattr(trace_module, "_matrix", spy)
     reads = []
     blocks = trace_module._blocks
 
