@@ -43,13 +43,12 @@ every line as the full one does, with the same errors:
 - the full read gives the `Trace`.  It is for library callers: no
   command makes it;
 - the split read, which the `split` command (`_split`) makes, writes each
-  block and drops it.  A block whose frame lines are already as
-  `write_trace` writes them (no number with a leading zero, no 4-field
-  line with an empty proto field) keeps only its bytes and each line's
-  proto code, and its frame lines are copied to their side: src and dst
-  tokens are checked but never grouped or interned.
-  Any other block is a full read of its own, a trace with its own
-  address and tag tables, written through its protocol mask;
+  block and drops it.  It keeps only the block's bytes, each line's proto
+  code and the bytes `write_trace` would not write: a number's leading
+  zeros before another digit, and the tab before a 4-field line's empty
+  proto field.  Each frame line is copied to its side less those bytes,
+  so no row is formatted: src and dst tokens are checked but never
+  grouped or interned;
 - the destinations read, which the commands that need only the `dst`
   column make, gives that read-only int32 column alone, its ids numbered
   by first appearance among destinations: only destination tokens are
@@ -296,22 +295,20 @@ class _Columns:
     names the read of `_read_block`: "trace" keeps every column; "summary"
     interns src and dst tokens as "trace" does but keeps only `dst` and
     the first and last timestamps; "destinations" interns dst tokens alone
-    and keeps `dst`.  "split" keeps no column and no address table.  Of a
-    block whose frame lines are `write_trace`'s text of its frames it
-    keeps `copied`: the bytes of its lines, their lengths and per line the
-    proto code, or -1 for a skipped line; its src and dst tokens are
-    checked but never grouped or interned.  Any other block is read into
-    `block`, a "trace" read of its own.  `_split` writes and drops each
-    block of a "split" read, which has no `result`.  Only a "trace" read
-    takes tokens (`append_tokens`).
+    and keeps `dst`.  "split" keeps no column and no address table.  Of
+    each block it keeps `copied`: the bytes of its lines, their lengths,
+    per line the proto code, or -1 for a skipped line, and the positions
+    of the bytes `write_trace` would not write; its src and dst tokens
+    are checked but never grouped or interned.  `_split` writes and drops
+    each block of a "split" read, which has no `result`.  Only a "trace"
+    read takes tokens (`append_tokens`).
     """
 
     def __init__(self, select: str = "trace"):
         if select not in ("trace", "summary", "destinations", "split"):
             raise ValueError(f"unknown read {select!r}")
         self.select = select
-        self.copied: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self.block: Optional[_Columns] = None
+        self.copied: Optional[tuple[np.ndarray, ...]] = None
         self.timestamps = array("q")
         self.src = array("i")
         self.dst = array("i")
@@ -703,10 +700,8 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[
     of lines, or None, with `columns` untouched, for a block with a bad
     line (see the module docstring for the format).  Proto tokens are
     grouped only in a "trace" or "split" read, and src tokens are checked
-    but never grouped in a "destinations" read, nor src and dst tokens of
-    a block that a "split" read copies.  A "split" read decides whether it
-    copies a block before it groups any token, and reads any other block
-    into a "trace" read of the block's own (`_Columns`).
+    but never grouped in a "destinations" read, nor src and dst tokens in
+    a "split" read, which keeps what `_split` copies (`_Columns.copied`).
 
     Field offsets are int32, or int64 in a block of `_INT64_OFFSETS` bytes
     or more, and the one temporary as long as the block is the field-end
@@ -746,7 +741,7 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[
     del tabs
     # Tokens: src and dst interleaved, then the proto fields.  The address
     # tokens are grouped first, while no other per-frame array is held; a
-    # split groups them only for a block it does not copy.
+    # split never groups them.
     address = np.stack((base + 1, base + 2), axis=1).ravel()
     if (ends[address + 1] - ends[address] < 2).any():
         return None  # an empty address token
@@ -765,33 +760,29 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[
         ids = columns.known_addresses.ids_of(body, words, ends, address, address_groups)
         columns.append(timestamps, ids)
         return int(timestamps[-1]), lines
-    read = columns
-    if columns.select == "split":
-        # `write_trace` writes a number without leading zeros, and a 4-field
-        # line's empty proto field (code 0) not at all; it writes any other
-        # frame line as it is read.  Any other block is a trace of its own.
-        first = ends[np.concatenate((base, base[sized] + 4))] + 1
-        padded = (body[first] == 48) & (body[first + 1] - 48 < 10)  # "0" and a digit
-        proto = base[tagged & ~sized] + 3
-        if padded.any() or (ends[proto + 1] - ends[proto] < 2).any():
-            read = _Columns()
-            address_groups = _distinct(words, ends, address)
     codes = np.zeros(len(base), np.int32)  # 0: untagged
     if tagged.any():
         proto = base[tagged] + 3
         proto_groups = _distinct(words, ends, proto)
-        codes[tagged] = read.known_protos.ids_of(body, words, ends, proto, proto_groups)
-    if read.select == "split":
+        codes[tagged] = columns.known_protos.ids_of(body, words, ends, proto, proto_groups)
+    if columns.select == "split":
         line_codes = np.full(lines, -1, np.int32)
         line_codes[frame] = codes
-        columns.copied = body[1:], np.diff(ends[breaks]), line_codes
+        # `write_trace` writes a 4-field line with an empty proto field (code
+        # 0) as a 3-field line, and a number without the leading zeros before
+        # another digit: one pass per zero, at most 18 in 19 digits.
+        proto = base[tagged & ~sized] + 3
+        unwritten = [ends[proto[ends[proto + 1] - ends[proto] < 2]]]
+        at = ends[np.concatenate((base, base[sized] + 4))] + 1  # each number's first digit
+        while len(at := at[(body[at] == 48) & (body[at + 1] - 48 < 10)]):  # "0" and a digit
+            unwritten.append(at)
+            at = at + 1
+        columns.copied = body[1:], np.diff(ends[breaks]), line_codes, np.concatenate(unwritten) - 1
         return int(timestamps[-1]), lines
-    ids = read.known_addresses.ids_of(body, words, ends, address, address_groups)
+    ids = columns.known_addresses.ids_of(body, words, ends, address, address_groups)
     lengths = np.full(len(base), -1, np.int64)
     lengths[sized] = sized_lengths
-    read.append(timestamps, ids, codes, lengths)
-    if read is not columns:
-        columns.block = read
+    columns.append(timestamps, ids, codes, lengths)
     return int(timestamps[-1]), lines
 
 
@@ -974,7 +965,10 @@ def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = Non
     boolean mask over the trace's frames, writes only the frames where it
     holds, in order, and builds no sub-trace: for a parsed trace, the text
     of the trace those frames parse to, which for a protocol mask is a side
-    of `split_by_protocol`.  The rows are written a window at a time (see
+    of `split_by_protocol`.  A parsed frame line is written as it was read,
+    ended by LF, less its numbers' leading zeros before another digit and
+    the tab before a 4-field line's empty proto field: `_split` copies
+    lines less those bytes.  The rows are written a window at a time (see
     the module docstring).  It only formats, as the constructor has checked
     every rule: its one ValueError, for a `frames` that is not a boolean
     mask of N entries, comes before any text.
@@ -1006,32 +1000,28 @@ def _split(lines: Iterable[str] | BinaryIO, proto: str, match: TextIO, rest: Tex
 
     `lines` is read as `parse_trace` reads it, with the same errors, and each
     side's text is what `write_trace` writes of the full read through its
-    protocol mask.  A block whose frame lines are already in that form (see
-    `_Columns`) is copied line by line; any other block is a trace of its
-    own, written through its protocol mask.  Only the tag table and the last
-    timestamp outlive a block.  A bad line raises after the blocks before it
-    were written.
+    protocol mask.  No row is formatted: each block's frame lines are
+    copied to their side less the bytes `write_trace` would not write (see
+    `_Columns`).  Only the tag table and the last timestamp outlive a
+    block.  A bad line raises after the blocks before it were written.
     """
     columns = _Columns("split")
     for _ in _blocks(lines, columns):
-        if columns.copied is not None:
+        if columns.copied is not None:  # None for a block of no frame lines
             code = columns.protos._ids.get(proto, -1) if proto else -1  # "" is code 0, no tag
             _copy_lines(columns.copied, code, match, rest)
-        elif columns.block is not None:  # None for a block of no frame lines
-            block = columns.block.result()
-            matching = _protocol_mask(block, proto.__eq__)
-            write_trace(block, match, frames=matching)
-            write_trace(block, rest, frames=~matching)
-        columns.copied = columns.block = None
+            columns.copied = None
 
 
 def _copy_lines(copied: tuple, code: int, match: TextIO, rest: TextIO) -> None:
-    """Write the frame lines of a split's copied block (`_Columns.copied`)
-    with proto code `code` to `match` and the others to `rest`, byte for byte."""
-    text, lengths, codes = copied
+    """Write the frame lines of a split's block (`_Columns.copied`) with
+    proto code `code` to `match` and the others to `rest`, byte for byte
+    but for the bytes `write_trace` would not write."""
+    text, lengths, codes, unwritten = copied
     sides = np.where(codes == code, np.uint8(1), np.uint8(2))
     sides[codes < 0] = 0  # comment and blank lines
     sides = np.repeat(sides, lengths)
+    sides[unwritten] = 0
     match.write(str(text[sides == 1], "utf-8"))
     rest.write(str(text[sides == 2], "utf-8"))
 
@@ -1057,15 +1047,6 @@ def summarize(trace: Trace) -> TraceSummary:
     return _summary(trace.dst, trace.timestamps, len(trace.interns), trace.src)
 
 
-def _protocol_mask(trace: Trace, proto_predicate: Callable[[str], bool]) -> np.ndarray:
-    """Per frame, whether its proto tag satisfies `proto_predicate`, as a new bool array.
-
-    Untagged frames never do; the predicate is called once per tag.
-    """
-    wanted = np.array([False] + [bool(proto_predicate(p)) for p in trace.protos[1:]])
-    return wanted[trace.proto]
-
-
 def split_by_protocol(trace: Trace, proto_predicate: Callable[[str], bool]) -> tuple[Trace, Trace]:
     """Partition a trace into (matching, rest) by the proto field.
 
@@ -1076,7 +1057,8 @@ def split_by_protocol(trace: Trace, proto_predicate: Callable[[str], bool]) -> t
     a time, so its ids are numbered by first appearance among its frames
     and its tables hold only the tokens it uses.
     """
-    matching = _protocol_mask(trace, proto_predicate)
+    wanted = np.array([False] + [bool(proto_predicate(p)) for p in trace.protos[1:]])
+    matching = wanted[trace.proto]
     tokens = np.array(trace.interns.tokens, dtype=object)
     tags = np.array([tag or "" for tag in trace.protos], dtype=object)
     sides = []

@@ -50,9 +50,8 @@ def test_span_counts_read_real_return_values():
 
 def test_a_wrapper_installed_after_import_sees_every_trace_write(tmp_path, monkeypatch):
     # The traced run wraps `trace.write_trace` where it is defined, after the
-    # CLI is imported: `gen` must call the wrapper, and so must `split`, once
-    # per side, for each block it reads as a trace of its own.  A block
-    # already in `write_trace`'s form is copied and makes no call.
+    # CLI is imported: `gen` must call the wrapper.  `split` copies every
+    # block, zero-padded ones too, and makes no call.
     from addrloc import trace
     from addrloc.cli import main
 
@@ -75,4 +74,4 @@ def test_a_wrapper_installed_after_import_sees_every_trace_write(tmp_path, monke
     path.write_text("00\tA\tB\tlat\n01\tB\tA\tarp\n02\tA\tC\tlat\n", encoding="utf-8")
     monkeypatch.setattr(trace, "_CHUNK_BYTES", 11)
     assert main(argv) == 0
-    assert written == [7, 1, 0, 0, 1, 1, 0]
+    assert written == [7]

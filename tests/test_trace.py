@@ -1307,7 +1307,7 @@ def test_write_of_chosen_frames_equals_writing_their_selection(lines, chunk, dat
     t = parse_trace(lines)
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(t), max_size=len(t))), bool)
     wanted = {tag for tag in t.protos[1:] if data.draw(st.booleans())}
-    matching = trace_module._protocol_mask(t, wanted.__contains__)
+    matching = np.array([tag in wanted for tag in t.protos])[t.proto]
     matched, rest = split_by_protocol(t, wanted.__contains__)
     for chosen, selection in ((mask, select_rows(t, mask)), (matching, matched), (~matching, rest)):
         got, want = io.StringIO(), io.StringIO()
@@ -1435,7 +1435,7 @@ def test_write_rejects_a_bad_mask_before_any_text(monkeypatch, chunk):
 def _full_split(data: bytes, proto: str) -> tuple[str, str]:
     """The two sides of `split` from the full read and the masked write."""
     t = parse_trace(io.BytesIO(data))
-    matching = trace_module._protocol_mask(t, lambda tag: tag == proto)
+    matching = np.array([tag == proto for tag in t.protos])[t.proto]  # None: no tag
     sides = io.StringIO(), io.StringIO()
     for side, chosen in zip(sides, (matching, ~matching)):
         write_trace(t, side, frames=chosen)
@@ -1493,52 +1493,53 @@ def _segments(groups: list[list[str]]) -> tuple[bytes, int]:
     ).encode(), size
 
 
-def test_split_copies_the_blocks_it_need_not_format(monkeypatch):
-    # Blocks already in `write_trace`'s form are copied, and never reach
-    # its formatter `_matrix`, skipped lines dropped; a zero-padded timestamp or
-    # length and a 4-field line with an empty proto field are formatted,
-    # with the rest of their blocks.  Every hash is alike, so a block with
-    # two distinct tags collides, and is copied all the same.
-    groups = [  # (lines, whether the block is formatted)
-        (["1\tA\tB\tlat\t60\n", "\n", "2\tB\tC\n", "3\tA\tC\tlat\n"], False),
-        (["004\tA\tB\tlat\t60\n", "5\tB\tC\n"], True),
-        (["6\tC\tA\tip\t0\n", "7\tD\tE\n", "# comment\n"], False),
-        (["8\tA\tB\tlat\t060\n", "9\tB\tC\n"], True),
-        (["10\tA\tB\t\n", "11\tB\tC\tlat\n"], True),
-        (["12\tA\tB\t\t1500\n", "13\tE\tD\n"], False),
-        ([" \t\x0b\x0c\n", "14\tA\tB\n", "15\tB\tC\tlat\n"], False),
-        (["16\tA\tB\tlat\n", "17\tB\tC\tip\n"], False),
-        (["18\tF\tA\tlat\t1\n"], False),
+def test_split_copies_every_block(monkeypatch):
+    # `split` formats no row: every block's frame lines are copied, less the
+    # bytes `write_trace` does not write (a number's leading zeros, the tab
+    # before a 4-field line's empty proto field), and skipped lines are
+    # dropped.  Every hash is alike, so a block with two distinct tags
+    # collides, and is copied all the same.
+    groups = [
+        ["1\tA\tB\tlat\t60\n", "\n", "2\tB\tC\n", "3\tA\tC\tlat\n"],
+        ["004\tA\tB\tlat\t60\n", "5\tB\tC\n"],
+        ["6\tC\tA\tip\t0\n", "7\tD\tE\n", "# comment\n"],
+        ["0000000000000000007\tD\tE\tlat\n"],  # 19 digits
+        ["8\tA\tB\tlat\t060\n", "9\tB\tC\n"],
+        ["10\tA\tB\t\n", "11\tB\tC\tlat\n"],
+        ["12\tA\tB\t\t1500\n", "13\tE\tD\n"],
+        [" \t\x0b\x0c\n", "14\tA\tB\n", "15\tB\tC\tlat\n"],
+        ["16\tA\tB\tlat\n", "17\tB\tC\tip\n"],
+        ["18\tF\tA\tlat\t1\n"],
+        ["19\tA\tB\tip\t0\n", "20\tB\tA\tlat\t00\n"],
+        ["021\tA\tB\tlat\t0060\n"],
+        ["22\tA\tB\tlat\n", "23\tB\tC\t\n", "# comment\n"],
+        ["24\tA\tB\tlat\r\n", "25\tB\tC\t\r\n", "# comment\r\n"],
     ]
-    data, size = _segments([lines for lines, _ in groups])
-    formatted = [int(line.split("\t")[0]) for lines, f in groups if f for line in lines]
+    data, size = _segments(groups)
     monkeypatch.setattr(trace_module, "_CHUNK_BYTES", size)
     monkeypatch.setattr(trace_module, "_hash", _constant_hash)
     want = {proto: _full_split(data, proto) for proto in ("lat", "ip")}
-    written = []
-    format_window = trace_module._matrix
-
-    def spy(t, window, texts, tails):
-        written.extend(t.timestamps[window].tolist())
-        return format_window(t, window, texts, tails)
-
-    monkeypatch.setattr(trace_module, "_matrix", spy)
+    assert "7\tD\tE\tlat\n8\t" in want["lat"][0]
+    assert "20\tB\tA\tlat\t0\n21\tA\tB\tlat\t60\n" in want["lat"][0]
+    assert want["lat"][1].endswith("19\tA\tB\tip\t0\n23\tB\tC\n25\tB\tC\n")
+    formatted = mock.Mock(side_effect=AssertionError("a row was formatted"))
+    monkeypatch.setattr(trace_module, "_matrix", formatted)
+    monkeypatch.setattr(trace_module, "write_trace", formatted)
     reads = []
-    blocks = trace_module._blocks
 
-    def kept_blocks(lines, columns):
-        reads.append(columns)
-        return blocks(lines, columns)
+    class Columns(trace_module._Columns):
+        def __init__(self, select="trace"):
+            super().__init__(select)
+            reads.append(self)
 
-    monkeypatch.setattr(trace_module, "_blocks", kept_blocks)
+    monkeypatch.setattr(trace_module, "_Columns", Columns)
     for proto, want_sides in want.items():
-        written.clear()
         sides = io.StringIO(), io.StringIO()
         trace_module._split(io.BytesIO(data), proto, *sides)
-        assert sorted(written) == formatted
         assert (sides[0].getvalue(), sides[1].getvalue()) == want_sides
-    # A formatted block is a trace of its own: the split read interns no address.
-    assert [len(columns.interns) for columns in reads] == [0, 0]
+    formatted.assert_not_called()
+    # One split read per split, and it interns no address.
+    assert [(columns.select, len(columns.interns)) for columns in reads] == [("split", 0)] * 2
 
 
 def _split_peak(tmp_path, n: int, sources=500, destinations=3000, length="") -> int:
@@ -1575,10 +1576,9 @@ def test_split_command_holds_no_column_per_frame(tmp_path):
 
 
 def test_split_command_holds_no_address_table(tmp_path):
-    # Zero-padded lengths leave no block to copy: each is a trace of its
-    # own, with the addresses of its frames alone.  Both traces have as
-    # many per block, so ten times the addresses do not grow the peak.
-    # Tables kept across blocks held about 180 B per address.
+    # Zero-padded lengths: each block is copied less the zeros, and no
+    # address is interned, so ten times the addresses do not grow the
+    # peak.  Tables kept across blocks held about 180 B per address.
     n = 100_000
     few = _split_peak(tmp_path, n, 10_000, 10_000, "05")
     many = _split_peak(tmp_path, n, n, n, "05")
