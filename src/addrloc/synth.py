@@ -30,9 +30,10 @@ each value that of the one-draw-at-a-time SplitMix64 stream, so no model
 spends Python work per draw: the IRM models map one array of draws to
 codes; the LRU stack model draws 2**16 depths at a time and pops and
 re-inserts a stack entry only for a draw below the top, since a draw at the
-top repeats the code before it.  `generate` finds each code's first
-reference with `np.minimum.at`, not a sort, and maps codes to ids with one
-gather.
+top repeats the code before it.  `generate` numbers the codes by first use
+with `trace._first_use`, as `split_by_protocol` numbers a side's ids: each
+code's first reference comes from `np.minimum.at`, not a sort, and one
+gather maps codes to ids.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import _checks
 from ._rng import RANDBELOW_MAX, derive_seed, randbelow_array, random_array
-from .trace import InternTable, Trace
+from .trace import InternTable, Trace, _first_use
 
 PMF_SUM_TOLERANCE = 1e-9
 _DRAW_BLOCK = 1 << 16  # LruStackModel's draws per block
@@ -198,17 +199,8 @@ def generate(spec: GeneratorSpec) -> Trace:
     """Produce the trace for `spec`; bit-identical for identical spec and seed."""
     n = spec.length
     codes, tokens = spec.model.emit(n, spec.seed)
-    # Intern the used codes' tokens by first appearance, after the source
-    # "src" (id 0): a code's first reference is the least position holding it.
-    timestamps = np.arange(n)
-    first = np.full(len(tokens), n)
-    np.minimum.at(first, codes, timestamps)
-    heads = np.zeros(n, bool)
-    heads[first[first < n]] = True
-    used = codes[heads]
+    used, dst = _first_use(codes, len(tokens), start=1)  # after the source "src" (id 0)
+    del codes  # before the trace's other columns are made
     interns = InternTable(["src"] if n else [])
-    ids = np.empty(len(tokens), np.int32)
-    ids[used] = interns.intern_all([tokens[c] for c in used.tolist()])
-    dst = ids[codes]
-    del codes, heads  # before the trace's other columns are made
-    return Trace(timestamps, np.zeros(n, np.int32), dst, interns)
+    interns.intern_all([tokens[c] for c in used.tolist()])
+    return Trace(np.arange(n), np.zeros(n, np.int32), dst, interns)

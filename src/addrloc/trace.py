@@ -34,9 +34,10 @@ it reads its bytes with numpy and groups equal tokens by a hash of their
 8-byte words, checked byte for byte; a table kept across blocks gives
 known tokens their ids, so only new ones are decoded and interned.  It
 counts lines from the line breaks it finds, so error line numbers need
-no further pass over the bytes.  It refuses a block that holds a bad
-line, and `_first_bad_line` reads that block one line at a time only to
-raise the error that names its first bad line and field.
+no further pass over the bytes.  A block that is not UTF-8, and one the
+block reader refuses for a bad line, goes to `_first_bad_line`, which
+reads it one line at a time only to raise the error that names its first
+bad line: the first byte that is not UTF-8, or the first bad field.
 
 There are four reads, each a selection of `_Columns`, and each checks
 every line as the full one does, with the same errors:
@@ -71,6 +72,7 @@ lines, so a write holds one window beside them, however long a token.
 from __future__ import annotations
 
 import io
+import re
 from array import array
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -175,8 +177,14 @@ def _column(values, dtype, what: str) -> np.ndarray:
     return column
 
 
-def _breaks_line(token: str) -> bool:
-    return "\t" in token or "\n" in token or "\r" in token
+_SURROGATE = re.compile("[\ud800-\udfff]")  # no UTF-8 text holds one
+
+
+def _unsafe(token: str) -> str:
+    """Why no file can hold `token`, or "" if one can."""
+    if "\t" in token or "\n" in token or "\r" in token:
+        return "contains a tab or line break"
+    return "holds a lone surrogate" if not token.isascii() and _SURROGATE.search(token) else ""
 
 
 class Trace:
@@ -189,13 +197,13 @@ class Trace:
     an integer its dtype holds, an id or code outside its table, a negative or
     decreasing timestamp, a length below -1, a repeated or "" tag (a file cannot
     tell "" from None), or a token or tag, used or not, that is empty or holds a
-    tab or line break.  Ids should be in first-appearance order, each frame's
-    source before its destination, with no unused token.  That is not checked;
-    only such a trace round-trips through `write_trace` and `parse_trace`:
-    `Trace([0], [1], [0], InternTable(["A", "B"]))` writes a frame from B to A,
-    which parses back with B as id 0.  Construct with `Trace.from_token_rows`,
-    `parse_trace`, or a generator; do not mutate afterwards (analyses may share
-    one Trace across threads).
+    tab, line break or lone surrogate.  Ids should be in first-appearance order,
+    each frame's source before its destination, with no unused token.  That is
+    not checked; only such a trace round-trips through `write_trace` and
+    `parse_trace`: `Trace([0], [1], [0], InternTable(["A", "B"]))` writes a
+    frame from B to A, which parses back with B as id 0.  Construct with
+    `Trace.from_token_rows`, `parse_trace`, or a generator; do not mutate
+    afterwards (analyses may share one Trace across threads).
     """
 
     __slots__ = ("timestamps", "src", "dst", "proto", "length", "protos", "interns")
@@ -226,9 +234,9 @@ class Trace:
             raise ValueError("protos must be distinct tags, none of them empty")
         if "" in interns:
             raise ValueError("empty address token")
-        if _breaks_line("".join(tokens := (*interns.tokens, *self.protos[1:]))):
-            unsafe = next(filter(_breaks_line, tokens))  # after one scan of them all
-            raise ValueError(f"token {unsafe!r} contains a tab or line break")
+        if _unsafe("".join(tokens := (*interns.tokens, *self.protos[1:]))):
+            unsafe = next(filter(_unsafe, tokens))  # after one scan of them all
+            raise ValueError(f"token {unsafe!r} {_unsafe(unsafe)}")
         for column, low, high, what in (
             (self.src, 0, len(interns) - 1, "src"),
             (self.dst, 0, len(interns) - 1, "dst"),
@@ -250,7 +258,6 @@ class Trace:
         A proto of None or "" is no tag, a length of None is absent, and the
         constructor's rules hold: a timestamp of 0.5 or 2**63 is a ValueError.
         """
-        columns = _Columns()
         timestamps: list[int] = []
         addresses: list[str] = []
         protos: list[str] = []
@@ -260,8 +267,10 @@ class Trace:
             addresses += row[1:3]
             protos.append(row[3] or "" if len(row) > 3 else "")
             lengths.append(-1 if len(row) < 5 or row[4] is None else row[4])
-        columns.append_tokens(timestamps, addresses, protos, lengths)
-        return columns.result()
+        interns, table = InternTable(), InternTable([""])  # "" -> 0, the "no tag" code
+        ids, codes = interns.intern_all(addresses), table.intern_all(protos)
+        tags = (None,) + table.tokens[1:]
+        return cls(timestamps, ids[0::2], ids[1::2], interns, codes, lengths, tags)
 
     def destinations(self) -> list[int]:
         """The destination reference string: the ordered sequence of dst ids."""
@@ -300,8 +309,7 @@ class _Columns:
     per line the proto code, or -1 for a skipped line, and the positions
     of the bytes `write_trace` would not write; its src and dst tokens
     are checked but never grouped or interned.  `_split` writes and drops
-    each block of a "split" read, which has no `result`.  Only a "trace"
-    read takes tokens (`append_tokens`).
+    each block of a "split" read, which has no `result`.
     """
 
     def __init__(self, select: str = "trace"):
@@ -339,22 +347,6 @@ class _Columns:
             (self.length, lengths),
         ):
             column.frombytes(np.ascontiguousarray(values).view(np.uint8))
-
-    def append_tokens(
-        self,
-        timestamps: Sequence[int],
-        addresses: list[str],
-        protos: list[str],
-        lengths: Sequence[int],
-    ) -> None:
-        """Add one block of tokens: `addresses` alternates src and dst, a proto
-        of "" is no tag and a length of -1 is absent."""
-        self.append(
-            _column(timestamps, np.int64, "timestamps"),
-            self.interns.intern_all(addresses),
-            self.protos.intern_all(protos),
-            _column(lengths, np.int64, "length"),
-        )
 
     def result(self):
         """What the read gives: a `Trace`, a `_SummaryRead` or the read-only dst column."""
@@ -433,16 +425,21 @@ def _number(lineno: int, what: str, field: str) -> int:
     raise TraceParseError(lineno, f"bad {what} {field!r}")
 
 
-def _first_bad_line(lines: list[str], first_lineno: int, prev_ts: int) -> NoReturn:
-    """Raise the error of the first bad line of a block `_read_block` refused.
+def _first_bad_line(lines: list[bytes], first_lineno: int, prev_ts: int) -> NoReturn:
+    """Raise the error of the first bad line of a block not UTF-8 or refused by `_read_block`.
 
-    `lines` are the block's lines, numbered from `first_lineno`, and
-    `prev_ts` the timestamp of the frame before them.  A line's checks run
-    in this order: its field count, its timestamp and their order, its
-    address tokens, its length.  A block with no bad line is an
+    `lines` are the block's lines as bytes, numbered from `first_lineno`,
+    and `prev_ts` the timestamp of the frame before them.  A line's checks
+    run in this order: UTF-8, its field count, its timestamp and their
+    order, its address tokens, its length.  A block with no bad line is an
     AssertionError: the block reader refuses only a block that has one.
     """
-    for lineno, line in enumerate(lines, start=first_lineno):
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        try:
+            line = raw.decode()
+        except UnicodeDecodeError as exc:
+            what = f"byte 0x{raw[exc.start]:02x} at column {len(raw[: exc.start].decode()) + 1}"
+            raise TraceParseError(lineno, f"not UTF-8: {what}") from None
         if line.startswith("#") or not line.strip(_BLANK):
             continue
         fields = line.split("\t")
@@ -520,15 +517,14 @@ def _spans(ends: np.ndarray, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _distinct(words: np.ndarray, ends: np.ndarray, fields: np.ndarray):
-    """Group equal tokens exactly: (first, inverse, hashes), or None on a hash collision.
+    """Group equal tokens exactly: (first, inverse), or None on a hash collision.
 
     Token i is field `fields[i]` of the block (see `_read_block`).  The
-    groups are in order of their hashes: `hashes` holds them, increasing,
-    and `first` the index of each group's first token; `inverse[i]` is the
-    group of token i.  Every token's width and words are compared with its
-    group's first token's, so tokens share a group only if their bytes are
-    equal.  Per token, only the words, the widths and int32 groups outlive
-    the sort.
+    groups are in order of their hashes, `first` holds the index of each
+    group's first token and `inverse[i]` is the group of token i.  Every
+    token's width and words are compared with its group's first token's,
+    so tokens share a group only if their bytes are equal.  Per token, only
+    the words, the widths and int32 groups outlive the sort.
     """
     starts, widths = _spans(ends, fields)
     pairs = _words(words, starts, widths)
@@ -559,20 +555,13 @@ def _distinct(words: np.ndarray, ends: np.ndarray, fields: np.ndarray):
     rep = first[inverse]
     if (widths[rep] != widths).any():
         return None
-    firsts = []  # the first tokens' words, for their hashes
     while pairs:  # each token's word is dropped once checked
         live, word = pairs.pop(0)
         # Equal widths put each token's first in the same live set.
         at = rep[live] if isinstance(live, slice) else np.searchsorted(live, rep[live])
         if (word[at] != word).any():
             return None
-        if isinstance(live, slice):
-            firsts.append((live, word[first]))
-        else:  # the first tokens that are live, and their places in `live`
-            at = np.searchsorted(live, first)
-            inside = np.flatnonzero(live[np.minimum(at, len(live) - 1)] == first)
-            firsts.append((inside, word[at[inside]]))
-    return first, inverse, _hash(widths[first], firsts)
+    return first, inverse
 
 
 def _decode(body: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> list[str]:
@@ -610,15 +599,17 @@ class _Known:
     ) -> np.ndarray:
         """Ids of the tokens in `fields`, which `_distinct` grouped into `groups`.
 
-        Distinct tokens with an entry of equal width and words take its id;
+        Each group's first token is hashed from its words and looked up by
+        that hash: one with an entry of equal width and words takes its id;
         the others are decoded, interned and entered.  With `groups` None
         (colliding hashes), every token is decoded and interned, none entered.
         """
         if groups is None:
             return self.interns.intern_all(_decode(body, *_spans(ends, fields)))
-        first, inverse, hashes = groups
+        first, inverse = groups
         fields = fields[first]
         starts, widths = _spans(ends, fields)
+        hashes = _hash(widths, _words(words, starts, widths))
         entries = np.full(len(hashes), -1, np.int32)
         for level, level_entries in self.levels:
             at = np.minimum(np.searchsorted(level, hashes), len(level) - 1)
@@ -789,7 +780,7 @@ def _read_block(data: bytes, prev_ts: int, columns: _Columns) -> Optional[tuple[
 class _StrLines:
     """str lines as a binary file: `read()` returns the next `_CHUNK_LINES`
     of them joined and encoded as UTF-8, a lone surrogate kept as its bytes
-    so that `_file_blocks` names its line, and b"" only when they run out.
+    so that `_first_bad_line` names its line, and b"" only when they run out.
     """
 
     def __init__(self, lines: Iterable[str]):
@@ -802,10 +793,6 @@ class _StrLines:
         return b""
 
 
-class _NotUtf8(Exception):
-    """A byte that is not UTF-8, raised by `_file_blocks` on the line after the lines it yielded."""
-
-
 def _file_blocks(f: BinaryIO) -> Iterator[bytes]:
     """Binary file `f` in blocks of whole lines, as padded bytes.
 
@@ -814,10 +801,9 @@ def _file_blocks(f: BinaryIO) -> Iterator[bytes]:
     rest starts the next block.  CRLF and lone CR become LF, as in text
     mode.  A CR that ends a chunk waits for the next one, which may start
     with the LF of the same CRLF.  The last line gets a line break if it
-    has none.  At the first byte that is not UTF-8 it yields the lines
-    before that byte's line, then raises `_NotUtf8` naming its column, so
-    the first bad line gives the error and the line after the yielded ones
-    is the bad one.  Lines are counted by `_read_block`, not here.
+    has none.  Its bytes are not checked here: `_blocks` sends a block that
+    is not UTF-8 to `_first_bad_line`.  Lines are counted by `_read_block`,
+    not here.
     """
     rest = b""
     while True:
@@ -835,16 +821,6 @@ def _file_blocks(f: BinaryIO) -> Iterator[bytes]:
         if cut:
             block = b"".join((_LEAD, memoryview(data)[:cut], _TAIL))
             del data
-            try:
-                if not block.isascii():
-                    block.decode()
-            except UnicodeDecodeError as exc:
-                line_start = block.rfind(b"\n", 0, exc.start) + 1
-                column = len(block[line_start : exc.start].decode()) + 1
-                error = _NotUtf8(f"not UTF-8: byte 0x{block[exc.start]:02x} at column {column}")
-                if line_start > len(_LEAD):  # the lines before may hold an earlier error
-                    yield block[:line_start] + _TAIL
-                raise error from None
             yield block
         if eof:
             return
@@ -858,15 +834,14 @@ def _blocks(lines: Iterable[str] | BinaryIO, columns: _Columns) -> Iterator[None
     """
     prev_ts, lineno = 0, 1
     binary = isinstance(lines, (io.RawIOBase, io.BufferedIOBase))
-    try:
-        for data in _file_blocks(lines if binary else _StrLines(lines)):
-            if (read := _read_block(data, prev_ts, columns)) is None:  # lines of valid UTF-8
-                _first_bad_line(data[len(_LEAD) : -len(_TAIL)].decode().split("\n"), lineno, prev_ts)
-            prev_ts, count = read
-            lineno += count
-            yield
-    except _NotUtf8 as exc:
-        raise TraceParseError(lineno, str(exc)) from None
+    for data in _file_blocks(lines if binary else _StrLines(lines)):
+        # Each byte that is not UTF-8, and nothing else, decodes to a lone surrogate.
+        utf8 = data.isascii() or not _SURROGATE.search(data.decode(errors="surrogateescape"))
+        if not utf8 or (read := _read_block(data, prev_ts, columns)) is None:
+            _first_bad_line(data[len(_LEAD) : -len(_TAIL)].split(b"\n"), lineno, prev_ts)
+        prev_ts, count = read
+        lineno += count
+        yield
 
 
 def parse_trace(lines: Iterable[str] | BinaryIO, *, _select: str = "trace") -> Trace:
@@ -904,7 +879,7 @@ def _texts(text: str) -> tuple:
     """The lines of `text`, each ended by LF, as (sizes, classes, items, tables):
     line i, in UTF-8 and then PAD, is item `items[i]`, of `sizes[i]` bytes, of
     the V-dtype array `tables[classes[i]]`."""
-    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    data = np.frombuffer(text.encode(), np.uint8)
     ends = np.flatnonzero(data == 10)
     starts = np.append(0, ends[:-1] + 1)
     widths = ends - starts
@@ -989,7 +964,7 @@ def write_trace(trace: Trace, stream: TextIO, frames: Optional[np.ndarray] = Non
                 wide = np.maximum.accumulate(texts[0][trace.src[rows]] + texts[0][trace.dst[rows]])
                 cut = max(1, np.count_nonzero((wide + rest) * np.arange(1, cut + 1) <= _WRITE_BYTES))
             text = _matrix(trace, rows[:cut], texts, tails).tobytes().translate(None, b"\xff")
-            stream.write(text.decode("utf-8", "surrogatepass"))
+            stream.write(text.decode())
             del text  # before the next window's is built
             rows = rows[cut:]
 
@@ -1006,9 +981,9 @@ def _split(lines: Iterable[str] | BinaryIO, proto: str, match: TextIO, rest: Tex
     block.  A bad line raises after the blocks before it were written.
     """
     columns = _Columns("split")
+    code = columns.protos.intern(proto) if proto else -1  # "" is code 0, no tag
     for _ in _blocks(lines, columns):
         if columns.copied is not None:  # None for a block of no frame lines
-            code = columns.protos._ids.get(proto, -1) if proto else -1  # "" is code 0, no tag
             _copy_lines(columns.copied, code, match, rest)
             columns.copied = None
 
@@ -1052,23 +1027,37 @@ def split_by_protocol(trace: Trace, proto_predicate: Callable[[str], bool]) -> t
 
     Frames without a proto tag never match; the predicate is called once
     per tag in the trace's proto table.  Order and timestamps are
-    preserved.  Each side is built as a parse builds a trace: the tokens
-    of its frames go to `_Columns.append_tokens`, `_CHUNK_LINES` frames at
-    a time, so its ids are numbered by first appearance among its frames
-    and its tables hold only the tokens it uses.
+    preserved.  Each side holds only the tokens and tags its frames use,
+    numbered by first use among them (`_first_use`), as a parse of its
+    frames numbers them.
     """
     wanted = np.array([False] + [bool(proto_predicate(p)) for p in trace.protos[1:]])
     matching = wanted[trace.proto]
-    tokens = np.array(trace.interns.tokens, dtype=object)
-    tags = np.array([tag or "" for tag in trace.protos], dtype=object)
     sides = []
     for chosen in (matching, ~matching):
-        columns = _Columns()
         frames = np.flatnonzero(chosen)
-        for start in range(0, len(frames), _CHUNK_LINES):
-            block = frames[start : start + _CHUNK_LINES]
-            addresses = tokens[np.stack((trace.src[block], trace.dst[block]), 1).ravel()].tolist()
-            protos = tags[trace.proto[block]].tolist()
-            columns.append_tokens(trace.timestamps[block], addresses, protos, trace.length[block])
-        sides.append(columns.result())
+        addresses = np.stack((trace.src[frames], trace.dst[frames]), 1).ravel()
+        used, ids = _first_use(addresses, len(trace.interns))
+        del addresses
+        interns = InternTable(map(trace.interns.token_of, used.tolist()))
+        # A leading 0 keeps code 0, "no tag", whether or not a frame uses it.
+        tags, codes = _first_use(np.insert(trace.proto[frames], 0, 0), len(trace.protos))
+        protos = [trace.protos[c] for c in tags.tolist()]
+        columns = trace.timestamps[frames], ids[0::2], ids[1::2], interns, codes[1:]
+        sides.append(Trace(*columns, trace.length[frames], protos))
     return sides[0], sides[1]
+
+
+def _first_use(codes: np.ndarray, size: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The codes in 0..size - 1 that `codes` uses, in order of first use (the
+    least position holding each), and `codes` renumbered start, start + 1, ...
+    in that order, as int32."""
+    n = len(codes)
+    first = np.full(size, n)
+    np.minimum.at(first, codes, np.arange(n))
+    heads = np.zeros(n, bool)
+    heads[first[first < n]] = True
+    used = codes[heads]
+    ids = np.empty(size, np.int32)
+    ids[used] = np.arange(start, start + len(used), dtype=np.int32)
+    return used, ids[codes]

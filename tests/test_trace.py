@@ -210,6 +210,10 @@ def test_constructor_rejects_an_empty_address_token():
         ([(0, "A", "B", "ip", False)], "^length must be integers, got dtype bool$"),
         ([(2**63, "A", "B")], "^timestamps must fit in int64$"),
         ([(0, "A", "B", None, 2**64)], "^length must be integers, got dtype object$"),
+        # No UTF-8 text holds a lone surrogate, in a src, dst or tag.
+        ([(0, "A\ud800", "B")], r"^token 'A\\ud800' holds a lone surrogate$"),
+        ([(0, "A", "B\udfff")], r"^token 'B\\udfff' holds a lone surrogate$"),
+        ([(0, "A", "B", "l\udc80t")], r"^token 'l\\udc80t' holds a lone surrogate$"),
     ],
 )
 def test_from_token_rows_rejects_what_a_file_cannot_hold(rows, message):
@@ -691,6 +695,33 @@ def test_capture_blocks_of_any_size_read_alike(tmp_path):
     assert reads[0][1] == reads[1][1] == reads[2][1]
 
 
+@pytest.mark.parametrize("chunk", [64, trace_module._CHUNK_BYTES])
+def test_a_read_decodes_each_distinct_token_once(chunk):
+    # The table of tokens seen in earlier blocks (`_Known`) gives a token
+    # its id in every block after the one that decoded it.  These tokens'
+    # hashes do not collide, so each token a read groups is decoded once.
+    data = _capture_text(2 * trace_module._CHUNK_BYTES + 1)
+    frames = [line.split("\t") for line in data.decode().splitlines() if not line.startswith("#")]
+    want = {
+        "trace": {f[1] for f in frames} | {f[2] for f in frames} | {f[3] for f in frames},
+        "summary": {f[1] for f in frames} | {f[2] for f in frames},
+        "destinations": {f[2] for f in frames},
+    }
+    decoded = []
+    decode = trace_module._decode
+
+    def counting(body, starts, widths):
+        tokens = decode(body, starts, widths)
+        decoded.extend(tokens)
+        return tokens
+
+    for select, tokens in want.items():
+        decoded.clear()
+        with mock.patch.multiple(trace_module, _decode=counting, _CHUNK_BYTES=chunk):
+            parse_trace(io.BytesIO(data), _select=select)
+        assert sorted(decoded) == sorted(tokens)
+
+
 # --- trace files: line ends and UTF-8 ----------------------------------------
 
 _LF_TEXT = "# head\n0\tA\tB\n\n5\tB\tC\tLAT\t64\n7\tC\tA\t\t9\n"
@@ -743,12 +774,24 @@ def test_read_trace_names_the_first_non_utf8_byte(tmp_path, data, line, message)
     assert (error.line, str(error)) == (line, f"line {line}: {message}")
 
 
+@pytest.mark.parametrize(
+    "data,line,message",
+    [
+        (b"0\tA\tB\nbad\n2\tA\t\xffB\n", 2, "expected 3 to 5 tab-separated fields, got 1"),
+        (b"0\tA\tB\n1\tA\t\xffB\nbad\n", 2, "not UTF-8: byte 0xff at column 5"),
+    ],
+    ids=["bad-line-first", "byte-first"],
+)
 @pytest.mark.parametrize("chunk", [3, trace_module._CHUNK_BYTES])
-def test_read_trace_names_a_bad_line_before_a_non_utf8_byte(tmp_path, chunk):
-    # The first bad line gives the error, whichever chunk holds the byte.
+def test_read_trace_names_a_bad_line_before_a_non_utf8_byte(tmp_path, chunk, data, line, message):
+    # The first bad line gives the error, whichever chunk holds the byte,
+    # in the full read and in a split.
     with mock.patch.object(trace_module, "_CHUNK_BYTES", chunk):
-        error = _read_error(tmp_path, b"0\tA\tB\nbad\n2\tA\t\xffB\n")
-    assert (error.line, str(error)) == (2, "line 2: expected 3 to 5 tab-separated fields, got 1")
+        error = _read_error(tmp_path, data)
+        with pytest.raises(TraceParseError) as info:
+            trace_module._split(io.BytesIO(data), "lat", io.StringIO(), io.StringIO())
+    assert (error.line, str(error)) == (line, f"line {line}: {message}")
+    assert (info.value.line, str(info.value)) == (line, str(error))
 
 
 def test_read_trace_names_a_non_utf8_token_in_a_late_block(tmp_path):
@@ -1020,6 +1063,18 @@ def test_intern_all_numbers_repeated_new_tokens_as_one_at_a_time(known, blocks, 
         assert table.intern_all(block).tolist() == [oracle.intern(token) for token in block]
         assert table.tokens == oracle.tokens and table == oracle
     assert all(token in table for token in oracle.tokens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=30), st.integers(0, 3), st.sampled_from([0, 1]))
+def test_first_use_numbers_codes_as_dict_fromkeys_orders_them(codes, unused, start):
+    # `size` may leave codes that are never used; `start` 1 keeps id 0 for
+    # the source of a generated trace.
+    size = max(codes, default=-1) + 1 + unused
+    used, renumbered = trace_module._first_use(np.array(codes, np.intp), size, start)
+    order = list(dict.fromkeys(codes))
+    assert used.tolist() == order
+    assert renumbered.tolist() == [start + order.index(code) for code in codes]
 
 
 # --- the file reader ---------------------------------------------------------
